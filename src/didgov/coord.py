@@ -160,7 +160,8 @@ def submit_decision(
     All failure checks precede the append, so a raising call leaves the
     tally untouched.
     """
-    _append(config, tally, decision, outcome, meter)
+    entry = (decision.controller_key, decision.verdict, outcome.effective_weight)
+    append_entry(config, tally, entry, meter)
     if isinstance(config, (NOfMConfig, WeightedConfig)):
         # iterative early-termination pass over the tally after each vote
         charge(meter, "iteration_step", len(tally.accepted))
@@ -168,20 +169,21 @@ def submit_decision(
     return None
 
 
-def _append(
+def append_entry(
     config: CoordConfig,
     tally: Tally,
-    decision: Decision,
-    outcome: AuthzOutcome,
-    meter: Optional[CostMeter],
+    entry: TallyEntry,
+    meter: Optional[CostMeter] = None,
 ) -> None:
+    """Count one decision: the only way an entry enters a tally, shared by
+    live submission and by replay. Checks precede the append."""
     if tally.finalized:
         raise TallyFinalized(f"tally for proposal {tally.proposal_id} is finalized")
-    if tally.has_decided(decision.controller_key):
+    if tally.has_decided(entry[0]):
         raise DuplicateDecision("controller already has a counted decision")
     if isinstance(config, NOfMConfig) and len(tally.accepted) >= config.m:
         raise TallyFull(f"turnout threshold m={config.m} reached")
-    tally.accepted.append((decision.controller_key, decision.verdict, outcome.effective_weight))
+    tally.accepted.append(entry)
     charge(meter, "storage_write_update", 1)
 
 
@@ -212,8 +214,9 @@ def submit_batch(
         if denial_code is not None or outcome is None:
             skipped.append((index, denial_code or "unauthorized"))
             continue
+        entry = (decision.controller_key, decision.verdict, outcome.effective_weight)
         try:
-            _append(config, tally, decision, outcome, meter)
+            append_entry(config, tally, entry, meter)
         except (DuplicateDecision, TallyFull) as exc:
             skipped.append((index, exc.code))
             continue

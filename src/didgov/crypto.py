@@ -13,7 +13,7 @@ from cryptography.exceptions import InvalidSignature
 from cryptography.hazmat.primitives.asymmetric import ed25519
 
 from . import encoding
-from .encoding import ByteReader, ByteWriter
+from .encoding import ByteWriter
 from .errors import EncodingError, VerificationError
 
 PUBLIC_KEY_LEN = 32
@@ -21,10 +21,7 @@ SECRET_KEY_LEN = 32
 SIGNATURE_LEN = 64
 NONCE_LEN = 16
 
-_TAG_TOKEN = 0x10
-_TAG_VC = 0x11
-_TAG_TOKEN_PRESENTATION = 0x12
-_TAG_VC_PRESENTATION = 0x13
+_TAG_VC = 0x11  # leading byte of the credential bytes a presentation signs
 
 
 @dataclass(frozen=True)
@@ -144,61 +141,12 @@ def present_vc(credential: VerifiableCredential, holder: KeyPair, did: str, prop
     )
 
 
-# --- canonical encoding of credential records --------------------------------
-
-def encode_token(token: BearerToken) -> bytes:
-    w = ByteWriter().u8(_TAG_TOKEN)
-    w.blob(token.nonce).blob(token.issuer_key).blob(token.signature)
-    return w.getvalue()
-
+# --- credential bytes under the holder's presentation signature --------------
 
 def encode_credential(vc: VerifiableCredential) -> bytes:
     w = ByteWriter().u8(_TAG_VC)
     w.blob(vc.issuer_key).blob(vc.holder_key).text_map(vc.claims).blob(vc.issuer_signature)
     return w.getvalue()
-
-
-def encode_presentation(presentation: CredentialPresentation) -> bytes:
-    if isinstance(presentation, TokenPresentation):
-        return (
-            ByteWriter().u8(_TAG_TOKEN_PRESENTATION).blob(encode_token(presentation.token)).getvalue()
-        )
-    w = ByteWriter().u8(_TAG_VC_PRESENTATION)
-    w.blob(encode_credential(presentation.credential)).blob(presentation.holder_signature)
-    return w.getvalue()
-
-
-def decode_token(data: bytes) -> BearerToken:
-    r = ByteReader(data)
-    if r.u8() != _TAG_TOKEN:
-        raise EncodingError("not a bearer token encoding")
-    token = BearerToken(nonce=r.blob(), issuer_key=r.blob(), signature=r.blob())
-    r.expect_end()
-    return token
-
-
-def decode_credential(data: bytes) -> VerifiableCredential:
-    r = ByteReader(data)
-    if r.u8() != _TAG_VC:
-        raise EncodingError("not a credential encoding")
-    vc = VerifiableCredential(
-        issuer_key=r.blob(), holder_key=r.blob(), claims=r.text_map(), issuer_signature=r.blob()
-    )
-    r.expect_end()
-    return vc
-
-
-def decode_presentation(data: bytes) -> CredentialPresentation:
-    r = ByteReader(data)
-    tag = r.u8()
-    if tag == _TAG_TOKEN_PRESENTATION:
-        result: CredentialPresentation = TokenPresentation(token=decode_token(r.blob()))
-    elif tag == _TAG_VC_PRESENTATION:
-        result = VcPresentation(credential=decode_credential(r.blob()), holder_signature=r.blob())
-    else:
-        raise EncodingError("not a credential presentation encoding")
-    r.expect_end()
-    return result
 
 
 # --- JSON projection ---------------------------------------------------------

@@ -1,11 +1,10 @@
-"""Canonical binary encoding: type-tagged, length-prefixed, field-ordered.
+"""Canonical signing payloads: type-tagged, length-prefixed, field-ordered.
 
-This is the byte layout used for signing payloads and for persistence.
-Encoding is deterministic, and injective per record type: two records of
-the same type produce equal bytes iff they are equal. Integers are 8-byte
-big-endian, variable-length data carries a 4-byte big-endian length prefix,
-and every signing payload starts with a domain-separation tag so payloads
-of different kinds can never collide.
+These bytes are what Ed25519 signs; they are never persisted (the event
+log and snapshots are JSON). Encoding is deterministic, and injective per
+payload kind. Integers are 8-byte big-endian, variable-length data carries
+a 4-byte big-endian length prefix, and every signing payload starts with a
+domain-separation tag so payloads of different kinds can never collide.
 """
 
 from __future__ import annotations
@@ -59,50 +58,6 @@ class ByteWriter:
 
     def getvalue(self) -> bytes:
         return bytes(self._buf)
-
-
-class ByteReader:
-    """Mirror of :class:`ByteWriter`; raises ``EncodingError`` on underrun."""
-
-    def __init__(self, data: bytes) -> None:
-        self._data = data
-        self._pos = 0
-
-    def _take(self, n: int) -> bytes:
-        if self._pos + n > len(self._data):
-            raise EncodingError("truncated canonical encoding")
-        chunk = self._data[self._pos : self._pos + n]
-        self._pos += n
-        return chunk
-
-    def u8(self) -> int:
-        return self._take(1)[0]
-
-    def u64(self) -> int:
-        return struct.unpack(">Q", self._take(8))[0]
-
-    def boolean(self) -> bool:
-        flag = self.u8()
-        if flag not in (0, 1):
-            raise EncodingError(f"invalid boolean byte {flag}")
-        return flag == 1
-
-    def blob(self) -> bytes:
-        (length,) = struct.unpack(">I", self._take(4))
-        return self._take(length)
-
-    def text(self) -> str:
-        try:
-            return self.blob().decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise EncodingError("invalid utf-8 in canonical encoding") from exc
-
-    def text_map(self) -> dict[str, str]:
-        return {self.text(): self.text() for _ in range(self.u64())}
-
-    def expect_end(self) -> None:
-        if self._pos != len(self._data):
-            raise EncodingError("trailing bytes after canonical encoding")
 
 
 def sorted_claims(claims: Mapping[str, str]) -> list[tuple[str, str]]:

@@ -3,13 +3,14 @@ groups, change sets, proposals, decisions, and audit events.
 
 All types are value records. The registry owns the only mutable state
 (proposal status/deadline are set as the lifecycle advances); everything
-else is frozen. Each type has a canonical binary encoding and a JSON
-projection (byte strings as lowercase hex, ratios as "n/d").
+else is frozen. Each type has a JSON projection (byte strings as
+lowercase hex, ratios as "n/d"), the one persistence format; the only
+byte-level encoding is the signing payloads in :mod:`didgov.encoding`.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from enum import Enum, IntEnum
 from fractions import Fraction
@@ -17,17 +18,9 @@ from typing import Optional, Union
 
 from . import crypto
 from .crypto import CredentialPresentation
-from .encoding import ByteReader, ByteWriter
 from .errors import EncodingError, InvalidChangeSet, InvalidGroupConfig, UnknownGroup
 
 _HEX_DIGITS = frozenset("0123456789abcdef")
-
-_TAG_DOCUMENT = 0x01
-_TAG_GROUP = 0x02
-_TAG_CHANGE_SET = 0x03
-_TAG_PROPOSAL = 0x04
-_TAG_DECISION = 0x05
-_TAG_EVENT = 0x06
 
 
 class Did(str):
@@ -416,308 +409,6 @@ def ratio_from_text(text: str) -> Fraction:
         return Fraction(int(num), int(den))
     except (ValueError, ZeroDivisionError) as exc:
         raise EncodingError(f"bad ratio {text!r}") from exc
-
-
-# --- canonical binary encoding ----------------------------------------------
-
-def _write_authz_config(w: ByteWriter, config: AuthzConfig) -> None:
-    if isinstance(config, AclConfig):
-        w.u8(0)
-        w.u64(len(config.members))
-        for member in config.members:
-            w.blob(member)
-        w.boolean(config.weights is not None)
-        if config.weights is not None:
-            for weight in config.weights:
-                w.u64(weight)
-    elif isinstance(config, TokenConfig):
-        w.u8(1)
-        w.u64(len(config.trusted_issuers))
-        for issuer in config.trusted_issuers:
-            w.blob(issuer)
-    else:
-        w.u8(2)
-        w.u64(len(config.trusted_issuers))
-        for issuer in config.trusted_issuers:
-            w.blob(issuer)
-        w.text_map(config.required_claims)
-
-
-def _read_authz_config(r: ByteReader) -> AuthzConfig:
-    kind = r.u8()
-    if kind == 0:
-        members = tuple(r.blob() for _ in range(r.u64()))
-        weights = tuple(r.u64() for _ in members) if r.boolean() else None
-        return AclConfig(members=members, weights=weights)
-    if kind == 1:
-        return TokenConfig(trusted_issuers=tuple(r.blob() for _ in range(r.u64())))
-    if kind == 2:
-        issuers = tuple(r.blob() for _ in range(r.u64()))
-        return VcConfig(trusted_issuers=issuers, required_claims=r.text_map())
-    raise EncodingError(f"unknown authz config discriminator {kind}")
-
-
-def _write_coord_config(w: ByteWriter, config: CoordConfig) -> None:
-    if isinstance(config, NOfMConfig):
-        w.u8(0).u64(config.n).u64(config.m)
-    elif isinstance(config, TurnoutConfig):
-        w.u8(1).u64(config.quorum).u64(config.ratio.numerator).u64(config.ratio.denominator)
-    else:
-        w.u8(2).u64(config.threshold)
-
-
-def _read_coord_config(r: ByteReader) -> CoordConfig:
-    kind = r.u8()
-    if kind == 0:
-        return NOfMConfig(n=r.u64(), m=r.u64())
-    if kind == 1:
-        quorum = r.u64()
-        return TurnoutConfig(quorum=quorum, ratio=Fraction(r.u64(), r.u64()))
-    if kind == 2:
-        return WeightedConfig(threshold=r.u64())
-    raise EncodingError(f"unknown coord config discriminator {kind}")
-
-
-def encode_group(group: GovernanceGroup) -> bytes:
-    w = ByteWriter().u8(_TAG_GROUP)
-    w.u64(group.group_id).u8(int(group.edit_right))
-    _write_authz_config(w, group.authz_config)
-    _write_coord_config(w, group.coord_config)
-    w.u8(0 if group.execution is ExecutionMode.ON_CHAIN else 1)
-    w.boolean(group.time_limit is not None)
-    if group.time_limit is not None:
-        w.u64(group.time_limit)
-    return w.getvalue()
-
-
-def _read_group(r: ByteReader) -> GovernanceGroup:
-    if r.u8() != _TAG_GROUP:
-        raise EncodingError("not a governance group encoding")
-    group_id = r.u64()
-    try:
-        edit_right = EditRightLevel(r.u8())
-    except ValueError:
-        raise EncodingError("unknown edit right value") from None
-    authz = _read_authz_config(r)
-    coord = _read_coord_config(r)
-    execution = ExecutionMode.ON_CHAIN if r.u8() == 0 else ExecutionMode.OFF_CHAIN
-    time_limit = r.u64() if r.boolean() else None
-    return GovernanceGroup(
-        group_id=group_id,
-        edit_right=edit_right,
-        authz_config=authz,
-        coord_config=coord,
-        execution=execution,
-        time_limit=time_limit,
-    )
-
-
-def decode_group(data: bytes) -> GovernanceGroup:
-    r = ByteReader(data)
-    group = _read_group(r)
-    r.expect_end()
-    return group
-
-
-def encode_document(doc: DidDocument) -> bytes:
-    w = ByteWriter().u8(_TAG_DOCUMENT)
-    w.text(doc.did).u64(doc.version)
-    w.u64(len(doc.public_keys))
-    for key in doc.public_keys:
-        w.blob(key)
-    w.text_map(doc.attributes)
-    w.u64(len(doc.groups))
-    for group in doc.groups:
-        w.blob(encode_group(group))
-    return w.getvalue()
-
-
-def decode_document(data: bytes) -> DidDocument:
-    r = ByteReader(data)
-    if r.u8() != _TAG_DOCUMENT:
-        raise EncodingError("not a document encoding")
-    did = Did(r.text())
-    version = r.u64()
-    public_keys = tuple(r.blob() for _ in range(r.u64()))
-    attributes = r.text_map()
-    groups = tuple(decode_group(r.blob()) for _ in range(r.u64()))
-    r.expect_end()
-    return DidDocument(did=did, version=version, public_keys=public_keys, attributes=attributes, groups=groups)
-
-
-def encode_change_set(change_set: ChangeSet) -> bytes:
-    w = ByteWriter().u8(_TAG_CHANGE_SET)
-    w.boolean(change_set.new_public_keys is not None)
-    if change_set.new_public_keys is not None:
-        w.u64(len(change_set.new_public_keys))
-        for key in change_set.new_public_keys:
-            w.blob(key)
-    w.boolean(change_set.new_attributes is not None)
-    if change_set.new_attributes is not None:
-        w.text_map(change_set.new_attributes)
-    w.u64(len(change_set.group_ops))
-    for op in change_set.group_ops:
-        if isinstance(op, AddGroup):
-            w.u8(0).blob(encode_group(op.group))
-        elif isinstance(op, ReplaceGroup):
-            w.u8(1).u64(op.group_id).blob(encode_group(op.group))
-        else:
-            w.u8(2).u64(op.group_id)
-    return w.getvalue()
-
-
-def decode_change_set(data: bytes) -> ChangeSet:
-    r = ByteReader(data)
-    if r.u8() != _TAG_CHANGE_SET:
-        raise EncodingError("not a change set encoding")
-    new_public_keys = tuple(r.blob() for _ in range(r.u64())) if r.boolean() else None
-    new_attributes = r.text_map() if r.boolean() else None
-    ops: list[GroupOp] = []
-    for _ in range(r.u64()):
-        op_kind = r.u8()
-        if op_kind == 0:
-            ops.append(AddGroup(group=decode_group(r.blob())))
-        elif op_kind == 1:
-            ops.append(ReplaceGroup(group_id=r.u64(), group=decode_group(r.blob())))
-        elif op_kind == 2:
-            ops.append(RemoveGroup(group_id=r.u64()))
-        else:
-            raise EncodingError(f"unknown group op discriminator {op_kind}")
-    r.expect_end()
-    return ChangeSet(new_public_keys=new_public_keys, new_attributes=new_attributes, group_ops=tuple(ops))
-
-
-def encode_proposal(proposal: UpdateProposal) -> bytes:
-    w = ByteWriter().u8(_TAG_PROPOSAL)
-    w.u64(proposal.proposal_id).text(proposal.did).u64(proposal.base_version)
-    w.u64(proposal.originating_group).blob(encode_change_set(proposal.change_set))
-    w.u64(proposal.created_at)
-    w.boolean(proposal.deadline is not None)
-    if proposal.deadline is not None:
-        w.u64(proposal.deadline)
-    w.text(proposal.status.value)
-    return w.getvalue()
-
-
-def decode_proposal(data: bytes) -> UpdateProposal:
-    r = ByteReader(data)
-    if r.u8() != _TAG_PROPOSAL:
-        raise EncodingError("not a proposal encoding")
-    proposal = UpdateProposal(
-        proposal_id=r.u64(),
-        did=Did(r.text()),
-        base_version=r.u64(),
-        originating_group=r.u64(),
-        change_set=decode_change_set(r.blob()),
-        created_at=r.u64(),
-        deadline=r.u64() if r.boolean() else None,
-        status=_enum_from_value(ProposalStatus, r.text()),
-    )
-    r.expect_end()
-    return proposal
-
-
-def encode_decision(decision: Decision) -> bytes:
-    w = ByteWriter().u8(_TAG_DECISION)
-    w.u64(decision.proposal_id).blob(decision.controller_key).text(decision.verdict.value)
-    w.boolean(decision.credential is not None)
-    if decision.credential is not None:
-        w.blob(crypto.encode_presentation(decision.credential))
-    w.blob(decision.signature)
-    return w.getvalue()
-
-
-def decode_decision(data: bytes) -> Decision:
-    r = ByteReader(data)
-    if r.u8() != _TAG_DECISION:
-        raise EncodingError("not a decision encoding")
-    proposal_id = r.u64()
-    controller_key = r.blob()
-    verdict = _enum_from_value(Verdict, r.text())
-    credential = crypto.decode_presentation(r.blob()) if r.boolean() else None
-    signature = r.blob()
-    r.expect_end()
-    return Decision(
-        proposal_id=proposal_id,
-        controller_key=controller_key,
-        verdict=verdict,
-        signature=signature,
-        credential=credential,
-    )
-
-
-def encode_event(event: GovernanceEvent) -> bytes:
-    w = ByteWriter().u8(_TAG_EVENT)
-    w.u64(event.sequence).u64(event.tick).text(event.kind.value).text_map(event.payload)
-    return w.getvalue()
-
-
-def decode_event(data: bytes) -> GovernanceEvent:
-    r = ByteReader(data)
-    if r.u8() != _TAG_EVENT:
-        raise EncodingError("not an event encoding")
-    event = GovernanceEvent(
-        sequence=r.u64(),
-        tick=r.u64(),
-        kind=_enum_from_value(EventKind, r.text()),
-        payload=r.text_map(),
-    )
-    r.expect_end()
-    return event
-
-
-_ENCODERS = {
-    DidDocument: encode_document,
-    GovernanceGroup: encode_group,
-    ChangeSet: encode_change_set,
-    UpdateProposal: encode_proposal,
-    Decision: encode_decision,
-    GovernanceEvent: encode_event,
-    crypto.BearerToken: crypto.encode_token,
-    crypto.VerifiableCredential: crypto.encode_credential,
-    crypto.TokenPresentation: crypto.encode_presentation,
-    crypto.VcPresentation: crypto.encode_presentation,
-}
-
-_DECODERS = {
-    _TAG_DOCUMENT: decode_document,
-    _TAG_GROUP: decode_group,
-    _TAG_CHANGE_SET: decode_change_set,
-    _TAG_PROPOSAL: decode_proposal,
-    _TAG_DECISION: decode_decision,
-    _TAG_EVENT: decode_event,
-}
-
-
-def canonical_encode(value) -> bytes:
-    """Single entry point over every encodable domain record."""
-    encoder = _ENCODERS.get(type(value))
-    if encoder is None:
-        raise EncodingError(f"no canonical encoding for {type(value).__name__}")
-    return encoder(value)
-
-
-def canonical_decode(data: bytes):
-    """Inverse of :func:`canonical_encode`, dispatching on the leading tag."""
-    if not data:
-        raise EncodingError("empty canonical encoding")
-    decoder = _DECODERS.get(data[0])
-    if decoder is not None:
-        return decoder(data)
-    # crypto-module tags live in a disjoint range
-    try:
-        return crypto.decode_presentation(data)
-    except EncodingError:
-        pass
-    try:
-        return crypto.decode_token(data)
-    except EncodingError:
-        pass
-    try:
-        return crypto.decode_credential(data)
-    except EncodingError:
-        pass
-    raise EncodingError(f"unknown canonical tag {data[0]:#x}")
 
 
 # --- JSON projection ---------------------------------------------------------

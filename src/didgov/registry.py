@@ -6,9 +6,12 @@ when it changes state, and freezes its cost meter into a report on
 commit. A raised error therefore leaves state, event log, and committed
 reports exactly as they were.
 
-The event log is the source of truth: :func:`replay_events` folds a log
-over an empty state and reproduces the live registry byte-for-byte (see
-:func:`snapshot_json`).
+The event log is the source of truth. Each event kind has one transition
+function, the only writer of registry state for that kind: a live
+transaction calls it after validating and then emits the event, and
+:func:`replay_events` calls it after decoding the event's payload, so a
+replayed log reproduces the live registry byte-for-byte (see
+:func:`snapshot_json`). Tallies change only through :mod:`didgov.coord`.
 """
 
 from __future__ import annotations
@@ -23,9 +26,11 @@ from .coord import BatchResult, DecisionBatch, ResolveReason, Tally
 from .errors import (
     AlreadyAnchored,
     AlreadyFinalized,
+    ClockRegression,
     DeadlinePassed,
     EmptyBatch,
     EncodingError,
+    GovernanceError,
     NoActiveProposal,
     NotAnchored,
     StaleBaseVersion,
@@ -56,6 +61,8 @@ from .model import (
 )
 from .scheduler import DeadlineQueue, ScheduleRequest, SimClock
 
+Nonce = Optional[tuple[bytes, bytes]]  # (issuer key, nonce) a token burns
+
 
 def _compact(value) -> str:
     return json.dumps(value, separators=(",", ":"))
@@ -72,6 +79,74 @@ class RegistryState:
     queue: DeadlineQueue = field(default_factory=DeadlineQueue)
     clock: SimClock = field(default_factory=SimClock)
     next_proposal_id: int = 1
+
+
+# --- transitions: one per event kind, the only writers of registry state ------
+
+def _consume(state: RegistryState, nonce: Nonce) -> None:
+    if nonce is not None:
+        state.nonce_ledger.consume(*nonce)
+
+
+def _anchored(state: RegistryState, doc: DidDocument) -> None:
+    state.documents[doc.did] = doc
+
+
+def _proposal_overridden(state: RegistryState, proposal: UpdateProposal, meter: Optional[CostMeter]) -> None:
+    coord.freeze(state.tallies[proposal.proposal_id], meter)
+    proposal.status = ProposalStatus.OVERRIDDEN
+    state.active_proposals.pop(proposal.did)
+
+
+def _proposal_submitted(state: RegistryState, proposal: UpdateProposal, tally: Tally, nonce: Nonce) -> None:
+    state.proposals[proposal.proposal_id] = proposal
+    state.active_proposals[proposal.did] = proposal
+    state.tallies[proposal.proposal_id] = tally
+    state.next_proposal_id = proposal.proposal_id + 1
+    _consume(state, nonce)
+
+
+def _decision_accepted(state: RegistryState, nonce: Nonce) -> None:
+    # the tally entry itself is appended by coord before this runs
+    _consume(state, nonce)
+
+
+def _scheduled(state: RegistryState, request: ScheduleRequest) -> None:
+    state.proposals[request.proposal_id].deadline = request.deadline
+    state.queue.push(request)
+
+
+def _resolution_status(verdict: Verdict, reason: ResolveReason) -> ProposalStatus:
+    if verdict is Verdict.APPROVE:
+        return ProposalStatus.APPROVED
+    return ProposalStatus.EXPIRED if reason is ResolveReason.EXPIRED else ProposalStatus.REJECTED
+
+
+def _resolved(
+    state: RegistryState,
+    proposal: UpdateProposal,
+    reason: ResolveReason,
+    status: ProposalStatus,
+    new_doc: Optional[DidDocument],
+    meter: Optional[CostMeter],
+) -> Verdict:
+    """Finalize the tally, install the approved successor document (if
+    any) and close the proposal; returns the tally's verdict."""
+    group = state.documents[proposal.did].group(proposal.originating_group)
+    verdict = coord.resolve(group.coord_config, state.tallies[proposal.proposal_id], reason, meter)
+    if new_doc is not None:
+        state.documents[proposal.did] = new_doc
+        charge(meter, "storage_write_update", 1)  # document record
+    proposal.status = status
+    state.active_proposals.pop(proposal.did, None)
+    return verdict
+
+
+def _clock_advanced(state: RegistryState, to: int) -> list[tuple[int, int]]:
+    """Move the clock and pop the queue entries that came due; the caller
+    fires the ones still active (replay: the log's resolved events do)."""
+    state.clock.advance(to)
+    return state.queue.due(to)
 
 
 def allowed_changes(edit_right: EditRightLevel, originating_group: int, change_set: ChangeSet) -> bool:
@@ -115,6 +190,10 @@ def build_decision(
     )
 
 
+def _nonce_fields(nonce: Nonce) -> dict[str, str]:
+    return {} if nonce is None else {"nonce_issuer": nonce[0].hex(), "nonce": nonce[1].hex()}
+
+
 class Registry:
     """In-process registry; owns all mutable governance state."""
 
@@ -134,6 +213,8 @@ class Registry:
             self.reports.append(meter.report(label))
 
     def _emit(self, kind: EventKind, payload: dict[str, str], meter: Optional[CostMeter]) -> GovernanceEvent:
+        """Log an event whose transition has just run: its tick is the clock
+        after the transition."""
         state = self.state
         event = GovernanceEvent(
             sequence=len(state.event_log) + 1,
@@ -181,7 +262,7 @@ class Registry:
             charge(meter, "storage_write_new", 1)  # coordination parameters
             if group.time_limit is not None:
                 charge(meter, "storage_write_new", 1)  # time settings
-        state.documents[key] = doc
+        _anchored(state, doc)
         self._emit(
             EventKind.ANCHORED,
             {"did": str(key), "document": _compact(model.document_to_json(doc))},
@@ -226,33 +307,24 @@ class Registry:
             )
         model.apply_change_set(doc, change_set)  # dry run: reject unappliable proposals now
         existing = state.active_proposals.get(key)
-        overridden: Optional[UpdateProposal] = None
-        if existing is not None:
-            existing_group = doc.group(existing.originating_group)
-            if group.edit_right > existing_group.edit_right:
-                overridden = existing
-            else:
-                raise ActiveProposalPrecedence(
-                    f"proposal {existing.proposal_id} is active with equal or higher privilege"
-                )
+        if existing is not None and group.edit_right <= doc.group(existing.originating_group).edit_right:
+            raise ActiveProposalPrecedence(
+                f"proposal {existing.proposal_id} is active with equal or higher privilege"
+            )
         # ---- all checks passed; mutate ----
-        if overridden is not None:
-            coord.freeze(state.tallies[overridden.proposal_id], meter)
-            overridden.status = ProposalStatus.OVERRIDDEN
-            state.active_proposals.pop(key)
+        if existing is not None:
+            _proposal_overridden(state, existing, meter)
             self._emit(
                 EventKind.PROPOSAL_OVERRIDDEN,
                 {
-                    "proposal_id": str(overridden.proposal_id),
+                    "proposal_id": str(existing.proposal_id),
                     "did": str(key),
                     "overriding_group": str(originating_group),
                 },
                 meter,
             )
-        proposal_id = state.next_proposal_id
-        state.next_proposal_id += 1
         proposal = UpdateProposal(
-            proposal_id=proposal_id,
+            proposal_id=state.next_proposal_id,
             did=key,
             base_version=doc.version,
             originating_group=originating_group,
@@ -261,57 +333,58 @@ class Registry:
         )
         charge(meter, "storage_write_new", 1)  # proposal record
         tally, schedule_request = coord.init_process(group, proposal, state.clock.now, meter)
-        state.proposals[proposal_id] = proposal
-        state.active_proposals[key] = proposal
-        state.tallies[proposal_id] = tally
-        authz.consume_grant(outcome, state.nonce_ledger)
+        _proposal_submitted(state, proposal, tally, outcome.consume_nonce)
         payload = {"proposal": _compact(model.proposal_to_json(proposal))}
-        if outcome.consume_nonce is not None:
-            payload["nonce_issuer"] = outcome.consume_nonce[0].hex()
-            payload["nonce"] = outcome.consume_nonce[1].hex()
+        payload.update(_nonce_fields(outcome.consume_nonce))
         self._emit(EventKind.PROPOSAL_SUBMITTED, payload, meter)
         if schedule_request is not None:
-            state.queue.push(schedule_request)
-            proposal.deadline = schedule_request.deadline
+            _scheduled(state, schedule_request)
             self._emit(
                 EventKind.SCHEDULED,
-                {"proposal_id": str(proposal_id), "deadline": str(schedule_request.deadline)},
+                {"proposal_id": str(proposal.proposal_id), "deadline": str(schedule_request.deadline)},
                 meter,
             )
         self._commit(meter, "propose")
-        return proposal_id
+        return proposal.proposal_id
 
     # -- decisions ------------------------------------------------------------
 
-    def _require_active(self, proposal_id: int) -> UpdateProposal:
-        proposal = self.state.proposals.get(proposal_id)
+    def _open_decisions(
+        self, proposal_id: int, mode: ExecutionMode
+    ) -> tuple[UpdateProposal, GovernanceGroup, Optional[CostMeter]]:
+        """Checks shared by ``decide`` and ``decide_batch``: the proposal is
+        active, its deadline has not passed and its group uses ``mode``."""
+        state = self.state
+        proposal = state.proposals.get(proposal_id)
         if proposal is None or proposal.status is not ProposalStatus.ACTIVE:
             raise NoActiveProposal(f"proposal {proposal_id} is not active")
-        return proposal
-
-    def _decision_payload(self, proposal: UpdateProposal, verdict: Verdict) -> bytes:
-        return encoding.decision_payload(
-            str(proposal.did), proposal.proposal_id, proposal.base_version, verdict.value
-        )
-
-    def decide(self, decision: Decision) -> Optional[Verdict]:
-        """Submit one on-chain decision; returns the verdict if it resolved
-        the proposal (decisive vote), else None."""
-        state = self.state
-        proposal = self._require_active(decision.proposal_id)
-        doc = state.documents[proposal.did]
-        group = doc.group(proposal.originating_group)
+        group = state.documents[proposal.did].group(proposal.originating_group)
         meter = self._meter()
-        charge(meter, "base_tx", 1)
+        charge(meter, "base_tx", 1)  # an off-chain aggregate rides one transaction too
         if proposal.deadline is not None and state.clock.now > proposal.deadline:
             raise DeadlinePassed(f"proposal {proposal.proposal_id} expired at {proposal.deadline}")
-        if group.execution is not ExecutionMode.ON_CHAIN:
-            raise WrongExecutionMode("single decisions are only possible for on-chain coordination")
+        if group.execution is not mode:
+            if mode is ExecutionMode.ON_CHAIN:
+                raise WrongExecutionMode("single decisions are only possible for on-chain coordination")
+            raise WrongExecutionMode("aggregates are only possible for off-chain coordination")
+        return proposal, group, meter
+
+    def _check_decision(
+        self,
+        proposal: UpdateProposal,
+        group: GovernanceGroup,
+        decision: Decision,
+        meter: Optional[CostMeter],
+    ) -> AuthzOutcome:
+        """Signature plus authorization for one decision. Every refusal,
+        including key or signature bytes of the wrong length, comes back as
+        a denied outcome rather than an exception."""
         charge(meter, "sig_verify", 1)
-        if not crypto.verify(
-            decision.controller_key, self._decision_payload(proposal, decision.verdict), decision.signature
-        ):
-            raise Unauthorized("decision signature invalid")
+        payload = encoding.decision_payload(
+            str(proposal.did), proposal.proposal_id, proposal.base_version, decision.verdict.value
+        )
+        if not crypto.verify(decision.controller_key, payload, decision.signature):
+            return AuthzOutcome(granted=False, denial=Unauthorized("decision signature invalid"))
         request = AuthzRequest(
             did=proposal.did,
             controller_key=decision.controller_key,
@@ -319,76 +392,51 @@ class Registry:
             proposal_id=proposal.proposal_id,
             credential=decision.credential,
         )
-        outcome = authz.authorize(group.authz_config, request, state.nonce_ledger, meter)
-        if not outcome.granted:
-            raise outcome.denial
-        if doc.version != proposal.base_version:  # unreachable under single-active rule
-            raise StaleBaseVersion(
-                f"proposal {proposal.proposal_id} pinned version {proposal.base_version}, "
-                f"document is at {doc.version}"
-            )
-        tally = state.tallies[proposal.proposal_id]
-        # submit_decision validates (duplicate/full/finalized) before appending
-        early = coord.submit_decision(group.coord_config, tally, decision, outcome, meter)
-        authz.consume_grant(outcome, state.nonce_ledger)
-        self._emit(EventKind.DECISION_ACCEPTED, self._decision_event(decision, outcome), meter)
-        result: Optional[Verdict] = None
-        if early is not None:
-            result = self._apply_resolution(proposal, ResolveReason.DECISIVE, meter)
-        self._commit(meter, "decide")
-        return result
+        return authz.authorize(group.authz_config, request, self.state.nonce_ledger, meter)
 
-    @staticmethod
-    def _decision_event(decision: Decision, outcome: AuthzOutcome) -> dict[str, str]:
+    def _accept(self, decision: Decision, outcome: AuthzOutcome, meter: Optional[CostMeter]) -> None:
+        """Transition and event for a decision coord has just tallied."""
+        _decision_accepted(self.state, outcome.consume_nonce)
         payload = {
             "proposal_id": str(decision.proposal_id),
             "controller": decision.controller_key.hex(),
             "verdict": decision.verdict.value,
             "weight": str(outcome.effective_weight),
         }
-        if outcome.consume_nonce is not None:
-            payload["nonce_issuer"] = outcome.consume_nonce[0].hex()
-            payload["nonce"] = outcome.consume_nonce[1].hex()
-        return payload
+        payload.update(_nonce_fields(outcome.consume_nonce))
+        self._emit(EventKind.DECISION_ACCEPTED, payload, meter)
+
+    def decide(self, decision: Decision) -> Optional[Verdict]:
+        """Submit one on-chain decision; returns the verdict if it resolved
+        the proposal (decisive vote), else None."""
+        proposal, group, meter = self._open_decisions(decision.proposal_id, ExecutionMode.ON_CHAIN)
+        outcome = self._check_decision(proposal, group, decision, meter)
+        if not outcome.granted:
+            raise outcome.denial
+        tally = self.state.tallies[proposal.proposal_id]
+        # submit_decision validates (duplicate/full/finalized) before appending
+        early = coord.submit_decision(group.coord_config, tally, decision, outcome, meter)
+        self._accept(decision, outcome, meter)
+        result: Optional[Verdict] = None
+        if early is not None:
+            result = self._apply_resolution(proposal, ResolveReason.DECISIVE, meter)
+        self._commit(meter, "decide")
+        return result
 
     def decide_batch(self, batch: DecisionBatch) -> BatchResult:
         """Submit an off-chain aggregate as one transaction.
 
-        Invalid entries (bad signature, denied authorization, duplicate
-        controller, turnout cap) are skipped and reported, not fatal.
+        Invalid entries (bad or malformed signature, denied authorization,
+        duplicate controller, turnout cap) are skipped and reported, not
+        fatal.
         """
-        state = self.state
         if not batch.decisions:
             raise EmptyBatch("batch holds no decisions")
-        proposal = self._require_active(batch.proposal_id)
-        doc = state.documents[proposal.did]
-        group = doc.group(proposal.originating_group)
-        meter = self._meter()
-        charge(meter, "base_tx", 1)  # the whole aggregate rides one transaction
-        if proposal.deadline is not None and state.clock.now > proposal.deadline:
-            raise DeadlinePassed(f"proposal {proposal.proposal_id} expired at {proposal.deadline}")
-        if group.execution is not ExecutionMode.OFF_CHAIN:
-            raise WrongExecutionMode("aggregates are only possible for off-chain coordination")
-        tally = state.tallies[proposal.proposal_id]
+        proposal, group, meter = self._open_decisions(batch.proposal_id, ExecutionMode.OFF_CHAIN)
         outcomes: list[tuple[Optional[AuthzOutcome], Optional[str]]] = []
         pending_nonces: set[tuple[bytes, bytes]] = set()
         for decision in batch.decisions:
-            charge(meter, "sig_verify", 1)
-            if not crypto.verify(
-                decision.controller_key,
-                self._decision_payload(proposal, decision.verdict),
-                decision.signature,
-            ):
-                outcomes.append((None, "unauthorized"))
-                continue
-            request = AuthzRequest(
-                did=proposal.did,
-                controller_key=decision.controller_key,
-                action=AuthzAction.DECIDE,
-                proposal_id=proposal.proposal_id,
-                credential=decision.credential,
-            )
-            outcome = authz.authorize(group.authz_config, request, state.nonce_ledger, meter)
+            outcome = self._check_decision(proposal, group, decision, meter)
             if not outcome.granted:
                 outcomes.append((None, outcome.denial.code))
                 continue
@@ -398,16 +446,12 @@ class Registry:
                     continue
                 pending_nonces.add(outcome.consume_nonce)
             outcomes.append((outcome, None))
+        tally = self.state.tallies[proposal.proposal_id]
         result = coord.submit_batch(group.coord_config, tally, batch, outcomes, meter)
         for index in result.tallied:
             outcome = outcomes[index][0]
             assert outcome is not None
-            authz.consume_grant(outcome, state.nonce_ledger)
-            self._emit(
-                EventKind.DECISION_ACCEPTED,
-                self._decision_event(batch.decisions[index], outcome),
-                meter,
-            )
+            self._accept(batch.decisions[index], outcome, meter)
         self._commit(meter, "decide_batch")
         return result
 
@@ -418,14 +462,13 @@ class Registry:
     ) -> Verdict:
         """Finalize an Active proposal's process and apply the outcome.
 
-        The approved successor document is computed before any mutation so
-        the mutation block cannot fail halfway.
+        The approved successor document is computed before the transition
+        runs, so the transition cannot fail halfway.
         """
         state = self.state
         doc = state.documents[proposal.did]
         group = doc.group(proposal.originating_group)
-        tally = state.tallies[proposal.proposal_id]
-        verdict = coord.evaluate(group.coord_config, tally.accepted)
+        verdict = coord.evaluate(group.coord_config, state.tallies[proposal.proposal_id].accepted)
         new_doc: Optional[DidDocument] = None
         if verdict is Verdict.APPROVE:
             if doc.version != proposal.base_version:  # unreachable under single-active rule
@@ -434,21 +477,13 @@ class Registry:
                     f"document is at {doc.version}"
                 )
             new_doc = model.apply_change_set(doc, proposal.change_set)
-        coord.resolve(group.coord_config, tally, reason, meter)
-        if new_doc is not None:
-            state.documents[proposal.did] = new_doc
-            charge(meter, "storage_write_update", 1)  # document record
-            proposal.status = ProposalStatus.APPROVED
-        elif reason is ResolveReason.EXPIRED:
-            proposal.status = ProposalStatus.EXPIRED
-        else:
-            proposal.status = ProposalStatus.REJECTED
-        state.active_proposals.pop(proposal.did, None)
+        status = _resolution_status(verdict, reason)
+        _resolved(state, proposal, reason, status, new_doc, meter)
         payload = {
             "proposal_id": str(proposal.proposal_id),
             "verdict": verdict.value,
             "reason": reason.value,
-            "status": proposal.status.value,
+            "status": status.value,
         }
         if new_doc is not None:
             payload["new_version"] = str(new_doc.version)
@@ -475,24 +510,24 @@ class Registry:
 
         Returns the proposal ids resolved by expiry, in firing order.
         Queue entries for proposals that resolved decisively earlier are
-        discarded silently here.
+        discarded silently here. Advancing to the current tick is a quiet
+        transaction: it is metered but changes nothing and logs no event.
         """
         state = self.state
         if to < state.clock.now:
-            # raise through SimClock for the uniform error
-            state.clock.advance(to)
+            raise ClockRegression(f"cannot move clock from {state.clock.now} back to {to}")
         meter = self._meter()
         charge(meter, "base_tx", 1)
-        if to > state.clock.now:
-            state.clock.advance(to)
-            self._emit(EventKind.CLOCK_ADVANCED, {"to": str(to)}, meter)
         resolved: list[int] = []
-        for _deadline, proposal_id in state.queue.due(to):
-            proposal = state.proposals.get(proposal_id)
-            if proposal is None or proposal.status is not ProposalStatus.ACTIVE:
-                continue  # stale entry: resolved before its deadline
-            self._apply_resolution(proposal, ResolveReason.EXPIRED, meter)
-            resolved.append(proposal_id)
+        if to > state.clock.now:
+            due = _clock_advanced(state, to)
+            self._emit(EventKind.CLOCK_ADVANCED, {"to": str(to)}, meter)
+            for _deadline, proposal_id in due:
+                proposal = state.proposals.get(proposal_id)
+                if proposal is None or proposal.status is not ProposalStatus.ACTIVE:
+                    continue  # stale entry: resolved before its deadline
+                self._apply_resolution(proposal, ResolveReason.EXPIRED, meter)
+                resolved.append(proposal_id)
         self._commit(meter, "advance_clock")
         return resolved
 
@@ -547,6 +582,11 @@ def event_log_to_jsonl(events: Sequence[GovernanceEvent]) -> str:
     return "".join(_compact(model.event_to_json(event)) + "\n" for event in events)
 
 
+# What a hostile log can make decoding or folding raise; each is reported
+# as an EncodingError.
+_MALFORMED = (GovernanceError, LookupError, ValueError, TypeError, AttributeError)
+
+
 def event_log_from_jsonl(text: str) -> list[GovernanceEvent]:
     events = []
     for line_number, line in enumerate(text.splitlines(), start=1):
@@ -554,13 +594,24 @@ def event_log_from_jsonl(text: str) -> list[GovernanceEvent]:
             continue
         try:
             events.append(model.event_from_json(json.loads(line)))
-        except (json.JSONDecodeError, KeyError, TypeError) as exc:
+        except _MALFORMED as exc:
             raise EncodingError(f"bad event on line {line_number}: {exc}") from exc
     return events
 
 
+def _decode_nonce(payload) -> Nonce:
+    if "nonce" not in payload:
+        return None
+    return bytes.fromhex(payload["nonce_issuer"]), bytes.fromhex(payload["nonce"])
+
+
 def replay_events(events: Sequence[GovernanceEvent]) -> RegistryState:
-    """Fold an audit log over an empty registry (event sourcing)."""
+    """Fold an audit log over an empty registry (event sourcing).
+
+    Each payload is decoded and handed to the transition the live
+    transaction called. A log that does not decode or fold raises
+    ``EncodingError`` naming the event's sequence number.
+    """
     state = RegistryState()
     for event in events:
         expected = len(state.event_log) + 1
@@ -568,52 +619,46 @@ def replay_events(events: Sequence[GovernanceEvent]) -> RegistryState:
             raise EncodingError(f"event sequence {event.sequence}, expected {expected}")
         state.event_log.append(event)
         payload = event.payload
-        if event.kind is EventKind.ANCHORED:
-            doc = model.document_from_json(json.loads(payload["document"]))
-            state.documents[doc.did] = doc
-        elif event.kind is EventKind.PROPOSAL_SUBMITTED:
-            proposal = model.proposal_from_json(json.loads(payload["proposal"]))
-            state.proposals[proposal.proposal_id] = proposal
-            state.active_proposals[proposal.did] = proposal
-            state.tallies[proposal.proposal_id] = Tally(proposal_id=proposal.proposal_id)
-            state.next_proposal_id = proposal.proposal_id + 1
-            _replay_nonce(state, payload)
-        elif event.kind is EventKind.PROPOSAL_OVERRIDDEN:
-            proposal = state.proposals[int(payload["proposal_id"])]
-            proposal.status = ProposalStatus.OVERRIDDEN
-            state.active_proposals.pop(proposal.did, None)
-            state.tallies[proposal.proposal_id].finalized = True
-        elif event.kind is EventKind.DECISION_ACCEPTED:
-            tally = state.tallies[int(payload["proposal_id"])]
-            tally.accepted.append(
-                (
+        try:
+            if event.kind is EventKind.ANCHORED:
+                _anchored(state, model.document_from_json(json.loads(payload["document"])))
+            elif event.kind is EventKind.PROPOSAL_SUBMITTED:
+                proposal = model.proposal_from_json(json.loads(payload["proposal"]))
+                tally = Tally(proposal_id=proposal.proposal_id)
+                _proposal_submitted(state, proposal, tally, _decode_nonce(payload))
+            elif event.kind is EventKind.PROPOSAL_OVERRIDDEN:
+                _proposal_overridden(state, state.proposals[int(payload["proposal_id"])], None)
+            elif event.kind is EventKind.DECISION_ACCEPTED:
+                proposal = state.proposals[int(payload["proposal_id"])]
+                group = state.documents[proposal.did].group(proposal.originating_group)
+                entry = (
                     bytes.fromhex(payload["controller"]),
                     Verdict(payload["verdict"]),
                     int(payload["weight"]),
                 )
-            )
-            _replay_nonce(state, payload)
-        elif event.kind is EventKind.SCHEDULED:
-            proposal_id = int(payload["proposal_id"])
-            deadline = int(payload["deadline"])
-            state.proposals[proposal_id].deadline = deadline
-            state.queue.push(ScheduleRequest(proposal_id=proposal_id, deadline=deadline))
-        elif event.kind is EventKind.RESOLVED:
-            proposal = state.proposals[int(payload["proposal_id"])]
-            state.tallies[proposal.proposal_id].finalized = True
-            proposal.status = ProposalStatus(payload["status"])
-            state.active_proposals.pop(proposal.did, None)
-            if proposal.status is ProposalStatus.APPROVED:
-                doc = state.documents[proposal.did]
-                state.documents[proposal.did] = model.apply_change_set(doc, proposal.change_set)
-        elif event.kind is EventKind.CLOCK_ADVANCED:
-            state.clock.advance(int(payload["to"]))
-            state.queue.due(state.clock.now)  # discard entries the live run fired
-        else:  # pragma: no cover - EventKind is closed
-            raise EncodingError(f"unknown event kind {event.kind}")
+                coord.append_entry(group.coord_config, state.tallies[proposal.proposal_id], entry)
+                _decision_accepted(state, _decode_nonce(payload))
+            elif event.kind is EventKind.SCHEDULED:
+                request = ScheduleRequest(
+                    proposal_id=int(payload["proposal_id"]), deadline=int(payload["deadline"])
+                )
+                _scheduled(state, request)
+            elif event.kind is EventKind.RESOLVED:
+                proposal = state.proposals[int(payload["proposal_id"])]
+                reason = ResolveReason(payload["reason"])
+                status = ProposalStatus(payload["status"])
+                new_doc = None
+                if status is ProposalStatus.APPROVED:
+                    new_doc = model.apply_change_set(state.documents[proposal.did], proposal.change_set)
+                verdict = _resolved(state, proposal, reason, status, new_doc, None)
+                if verdict.value != payload["verdict"] or _resolution_status(verdict, reason) is not status:
+                    raise EncodingError(
+                        f"tally resolves to {verdict.value}, log says {payload['verdict']}/{status.value}"
+                    )
+            elif event.kind is EventKind.CLOCK_ADVANCED:
+                _clock_advanced(state, int(payload["to"]))  # the log's own resolved events follow
+            else:  # pragma: no cover - EventKind is closed
+                raise EncodingError(f"unknown event kind {event.kind}")
+        except _MALFORMED as exc:
+            raise EncodingError(f"event {event.sequence} ({event.kind.value}) does not fold: {exc}") from exc
     return state
-
-
-def _replay_nonce(state: RegistryState, payload) -> None:
-    if "nonce" in payload:
-        state.nonce_ledger.consume(bytes.fromhex(payload["nonce_issuer"]), bytes.fromhex(payload["nonce"]))

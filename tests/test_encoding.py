@@ -3,17 +3,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from didgov import encoding
-from didgov.encoding import ByteReader, ByteWriter
+from didgov.encoding import ByteWriter
 from didgov.errors import EncodingError
-
-text_maps = st.dictionaries(st.text(max_size=8), st.text(max_size=8), max_size=5)
-
 
 @given(st.integers(min_value=0, max_value=2**64 - 1))
 def test_u64_round_trip(value):
     data = ByteWriter().u64(value).getvalue()
-    assert len(data) == 8
-    assert ByteReader(data).u64() == value
+    assert data == value.to_bytes(8, "big")
+    assert int.from_bytes(data, "big") == value
 
 
 def test_u64_rejects_negative():
@@ -24,52 +21,40 @@ def test_u64_rejects_negative():
 @given(st.binary(max_size=64))
 def test_blob_round_trip(data):
     encoded = ByteWriter().blob(data).getvalue()
-    reader = ByteReader(encoded)
-    assert reader.blob() == data
-    reader.expect_end()
+    assert encoded == len(data).to_bytes(4, "big") + data
+    assert encoded[4:] == data
 
 
 @given(st.text(max_size=64))
 def test_text_round_trip(value):
-    assert ByteReader(ByteWriter().text(value).getvalue()).text() == value
+    raw = value.encode("utf-8")
+    encoded = ByteWriter().text(value).getvalue()
+    assert encoded == len(raw).to_bytes(4, "big") + raw
+    assert encoded[4:].decode("utf-8") == value
 
 
-@given(text_maps)
-def test_text_map_round_trip(mapping):
-    assert ByteReader(ByteWriter().text_map(mapping).getvalue()).text_map() == mapping
+def test_text_map_round_trip():
+    # count, then key/value pairs in stored order (not sorted)
+    assert ByteWriter().text_map({"b": "2", "a": ""}).getvalue() == (
+        b"\x00" * 7 + b"\x02"
+        + b"\x00\x00\x00\x01b" + b"\x00\x00\x00\x012"
+        + b"\x00\x00\x00\x01a" + b"\x00\x00\x00\x00"
+    )
+    assert ByteWriter().text_map({}).getvalue() == b"\x00" * 8
 
 
 def test_boolean_round_trip():
-    data = ByteWriter().boolean(True).boolean(False).getvalue()
-    reader = ByteReader(data)
-    assert reader.boolean() is True
-    assert reader.boolean() is False
+    assert ByteWriter().boolean(True).boolean(False).getvalue() == b"\x01\x00"
 
 
-def test_boolean_rejects_other_bytes():
-    with pytest.raises(EncodingError):
-        ByteReader(b"\x02").boolean()
-
-
-def test_truncated_input_raises():
-    data = ByteWriter().blob(b"abcdef").getvalue()
-    with pytest.raises(EncodingError):
-        ByteReader(data[:-1]).blob()
-    with pytest.raises(EncodingError):
-        ByteReader(b"\x01\x02").u64()
-
-
-def test_trailing_bytes_detected():
-    reader = ByteReader(ByteWriter().u8(1).getvalue() + b"x")
-    reader.u8()
-    with pytest.raises(EncodingError):
-        reader.expect_end()
-
-
-def test_invalid_utf8_raises():
-    data = ByteWriter().blob(b"\xff\xfe").getvalue()
-    with pytest.raises(EncodingError):
-        ByteReader(data).text()
+def test_decision_payload_exact_bytes():
+    assert encoding.decision_payload("ab", 3, 2, "approve") == (
+        b"\xd1"
+        + b"\x00\x00\x00\x02ab"
+        + (3).to_bytes(8, "big")
+        + (2).to_bytes(8, "big")
+        + b"\x00\x00\x00\x07approve"
+    )
 
 
 @given(st.binary(max_size=16), st.binary(max_size=16))

@@ -1,8 +1,6 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from didgov import model
 from didgov.errors import InvalidChangeSet, InvalidGroupConfig, UnknownGroup
@@ -260,7 +258,6 @@ def _sample_groups():
 @pytest.mark.parametrize("group_index", range(4))
 def test_group_round_trips(group_index):
     group = _sample_groups()[group_index]
-    assert model.decode_group(model.encode_group(group)) == group
     assert model.group_from_json(model.group_to_json(group)) == group
 
 
@@ -272,7 +269,6 @@ def test_document_round_trips():
         attributes={"service": "x", "endpoint": "y"},
         groups=tuple(_sample_groups()),
     )
-    assert model.decode_document(model.encode_document(doc)) == doc
     assert model.document_from_json(model.document_to_json(doc)) == doc
 
 
@@ -286,10 +282,8 @@ def test_change_set_round_trips():
             RemoveGroup(group_id=1),
         ),
     )
-    assert model.decode_change_set(model.encode_change_set(change)) == change
     assert model.change_set_from_json(model.change_set_to_json(change)) == change
     cleared = ChangeSet(new_public_keys=())
-    assert model.decode_change_set(model.encode_change_set(cleared)) == cleared
     assert model.change_set_from_json(model.change_set_to_json(cleared)) == cleared
 
 
@@ -304,7 +298,6 @@ def test_proposal_round_trips():
         deadline=15,
         status=ProposalStatus.OVERRIDDEN,
     )
-    assert model.decode_proposal(model.encode_proposal(proposal)) == proposal
     assert model.proposal_from_json(model.proposal_to_json(proposal)) == proposal
 
 
@@ -316,7 +309,6 @@ def test_decision_round_trips():
     decision = build_decision(
         pair("a"), Did("abc123"), 2, 1, Verdict.REJECT, crypto.TokenPresentation(token=token)
     )
-    assert model.decode_decision(model.encode_decision(decision)) == decision
     assert model.decision_from_json(model.decision_to_json(decision)) == decision
 
 
@@ -324,25 +316,5 @@ def test_event_round_trips():
     event = GovernanceEvent(
         sequence=7, tick=3, kind=EventKind.RESOLVED, payload={"proposal_id": "2", "verdict": "approve"}
     )
-    assert model.decode_event(model.encode_event(event)) == event
     assert model.event_from_json(model.event_to_json(event)) == event
     assert event.payload_bytes() == len("proposal_id2verdictapprove")
-
-
-@given(
-    st.integers(min_value=1, max_value=20),
-    st.integers(min_value=0, max_value=20),
-)
-def test_nofm_encoding_injective(n, extra):
-    # distinct configs encode to distinct bytes
-    a = NOfMConfig(n=n, m=n + extra)
-    b = NOfMConfig(n=n, m=n + extra + 1)
-    ga = acl_group([pair("x")], coord=a)
-    gb = acl_group([pair("x")], coord=b)
-    assert model.encode_group(ga) != model.encode_group(gb)
-
-
-def test_canonical_dispatch():
-    group = _sample_groups()[0]
-    data = model.canonical_encode(group)
-    assert model.canonical_decode(data) == group
