@@ -36,6 +36,7 @@ from .errors import (
     StaleBaseVersion,
     Unauthorized,
     UnknownProposal,
+    VerificationError,
     WrongExecutionMode,
     EditRightViolation,
     ActiveProposalPrecedence,
@@ -383,16 +384,19 @@ class Registry:
         payload = encoding.decision_payload(
             str(proposal.did), proposal.proposal_id, proposal.base_version, decision.verdict.value
         )
-        if not crypto.verify(decision.controller_key, payload, decision.signature):
-            return AuthzOutcome(granted=False, denial=Unauthorized("decision signature invalid"))
-        request = AuthzRequest(
-            did=proposal.did,
-            controller_key=decision.controller_key,
-            action=AuthzAction.DECIDE,
-            proposal_id=proposal.proposal_id,
-            credential=decision.credential,
-        )
-        return authz.authorize(group.authz_config, request, self.state.nonce_ledger, meter)
+        try:
+            if not crypto.verify(decision.controller_key, payload, decision.signature):
+                return AuthzOutcome(granted=False, denial=Unauthorized("decision signature invalid"))
+            request = AuthzRequest(
+                did=proposal.did,
+                controller_key=decision.controller_key,
+                action=AuthzAction.DECIDE,
+                proposal_id=proposal.proposal_id,
+                credential=decision.credential,
+            )
+            return authz.authorize(group.authz_config, request, self.state.nonce_ledger, meter)
+        except VerificationError as exc:
+            return AuthzOutcome(granted=False, denial=exc)
 
     def _accept(self, decision: Decision, outcome: AuthzOutcome, meter: Optional[CostMeter]) -> None:
         """Transition and event for a decision coord has just tallied."""

@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from didgov import crypto, registry as registry_mod
@@ -21,6 +23,7 @@ from didgov.errors import (
     Unauthorized,
     UnknownGroup,
     UnknownProposal,
+    VerificationError,
     WrongExecutionMode,
 )
 from didgov.model import (
@@ -408,6 +411,29 @@ class TestBatchFlow:
         result = registry.decide_batch(DecisionBatch(proposal_id=pid, decisions=(good, forged)))
         assert result.tallied == (0,)
         assert result.skipped == ((1, "unauthorized"),)
+
+    def test_malformed_batch_entries_skipped_not_fatal(self):
+        registry, did = self._registry()
+        pid = _propose(registry, did, pair("ctrl-0"))
+        good = build_decision(pair("ctrl-0"), Did(did), pid, 1, Verdict.APPROVE)
+        other = build_decision(pair("ctrl-1"), Did(did), pid, 1, Verdict.APPROVE)
+        short_signature = dataclasses.replace(other, signature=other.signature[:-1])
+        short_key = dataclasses.replace(other, controller_key=other.controller_key[:-1])
+        batch = DecisionBatch(proposal_id=pid, decisions=(short_signature, good, short_key))
+        result = registry.decide_batch(batch)
+        assert result.tallied == (1,)
+        assert result.skipped == ((0, "verification-error"), (2, "verification-error"))
+        assert registry.state.tallies[pid].accepted == [(pair("ctrl-0").public_key, Verdict.APPROVE, 1)]
+        # every entry was checked, so every entry paid for its signature check
+        assert registry.reports[-1].count("sig_verify") == 3
+
+    def test_malformed_single_decision_still_raises(self):
+        registry, did = anchored([acl_group([pair("a")])])
+        pid = _propose(registry, did, pair("a"))
+        decision = build_decision(pair("a"), Did(did), pid, 1, Verdict.APPROVE)
+        with pytest.raises(VerificationError):
+            registry.decide(dataclasses.replace(decision, signature=decision.signature[:-1]))
+        assert registry.state.tallies[pid].accepted == []
 
     def test_same_nonce_twice_in_one_batch(self):
         issuer = pair("issuer")
