@@ -16,7 +16,9 @@ class GovernanceError(Exception):
 # --- encoding / crypto -------------------------------------------------------
 
 class EncodingError(GovernanceError):
-    """Canonical byte decoding failed (truncated or malformed input)."""
+    """Input does not encode or decode: an event log, event payload or
+    nested document that is malformed or does not fold, or a negative
+    integer in a signing payload."""
 
     code = "encoding-error"
 

@@ -599,7 +599,7 @@ def event_log_from_jsonl(text: str) -> list[GovernanceEvent]:
         try:
             events.append(model.event_from_json(json.loads(line)))
         except _MALFORMED as exc:
-            raise EncodingError(f"bad event on line {line_number}: {exc}") from exc
+            raise EncodingError(f"bad event on line {line_number}: {type(exc).__name__}: {exc}") from exc
     return events
 
 
@@ -643,10 +643,7 @@ def replay_events(events: Sequence[GovernanceEvent]) -> RegistryState:
                 coord.append_entry(group.coord_config, state.tallies[proposal.proposal_id], entry)
                 _decision_accepted(state, _decode_nonce(payload))
             elif event.kind is EventKind.SCHEDULED:
-                request = ScheduleRequest(
-                    proposal_id=int(payload["proposal_id"]), deadline=int(payload["deadline"])
-                )
-                _scheduled(state, request)
+                _scheduled(state, ScheduleRequest(int(payload["proposal_id"]), int(payload["deadline"])))
             elif event.kind is EventKind.RESOLVED:
                 proposal = state.proposals[int(payload["proposal_id"])]
                 reason = ResolveReason(payload["reason"])
@@ -664,5 +661,7 @@ def replay_events(events: Sequence[GovernanceEvent]) -> RegistryState:
             else:  # pragma: no cover - EventKind is closed
                 raise EncodingError(f"unknown event kind {event.kind}")
         except _MALFORMED as exc:
-            raise EncodingError(f"event {event.sequence} ({event.kind.value}) does not fold: {exc}") from exc
+            raise EncodingError(
+                f"event {event.sequence} ({event.kind.value}) does not fold: {type(exc).__name__}: {exc}"
+            ) from exc
     return state

@@ -182,6 +182,25 @@ def test_key_rotation_golden_reaches_version_two(tmp_path):
     assert result.registry.state.documents[Did("c0ffee01")].version == 2
 
 
+def _event_line(kind, payload, sequence=1):
+    return json.dumps({"sequence": sequence, "tick": 0, "kind": kind, "payload": payload}) + "\n"
+
+
+# one-line logs that decode or fold badly, each for a different reason
+MALFORMED_LOGS = {
+    "unknown-proposal": _event_line(
+        "resolved", {"proposal_id": "9", "verdict": "approve", "reason": "manual", "status": "approved"}
+    ),
+    "document-not-json": _event_line("anchored", {"did": "aa", "document": "{not json"}),
+    "non-integer-field": _event_line("clock_advanced", {"to": "x"}),
+    "payload-not-object": '{"sequence":1,"tick":0,"kind":"clock_advanced","payload":"xy"}\n',
+    "document-missing-version": _event_line(
+        "anchored",
+        {"did": "aa", "document": json.dumps({"did": "aa", "public_keys": [], "attributes": {}, "groups": []})},
+    ),
+}
+
+
 class TestCli:
     def setup_method(self):
         self.runner = CliRunner()
@@ -305,6 +324,16 @@ class TestCli:
         events.write_text("not json\n")
         result = self.runner.invoke(main, ["replay", str(events)])
         assert result.exit_code == 2
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_LOGS))
+    def test_replay_malformed_log_exit_two_without_traceback(self, tmp_path, case):
+        events = tmp_path / "events.jsonl"
+        events.write_text(MALFORMED_LOGS[case])
+        result = self.runner.invoke(main, ["replay", str(events)])
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert "encoding-error" in result.output
+        assert "event 1" in result.output or "line 1" in result.output
 
     def test_replay_without_expectation_prints_snapshot(self, tmp_path):
         out = self._run_golden(tmp_path)
