@@ -177,9 +177,3 @@ def authorize(
     if isinstance(config, TokenConfig):
         return _authorize_token(config, request, nonce_ledger, meter)
     return _authorize_vc(config, request, meter)
-
-
-def consume_grant(outcome: AuthzOutcome, nonce_ledger: NonceLedger) -> None:
-    """Commit-time step: burn the nonce a granted token outcome carries."""
-    if outcome.consume_nonce is not None:
-        nonce_ledger.consume(*outcome.consume_nonce)

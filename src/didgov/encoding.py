@@ -22,7 +22,7 @@ PAYLOAD_PRESENTATION = 0xD4
 
 
 class ByteWriter:
-    """Accumulates the canonical byte form of one record."""
+    """Accumulates the canonical bytes of one signing payload."""
 
     def __init__(self) -> None:
         self._buf = bytearray()

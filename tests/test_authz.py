@@ -6,7 +6,6 @@ from didgov.authz import (
     AuthzRequest,
     NonceLedger,
     authorize,
-    consume_grant,
 )
 from didgov.errors import (
     MalformedCredential,
@@ -83,7 +82,7 @@ class TestToken:
         assert outcome.consume_nonce == (self.issuer.public_key, b"n" * 16)
         # authorize must not burn the nonce itself
         assert len(ledger) == 0
-        consume_grant(outcome, ledger)
+        ledger.consume(*outcome.consume_nonce)  # what the registry does on commit
         assert ledger.is_consumed(self.issuer.public_key, b"n" * 16)
 
     def test_missing_credential_malformed(self):

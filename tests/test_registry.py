@@ -611,6 +611,21 @@ class TestEventSourcing:
         with pytest.raises(EncodingError, match="sequence"):
             registry_mod.replay_events(events)
 
+    @pytest.mark.parametrize("tamper", ["duplicate-decision", "flipped-verdict"])
+    def test_replay_rejects_transitions_the_live_registry_refuses(self, tamper):
+        events = list(self._busy_registry().state.event_log)
+        if tamper == "duplicate-decision":
+            index = next(i for i, e in enumerate(events) if e.kind is EventKind.DECISION_ACCEPTED) + 1
+            events.insert(index, events[index - 1])
+        else:
+            index = next(i for i, e in enumerate(events) if e.kind is EventKind.RESOLVED)
+            flipped = {"approve": "reject", "reject": "approve"}[events[index].payload["verdict"]]
+            payload = {**events[index].payload, "verdict": flipped}
+            events[index] = dataclasses.replace(events[index], payload=payload)
+        events = [dataclasses.replace(e, sequence=n) for n, e in enumerate(events, start=1)]
+        with pytest.raises(EncodingError, match=f"event {index + 1} "):
+            registry_mod.replay_events(events)
+
     def test_event_sequence_and_ticks_are_coherent(self):
         registry = self._busy_registry()
         log = registry.state.event_log

@@ -195,8 +195,7 @@ MALFORMED_LOGS = {
     "non-integer-field": _event_line("clock_advanced", {"to": "x"}),
     "payload-not-object": '{"sequence":1,"tick":0,"kind":"clock_advanced","payload":"xy"}\n',
     "document-missing-version": _event_line(
-        "anchored",
-        {"did": "aa", "document": json.dumps({"did": "aa", "public_keys": [], "attributes": {}, "groups": []})},
+        "anchored", {"did": "aa", "document": json.dumps({"did": "aa", "public_keys": [], "attributes": {}})}
     ),
 }
 
