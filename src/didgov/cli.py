@@ -12,7 +12,7 @@ from pathlib import Path
 import click
 
 from .bench import SweepGrid, sweep, write_csv
-from .errors import GovernanceError
+from .errors import EncodingError, GovernanceError
 from .metering import CostSchedule
 from .model import AuthzKind, CoordKind, ExecutionMode
 from .registry import event_log_from_jsonl, replay_events, snapshot_json
@@ -150,6 +150,8 @@ def replay(events, expect):
     try:
         log = event_log_from_jsonl(Path(events).read_text(encoding="utf-8"))
         state = replay_events(log)
+    except UnicodeDecodeError as exc:
+        _fail(f"{EncodingError.code}: {events} is not UTF-8 text (byte {exc.start})", 2)
     except GovernanceError as exc:
         _fail(f"{exc.code}: {exc}", 2)
     rebuilt = snapshot_json(state)

@@ -628,8 +628,7 @@ def replay_events(events: Sequence[GovernanceEvent]) -> RegistryState:
                 _anchored(state, model.document_from_json(json.loads(payload["document"])))
             elif event.kind is EventKind.PROPOSAL_SUBMITTED:
                 proposal = model.proposal_from_json(json.loads(payload["proposal"]))
-                tally = Tally(proposal_id=proposal.proposal_id)
-                _proposal_submitted(state, proposal, tally, _decode_nonce(payload))
+                _proposal_submitted(state, proposal, Tally(proposal.proposal_id), _decode_nonce(payload))
             elif event.kind is EventKind.PROPOSAL_OVERRIDDEN:
                 _proposal_overridden(state, state.proposals[int(payload["proposal_id"])], None)
             elif event.kind is EventKind.DECISION_ACCEPTED:

@@ -186,17 +186,23 @@ def _event_line(kind, payload, sequence=1):
     return json.dumps({"sequence": sequence, "tick": 0, "kind": kind, "payload": payload}) + "\n"
 
 
-# one-line logs that decode or fold badly, each for a different reason
+# logs that decode or fold badly, each for a different reason, with the
+# place the error message must name
 MALFORMED_LOGS = {
-    "unknown-proposal": _event_line(
-        "resolved", {"proposal_id": "9", "verdict": "approve", "reason": "manual", "status": "approved"}
+    "unknown-proposal": (
+        _event_line(
+            "resolved", {"proposal_id": "9", "verdict": "approve", "reason": "manual", "status": "approved"}
+        ),
+        "event 1",
     ),
-    "document-not-json": _event_line("anchored", {"did": "aa", "document": "{not json"}),
-    "non-integer-field": _event_line("clock_advanced", {"to": "x"}),
-    "payload-not-object": '{"sequence":1,"tick":0,"kind":"clock_advanced","payload":"xy"}\n',
-    "document-missing-version": _event_line(
-        "anchored", {"did": "aa", "document": json.dumps({"did": "aa", "public_keys": [], "attributes": {}})}
+    "document-not-json": (_event_line("anchored", {"did": "aa", "document": "{not json"}), "event 1"),
+    "non-integer-field": (_event_line("clock_advanced", {"to": "x"}), "event 1"),
+    "payload-not-object": ('{"sequence":1,"tick":0,"kind":"clock_advanced","payload":"xy"}\n', "line 1"),
+    "document-missing-version": (
+        _event_line("anchored", {"did": "aa", "document": json.dumps({"did": "aa", "public_keys": []})}),
+        "event 1",
     ),
+    "not-utf8": ("\xff\xfe\n", "byte 0"),
 }
 
 
@@ -326,13 +332,14 @@ class TestCli:
 
     @pytest.mark.parametrize("case", sorted(MALFORMED_LOGS))
     def test_replay_malformed_log_exit_two_without_traceback(self, tmp_path, case):
+        text, place = MALFORMED_LOGS[case]
         events = tmp_path / "events.jsonl"
-        events.write_text(MALFORMED_LOGS[case])
+        events.write_bytes(text.encode("latin-1"))
         result = self.runner.invoke(main, ["replay", str(events)])
         assert result.exit_code == 2, result.output
         assert isinstance(result.exception, SystemExit)
         assert "encoding-error" in result.output
-        assert "event 1" in result.output or "line 1" in result.output
+        assert place in result.output
 
     def test_replay_without_expectation_prints_snapshot(self, tmp_path):
         out = self._run_golden(tmp_path)
