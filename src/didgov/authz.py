@@ -99,13 +99,14 @@ def _issuer_trusted(issuers: tuple[bytes, ...], issuer_key: bytes, meter: Option
 def _authorize_acl(config: AclConfig, request: AuthzRequest, meter: Optional[CostMeter]) -> AuthzOutcome:
     if request.credential is not None:
         return _deny(MalformedCredential("acl group takes no credential"))
-    for index, member in enumerate(config.members):
-        if member == request.controller_key:
-            charge(meter, "iteration_step", index + 1)
-            weight = config.weights[index] if config.weights is not None else 1
-            return AuthzOutcome(granted=True, effective_weight=weight)
-    charge(meter, "iteration_step", len(config.members))
-    return _deny(Unauthorized("controller is not an acl member"))
+    # Charged as the on-chain linear scan it models; computed by lookup.
+    index = config.index.get(request.controller_key)
+    if index is None:
+        charge(meter, "iteration_step", len(config.members))
+        return _deny(Unauthorized("controller is not an acl member"))
+    charge(meter, "iteration_step", index + 1)
+    weight = config.weights[index] if config.weights is not None else 1
+    return AuthzOutcome(granted=True, effective_weight=weight)
 
 
 def _authorize_token(

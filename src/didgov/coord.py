@@ -57,24 +57,24 @@ class ResolveReason(str, Enum):
 
 @dataclass
 class Tally:
+    """Accepted decisions of one proposal, in order.
+
+    ``accepted`` is what snapshots serialize. The controller set and the
+    running counters beside it are derived from ``accepted`` and change
+    only in :func:`append_entry`, so a vote is counted without rescanning
+    the tally.
+    """
+
     proposal_id: int
-    accepted: list[TallyEntry] = field(default_factory=list)
+    accepted: list[TallyEntry] = field(default_factory=list, init=False)
     finalized: bool = False
+    decided: set[bytes] = field(default_factory=set, init=False, repr=False)
+    approvals: int = field(default=0, init=False)
+    rejections: int = field(default=0, init=False)
+    approve_weight: int = field(default=0, init=False)
 
     def has_decided(self, controller_key: bytes) -> bool:
-        return any(key == controller_key for key, _, _ in self.accepted)
-
-    @property
-    def approvals(self) -> int:
-        return sum(1 for _, verdict, _ in self.accepted if verdict is Verdict.APPROVE)
-
-    @property
-    def rejections(self) -> int:
-        return sum(1 for _, verdict, _ in self.accepted if verdict is Verdict.REJECT)
-
-    @property
-    def approve_weight(self) -> int:
-        return sum(w for _, verdict, w in self.accepted if verdict is Verdict.APPROVE)
+        return controller_key in self.decided
 
 
 @dataclass(frozen=True)
@@ -183,7 +183,14 @@ def append_entry(
         raise DuplicateDecision("controller already has a counted decision")
     if isinstance(config, NOfMConfig) and len(tally.accepted) >= config.m:
         raise TallyFull(f"turnout threshold m={config.m} reached")
+    key, verdict, weight = entry
     tally.accepted.append(entry)
+    tally.decided.add(key)
+    if verdict is Verdict.APPROVE:
+        tally.approvals += 1
+        tally.approve_weight += weight
+    else:
+        tally.rejections += 1
     charge(meter, "storage_write_update", 1)
 
 

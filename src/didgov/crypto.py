@@ -14,7 +14,7 @@ from cryptography.hazmat.primitives.asymmetric import ed25519
 
 from . import encoding
 from .encoding import ByteWriter
-from .errors import EncodingError, VerificationError
+from .errors import VerificationError
 
 PUBLIC_KEY_LEN = 32
 SECRET_KEY_LEN = 32
@@ -147,61 +147,3 @@ def encode_credential(vc: VerifiableCredential) -> bytes:
     w = ByteWriter().u8(_TAG_VC)
     w.blob(vc.issuer_key).blob(vc.holder_key).text_map(vc.claims).blob(vc.issuer_signature)
     return w.getvalue()
-
-
-# --- JSON projection ---------------------------------------------------------
-
-def token_to_json(token: BearerToken) -> dict:
-    return {
-        "nonce": token.nonce.hex(),
-        "issuer_key": token.issuer_key.hex(),
-        "signature": token.signature.hex(),
-    }
-
-
-def token_from_json(data: Mapping) -> BearerToken:
-    return BearerToken(
-        nonce=bytes.fromhex(data["nonce"]),
-        issuer_key=bytes.fromhex(data["issuer_key"]),
-        signature=bytes.fromhex(data["signature"]),
-    )
-
-
-def vc_to_json(vc: VerifiableCredential) -> dict:
-    return {
-        "issuer_key": vc.issuer_key.hex(),
-        "holder_key": vc.holder_key.hex(),
-        "claims": dict(vc.claims),
-        "issuer_signature": vc.issuer_signature.hex(),
-    }
-
-
-def vc_from_json(data: Mapping) -> VerifiableCredential:
-    return VerifiableCredential(
-        issuer_key=bytes.fromhex(data["issuer_key"]),
-        holder_key=bytes.fromhex(data["holder_key"]),
-        claims=dict(data["claims"]),
-        issuer_signature=bytes.fromhex(data["issuer_signature"]),
-    )
-
-
-def presentation_to_json(presentation: CredentialPresentation) -> dict:
-    if isinstance(presentation, TokenPresentation):
-        return {"kind": "token", "token": token_to_json(presentation.token)}
-    return {
-        "kind": "vc",
-        "credential": vc_to_json(presentation.credential),
-        "holder_signature": presentation.holder_signature.hex(),
-    }
-
-
-def presentation_from_json(data: Mapping) -> CredentialPresentation:
-    kind = data.get("kind")
-    if kind == "token":
-        return TokenPresentation(token=token_from_json(data["token"]))
-    if kind == "vc":
-        return VcPresentation(
-            credential=vc_from_json(data["credential"]),
-            holder_signature=bytes.fromhex(data["holder_signature"]),
-        )
-    raise EncodingError(f"unknown presentation kind {kind!r}")

@@ -3,9 +3,10 @@ groups, change sets, proposals, decisions, and audit events.
 
 All types are value records. The registry owns the only mutable state
 (proposal status/deadline are set as the lifecycle advances); everything
-else is frozen. Each type has a JSON projection (byte strings as
-lowercase hex, ratios as "n/d"), the one persistence format; the only
-byte-level encoding is the signing payloads in :mod:`didgov.encoding`.
+else is frozen. Every persisted type has a JSON projection (byte strings
+as lowercase hex, ratios as "n/d"), the one persistence format; decisions
+are never persisted. The only byte-level encoding is the signing payloads
+in :mod:`didgov.encoding`.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from enum import Enum, IntEnum
 from fractions import Fraction
 from typing import Optional, Union
 
-from . import crypto
 from .crypto import CredentialPresentation
 from .errors import EncodingError, InvalidChangeSet, InvalidGroupConfig, UnknownGroup
 
@@ -107,13 +107,17 @@ class AclConfig:
 
     members: tuple[bytes, ...]
     weights: Optional[tuple[int, ...]] = None
+    # member -> position in ``members``, built once so a lookup does not scan
+    index: Mapping[bytes, int] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "members", tuple(self.members))
         if not self.members:
             raise InvalidGroupConfig("acl members must be non-empty")
-        if len(set(self.members)) != len(self.members):
+        index = {member: position for position, member in enumerate(self.members)}
+        if len(index) != len(self.members):
             raise InvalidGroupConfig("acl members must be unique")
+        object.__setattr__(self, "index", index)
         if self.weights is not None:
             object.__setattr__(self, "weights", tuple(self.weights))
             if len(self.weights) != len(self.members):
@@ -570,31 +574,6 @@ def proposal_from_json(data: Mapping) -> UpdateProposal:
         created_at=data["created_at"],
         deadline=data.get("deadline"),
         status=_enum_from_value(ProposalStatus, data.get("status", "active")),
-    )
-
-
-def decision_to_json(decision: Decision) -> dict:
-    return {
-        "proposal_id": decision.proposal_id,
-        "controller_key": decision.controller_key.hex(),
-        "verdict": decision.verdict.value,
-        "credential": (
-            crypto.presentation_to_json(decision.credential)
-            if decision.credential is not None
-            else None
-        ),
-        "signature": decision.signature.hex(),
-    }
-
-
-def decision_from_json(data: Mapping) -> Decision:
-    credential = data.get("credential")
-    return Decision(
-        proposal_id=data["proposal_id"],
-        controller_key=bytes.fromhex(data["controller_key"]),
-        verdict=_enum_from_value(Verdict, data["verdict"]),
-        signature=bytes.fromhex(data["signature"]),
-        credential=crypto.presentation_from_json(credential) if credential is not None else None,
     )
 
 

@@ -33,9 +33,11 @@ from .errors import (
     GovernanceError,
     NoActiveProposal,
     NotAnchored,
+    ReplayedNonce,
     StaleBaseVersion,
     Unauthorized,
     UnknownProposal,
+    UntrustedIssuer,
     VerificationError,
     WrongExecutionMode,
     EditRightViolation,
@@ -609,12 +611,49 @@ def _decode_nonce(payload) -> Nonce:
     return bytes.fromhex(payload["nonce_issuer"]), bytes.fromhex(payload["nonce"])
 
 
+def _check_logged_decision(
+    state: RegistryState, config: model.AuthzConfig, controller: bytes, weight: int, nonce: Nonce
+) -> None:
+    """Re-check the authorization a ``decision_accepted`` event records,
+    as far as the log shows it.
+
+    ACL: the controller is a member and the weight is its configured one.
+    Token: the event carries an unconsumed nonce from a trusted issuer and
+    weight 1. VC: the weight is at least 1; the credential is not logged,
+    so its issuer, holder and claims cannot be re-checked. No event logs a
+    signature, so none is verified here.
+    """
+    if isinstance(config, TokenConfig):
+        if nonce is None:
+            raise Unauthorized("token decision carries no nonce")
+        if nonce[0] not in config.trusted_issuers:
+            raise UntrustedIssuer("nonce issuer is not trusted")
+        if state.nonce_ledger.is_consumed(*nonce):
+            raise ReplayedNonce("nonce already consumed")
+        expected = 1
+    elif nonce is not None:
+        raise Unauthorized("only token decisions carry a nonce")
+    elif isinstance(config, AclConfig):
+        index = config.index.get(controller)
+        if index is None:
+            raise Unauthorized("controller is not an acl member")
+        expected = config.weights[index] if config.weights is not None else 1
+    else:  # vc: the weight came from a claim that is not logged
+        if weight < 1:
+            raise Unauthorized(f"logged weight {weight} is below 1")
+        return
+    if weight != expected:
+        raise Unauthorized(f"logged weight {weight}, authorization gives {expected}")
+
+
 def replay_events(events: Sequence[GovernanceEvent]) -> RegistryState:
     """Fold an audit log over an empty registry (event sourcing).
 
     Each payload is decoded and handed to the transition the live
-    transaction called. A log that does not decode or fold raises
-    ``EncodingError`` naming the event's sequence number.
+    transaction called; a decision is first checked against its group's
+    authorization config (see :func:`_check_logged_decision`). A log that
+    does not decode, fold or pass that check raises ``EncodingError``
+    naming the event's sequence number.
     """
     state = RegistryState()
     for event in events:
@@ -639,8 +678,10 @@ def replay_events(events: Sequence[GovernanceEvent]) -> RegistryState:
                     Verdict(payload["verdict"]),
                     int(payload["weight"]),
                 )
+                nonce = _decode_nonce(payload)
+                _check_logged_decision(state, group.authz_config, entry[0], entry[2], nonce)
                 coord.append_entry(group.coord_config, state.tallies[proposal.proposal_id], entry)
-                _decision_accepted(state, _decode_nonce(payload))
+                _decision_accepted(state, nonce)
             elif event.kind is EventKind.SCHEDULED:
                 _scheduled(state, ScheduleRequest(int(payload["proposal_id"]), int(payload["deadline"])))
             elif event.kind is EventKind.RESOLVED:

@@ -87,6 +87,13 @@ def _require(mapping: dict, key: str, context: str):
     return mapping[key]
 
 
+def _require_int(mapping: dict, key: str, context: str) -> int:
+    value = _require(mapping, key, context)
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ScenarioParseError(f"{context}: field {key!r} must be an integer, not {value!r}")
+    return value
+
+
 def load_scenario(path) -> Scenario:
     path = Path(path)
     try:
@@ -249,7 +256,7 @@ class _Runner:
         credential = self._presentation(action.get("credential"), did, 0, context)
         self.registry.propose(
             did,
-            _require(action, "group_id", context),
+            _require_int(action, "group_id", context),
             change_set,
             proposer.public_key,
             credential,
@@ -269,12 +276,12 @@ class _Runner:
 
     def _do_decide(self, index: int, action: dict) -> None:
         context = f"action {index} (decide)"
-        proposal_id = _require(action, "proposal_id", context)
+        proposal_id = _require_int(action, "proposal_id", context)
         self.registry.decide(self._build_decision(action, proposal_id, context))
 
     def _do_decide_batch(self, index: int, action: dict) -> None:
         context = f"action {index} (decide_batch)"
-        proposal_id = _require(action, "proposal_id", context)
+        proposal_id = _require_int(action, "proposal_id", context)
         decisions = tuple(
             self._build_decision(entry, proposal_id, context)
             for entry in _require(action, "decisions", context)
@@ -282,11 +289,11 @@ class _Runner:
         self.registry.decide_batch(DecisionBatch(proposal_id=proposal_id, decisions=decisions))
 
     def _do_advance_time(self, index: int, action: dict) -> None:
-        self.registry.advance_clock(_require(action, "to", f"action {index} (advance_time)"))
+        self.registry.advance_clock(_require_int(action, "to", f"action {index} (advance_time)"))
 
     def _do_resolve_manual(self, index: int, action: dict) -> None:
         self.registry.resolve_manual(
-            _require(action, "proposal_id", f"action {index} (resolve_manual)")
+            _require_int(action, "proposal_id", f"action {index} (resolve_manual)")
         )
 
     def _do_assert_state(self, index: int, action: dict) -> None:
@@ -312,7 +319,7 @@ class _Runner:
             actual = active.proposal_id if active is not None else None
             self._check(index, "active_proposal", action["active_proposal"], actual)
         if "status" in action:
-            proposal = state.proposals.get(_require(action, "proposal_id", context))
+            proposal = state.proposals.get(_require_int(action, "proposal_id", context))
             actual = proposal.status.value if proposal is not None else None
             self._check(index, "status", action["status"], actual)
         if "clock" in action:

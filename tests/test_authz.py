@@ -67,6 +67,26 @@ class TestAcl:
         authorize(self.config, _request(pair("z")), NonceLedger(), miss)
         assert miss.total == costs[2]  # a miss scans the full list
 
+    @staticmethod
+    def _scan(config, key):
+        """The linear member scan the index replaced: (granted, weight,
+        iteration steps)."""
+        for index, member in enumerate(config.members):
+            if member == key:
+                return True, config.weights[index] if config.weights is not None else 1, index + 1
+        return False, 1, len(config.members)
+
+    @pytest.mark.parametrize("who", ["first", "last", "miss"])
+    @pytest.mark.parametrize("weights", [None, (3, 1, 4, 1, 5, 9, 2)], ids=["unweighted", "weighted"])
+    def test_index_lookup_matches_linear_scan(self, who, weights):
+        config = AclConfig(members=tuple(pair(f"m-{i}").public_key for i in range(7)), weights=weights)
+        key = {"first": config.members[0], "last": config.members[-1], "miss": pair("z").public_key}[who]
+        request = AuthzRequest(did=DID, controller_key=key, action=AuthzAction.DECIDE, proposal_id=1)
+        meter = CostMeter()
+        outcome = authorize(config, request, NonceLedger(), meter)
+        charged = meter.report("decide").count("iteration_step")
+        assert (outcome.granted, outcome.effective_weight, charged) == self._scan(config, key)
+
 
 class TestToken:
     issuer = pair("issuer")

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from didgov import coord
 from didgov.authz import AuthzOutcome
@@ -123,10 +125,8 @@ class TestNOfM:
     def test_full_tally_raises_on_live_submission(self):
         config = NOfMConfig(n=3, m=3)
         tally = Tally(proposal_id=1)
-        tally.accepted = [
-            (pair(t).public_key, v, 1)
-            for t, v in (("a", Verdict.REJECT), ("b", Verdict.APPROVE), ("c", Verdict.REJECT))
-        ]
+        for t, v in (("a", Verdict.REJECT), ("b", Verdict.APPROVE), ("c", Verdict.REJECT)):
+            coord.append_entry(config, tally, (pair(t).public_key, v, 1))
         with pytest.raises(TallyFull):
             coord.submit_decision(config, tally, _decision("d", Verdict.APPROVE), GRANT)
 
@@ -366,3 +366,62 @@ def test_random_sequences_match_oracle():
                 quorum=rng.randint(1, 8), ratio=Fraction(rng.randint(1, 4), 4)
             )
         check_sequence(config, entries)
+
+
+# --- running tally state against a rescan of ``accepted`` ---------------------
+# The reference functions below are the scans the tally used before it kept
+# a controller set and running counters.
+
+def _scan_has_decided(accepted, key):
+    return any(k == key for k, _, _ in accepted)
+
+
+def _scan_early_outcome(config, accepted):
+    approvals = sum(1 for _, verdict, _ in accepted if verdict is Verdict.APPROVE)
+    rejections = sum(1 for _, verdict, _ in accepted if verdict is Verdict.REJECT)
+    approve_weight = sum(w for _, verdict, w in accepted if verdict is Verdict.APPROVE)
+    if isinstance(config, NOfMConfig):
+        if approvals >= config.n:
+            return Verdict.APPROVE
+        if rejections > config.m - config.n:
+            return Verdict.REJECT
+        return None
+    if isinstance(config, WeightedConfig):
+        return Verdict.APPROVE if approve_weight >= config.threshold else None
+    return None
+
+
+@st.composite
+def _coord_configs(draw):
+    kind = draw(st.sampled_from(("nofm", "weighted", "turnout")))
+    if kind == "nofm":
+        m = draw(st.integers(1, 8))
+        return NOfMConfig(n=draw(st.integers(1, m)), m=m)
+    if kind == "weighted":
+        return WeightedConfig(threshold=draw(st.integers(1, 12)))
+    return TurnoutConfig(quorum=draw(st.integers(1, 8)), ratio=Fraction(draw(st.integers(1, 4)), 4))
+
+
+_KEYS = [pair(f"eq-{i}").public_key for i in range(6)]
+_ENTRIES = st.tuples(
+    st.sampled_from(_KEYS), st.sampled_from((Verdict.APPROVE, Verdict.REJECT)), st.integers(1, 4)
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(config=_coord_configs(), entries=st.lists(_ENTRIES, max_size=12))
+def test_running_tally_matches_rescan(config, entries):
+    tally = Tally(proposal_id=1)
+    for entry in entries:
+        try:
+            coord.append_entry(config, tally, entry)
+        except (DuplicateDecision, TallyFull):
+            pass  # refused: the tally must be as it was
+        accepted = tally.accepted
+        assert tally.decided == {key for key, _, _ in accepted}
+        assert tally.approvals == sum(1 for _, v, _ in accepted if v is Verdict.APPROVE)
+        assert tally.rejections == sum(1 for _, v, _ in accepted if v is Verdict.REJECT)
+        assert tally.approve_weight == sum(w for _, v, w in accepted if v is Verdict.APPROVE)
+        for key in _KEYS:
+            assert tally.has_decided(key) == _scan_has_decided(accepted, key)
+        assert coord._early_outcome(config, tally) == _scan_early_outcome(config, accepted)

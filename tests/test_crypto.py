@@ -99,17 +99,3 @@ class TestPresentation:
         vc = crypto.issue_vc(pair("issuer"), pair("holder").public_key, {})
         stolen = crypto.present_vc(vc, pair("thief"), "abc1", 4)
         assert not stolen.verify_holder("abc1", 4)
-
-
-def test_json_round_trips():
-    issuer, holder = pair("issuer"), pair("holder")
-    token = crypto.issue_token(issuer, b"n" * 16)
-    assert crypto.token_from_json(crypto.token_to_json(token)) == token
-    vc = crypto.issue_vc(issuer, holder.public_key, {"role": "voter"})
-    assert crypto.vc_from_json(crypto.vc_to_json(vc)) == vc
-    for presentation in (
-        crypto.TokenPresentation(token=token),
-        crypto.present_vc(vc, holder, "ab", 2),
-    ):
-        round_tripped = crypto.presentation_from_json(crypto.presentation_to_json(presentation))
-        assert round_tripped == presentation

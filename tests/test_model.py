@@ -22,7 +22,6 @@ from didgov.model import (
     TurnoutConfig,
     UpdateProposal,
     VcConfig,
-    Verdict,
     WeightedConfig,
     apply_change_set,
 )
@@ -68,6 +67,15 @@ class TestConfigs:
         with pytest.raises(InvalidGroupConfig):
             AclConfig(members=members, weights=(1, 0))
         assert AclConfig(members=members, weights=(2, 1)).weights == (2, 1)
+
+    def test_acl_index_maps_members_to_positions(self):
+        members = [pair(tag).public_key for tag in "abc"]
+        config = AclConfig(members=members)
+        assert config.index == {key: position for position, key in enumerate(members)}
+        # derived data: not part of equality, hashing or repr
+        assert config == AclConfig(members=tuple(members))
+        assert hash(config) == hash(AclConfig(members=tuple(members)))
+        assert "index" not in repr(config)
 
     def test_issuer_lists_must_be_non_empty(self):
         with pytest.raises(InvalidGroupConfig):
@@ -299,17 +307,6 @@ def test_proposal_round_trips():
         status=ProposalStatus.OVERRIDDEN,
     )
     assert model.proposal_from_json(model.proposal_to_json(proposal)) == proposal
-
-
-def test_decision_round_trips():
-    from didgov import crypto
-    from didgov.registry import build_decision
-
-    token = crypto.issue_token(pair("issuer"), b"n" * 16)
-    decision = build_decision(
-        pair("a"), Did("abc123"), 2, 1, Verdict.REJECT, crypto.TokenPresentation(token=token)
-    )
-    assert model.decision_from_json(model.decision_to_json(decision)) == decision
 
 
 def test_event_round_trips():

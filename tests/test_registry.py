@@ -626,6 +626,55 @@ class TestEventSourcing:
         with pytest.raises(EncodingError, match=f"event {index + 1} "):
             registry_mod.replay_events(events)
 
+    def _one_decision_per_authz_kind(self):
+        """A log holding one accepted decision from each authz kind."""
+        issuer, holder = pair("issuer"), pair("holder")
+        registry = Registry()
+        registry.anchor("aa", [], {}, (acl_group([pair("a"), pair("b")], coord=NOfMConfig(n=2, m=2)),))
+        registry.anchor("bb", [], {}, (token_group(issuer, coord=NOfMConfig(n=2, m=3)),))
+        registry.anchor("cc", [], {}, (vc_group(issuer, coord=NOfMConfig(n=2, m=2)),))
+        acl_pid = _propose(registry, "aa", pair("a"))
+        _decide(registry, "aa", pair("a"), acl_pid)
+        token_pid = _propose(
+            registry, "bb", pair("x"),
+            credential=crypto.TokenPresentation(token=crypto.issue_token(issuer, b"p" * 16)),
+        )
+        token = crypto.issue_token(issuer, b"d" * 16)
+        _decide(registry, "bb", pair("x"), token_pid, credential=crypto.TokenPresentation(token=token))
+        vc = crypto.issue_vc(issuer, holder.public_key, {"role": "voter"})
+        vc_pid = _propose(registry, "cc", holder, credential=crypto.present_vc(vc, holder, "cc", 0))
+        _decide(registry, "cc", holder, vc_pid, credential=crypto.present_vc(vc, holder, "cc", vc_pid))
+        return registry, {"acl": acl_pid, "token": token_pid, "vc": vc_pid}
+
+    @pytest.mark.parametrize(
+        "kind, changes, message",
+        [
+            ("acl", {"controller": "ab" * 32}, "not an acl member"),
+            ("acl", {"weight": "7"}, "logged weight 7"),
+            ("acl", {"nonce_issuer": "ab" * 32, "nonce": "cd" * 16}, "only token decisions"),
+            ("token", {"nonce_issuer": None, "nonce": None}, "no nonce"),
+            ("token", {"nonce_issuer": "ab" * 32}, "not trusted"),
+            ("token", {"nonce": "70" * 16}, "already consumed"),  # the proposal's nonce
+            ("token", {"weight": "2"}, "logged weight 2"),
+            ("vc", {"weight": "0"}, "below 1"),
+        ],
+        ids=["acl-non-member", "acl-weight", "acl-nonce", "token-no-nonce", "token-untrusted-issuer",
+             "token-consumed-nonce", "token-weight", "vc-weight"],
+    )
+    def test_replay_checks_decisions_against_group_authz(self, kind, changes, message):
+        registry, pids = self._one_decision_per_authz_kind()
+        events = list(registry.state.event_log)
+        assert registry_mod.snapshot_json(registry_mod.replay_events(events)) == registry.snapshot_json()
+        index = next(
+            i for i, e in enumerate(events)
+            if e.kind is EventKind.DECISION_ACCEPTED and e.payload["proposal_id"] == str(pids[kind])
+        )
+        payload = {**events[index].payload, **changes}
+        payload = {key: value for key, value in payload.items() if value is not None}
+        events[index] = dataclasses.replace(events[index], payload=payload)
+        with pytest.raises(EncodingError, match=f"event {index + 1} .*{message}"):
+            registry_mod.replay_events(events)
+
     def test_event_sequence_and_ticks_are_coherent(self):
         registry = self._busy_registry()
         log = registry.state.event_log

@@ -15,6 +15,8 @@ from didgov.scenario import (
 )
 
 SCENARIOS = Path(__file__).parent.parent / "scenarios"
+GOLDEN = Path(__file__).parent / "golden"
+CHANGE = {"new_attributes": {"k": "v"}}
 
 SEED_A = "11" * 32
 SEED_B = "22" * 32
@@ -186,6 +188,19 @@ def _event_line(kind, payload, sequence=1):
     return json.dumps({"sequence": sequence, "tick": 0, "kind": kind, "payload": payload}) + "\n"
 
 
+def _forged_golden_decision(**changes):
+    """The key_rotation_2of3 golden log with its first decision's payload
+    changed; returns the log text and the place the replay error names."""
+    lines = (GOLDEN / "key_rotation_2of3" / "events.jsonl").read_text().splitlines(keepends=True)
+    for index, line in enumerate(lines):
+        event = json.loads(line)
+        if event["kind"] == "decision_accepted":
+            event["payload"].update(changes)
+            lines[index] = json.dumps(event, separators=(",", ":")) + "\n"
+            return "".join(lines), f"event {event['sequence']} "
+    raise AssertionError("golden log holds no decision")
+
+
 # logs that decode or fold badly, each for a different reason, with the
 # place the error message must name
 MALFORMED_LOGS = {
@@ -203,6 +218,8 @@ MALFORMED_LOGS = {
         "event 1",
     ),
     "not-utf8": ("\xff\xfe\n", "byte 0"),
+    "forged-controller": _forged_golden_decision(controller="ab" * 32),
+    "forged-weight": _forged_golden_decision(weight="7"),
 }
 
 
@@ -221,6 +238,24 @@ class TestCli:
         bad.write_text("{nope")
         result = self.runner.invoke(main, ["run", str(bad)])
         assert result.exit_code == 2
+
+    @pytest.mark.parametrize(
+        "action",
+        [
+            {"action": "advance_time", "to": "x"},
+            {"action": "decide", "proposal_id": "1", "controller": "a", "verdict": "approve"},
+            {"action": "propose", "did": "aa", "group_id": "0", "proposer": "a", "change_set": CHANGE},
+            {"action": "decide", "proposal_id": True, "controller": "a", "verdict": "approve"},
+        ],
+        ids=["string-to", "string-proposal-id", "string-group-id", "bool-proposal-id"],
+    )
+    def test_run_non_integer_field_exit_two(self, tmp_path, action):
+        propose = {"action": "propose", "did": "aa", "group_id": 0, "proposer": "a", "change_set": CHANGE}
+        path = _write(tmp_path, _minimal([_anchor(), propose, action]))
+        result = self.runner.invoke(main, ["run", str(path), "--out", str(tmp_path / "out")])
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert "action 2" in result.output and "must be an integer" in result.output
 
     def test_run_assertion_failure_exit_one(self, tmp_path):
         actions = [_anchor(), {"action": "assert_state", "did": "aa", "version": 5}]
