@@ -9,7 +9,6 @@ after authorization cannot burn the token.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from typing import Optional
 
 from . import crypto
@@ -28,16 +27,10 @@ from .model import AclConfig, AuthzConfig, Did, TokenConfig, VcConfig
 WEIGHT_CLAIM = "weight"
 
 
-class AuthzAction(str, Enum):
-    PROPOSE = "propose"
-    DECIDE = "decide"
-
-
 @dataclass(frozen=True)
 class AuthzRequest:
     did: Did
     controller_key: bytes
-    action: AuthzAction
     proposal_id: Optional[int] = None
     credential: Optional[CredentialPresentation] = None
 

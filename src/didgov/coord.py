@@ -44,7 +44,6 @@ from .model import (
     Verdict,
     WeightedConfig,
 )
-from .scheduler import ScheduleRequest
 
 TallyEntry = tuple[bytes, Verdict, int]  # (controller_key, verdict, effective_weight)
 
@@ -103,9 +102,8 @@ class BatchResult:
 def init_process(
     group: GovernanceGroup,
     proposal: UpdateProposal,
-    now: int,
     meter: Optional[CostMeter] = None,
-) -> tuple[Tally, Optional[ScheduleRequest]]:
+) -> Tally:
     """Start the coordination process for a freshly admitted proposal."""
     if proposal.status is not ProposalStatus.ACTIVE:
         raise NoActiveProposal(f"proposal {proposal.proposal_id} is {proposal.status.value}")
@@ -113,11 +111,9 @@ def init_process(
     if group.execution is ExecutionMode.OFF_CHAIN:
         # aggregation setup: record where/how signatures will be collected
         charge(meter, "storage_write_new", 1)
-    request = None
     if group.time_limit is not None:
         charge(meter, "storage_write_new", 1)  # deadline settings
-        request = ScheduleRequest(proposal_id=proposal.proposal_id, deadline=now + group.time_limit)
-    return Tally(proposal_id=proposal.proposal_id), request
+    return Tally(proposal_id=proposal.proposal_id)
 
 
 def evaluate(config: CoordConfig, accepted: Sequence[TallyEntry]) -> Verdict:
@@ -136,7 +132,8 @@ def evaluate(config: CoordConfig, accepted: Sequence[TallyEntry]) -> Verdict:
     return Verdict.APPROVE if approvals >= needed else Verdict.REJECT
 
 
-def _early_outcome(config: CoordConfig, tally: Tally) -> Optional[Verdict]:
+def early_outcome(config: CoordConfig, tally: Tally) -> Optional[Verdict]:
+    """The verdict a tally has already settled on, or None if it is open."""
     if isinstance(config, NOfMConfig):
         if tally.approvals >= config.n:
             return Verdict.APPROVE
@@ -165,7 +162,7 @@ def submit_decision(
     if isinstance(config, (NOfMConfig, WeightedConfig)):
         # iterative early-termination pass over the tally after each vote
         charge(meter, "iteration_step", len(tally.accepted))
-        return _early_outcome(config, tally)
+        return early_outcome(config, tally)
     return None
 
 
@@ -234,13 +231,11 @@ def submit_batch(
 def resolve(
     config: CoordConfig,
     tally: Tally,
-    reason: ResolveReason,
     meter: Optional[CostMeter] = None,
 ) -> Verdict:
     """Finalize the tally and return its verdict."""
     if tally.finalized:
         raise AlreadyFinalized(f"proposal {tally.proposal_id} was already resolved")
-    del reason  # recorded by the caller's event; the formula ignores it
     if isinstance(config, TurnoutConfig):
         # turnout recount plus threshold scaling: the costliest resolution
         charge(meter, "iteration_step", 2 * len(tally.accepted) + 2)

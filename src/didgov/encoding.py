@@ -37,9 +37,6 @@ class ByteWriter:
         self._buf += struct.pack(">Q", value)
         return self
 
-    def boolean(self, value: bool) -> "ByteWriter":
-        return self.u8(1 if value else 0)
-
     def blob(self, data: bytes) -> "ByteWriter":
         self._buf += struct.pack(">I", len(data))
         self._buf += data

@@ -119,12 +119,6 @@ class UnknownProposal(GovernanceError):
     code = "unknown-proposal"
 
 
-class StaleBaseVersion(GovernanceError):
-    """Proposal base version no longer matches the document (defensive)."""
-
-    code = "stale-base-version"
-
-
 # --- coordination ------------------------------------------------------------
 
 class DuplicateDecision(GovernanceError):

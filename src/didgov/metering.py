@@ -51,9 +51,6 @@ class CostSchedule:
             raise UnknownCategory(f"unknown cost category {category!r}")
         return getattr(self, category)
 
-    def to_json(self) -> dict:
-        return {name: getattr(self, name) for name in CATEGORIES}
-
     @classmethod
     def from_json(cls, data: Mapping) -> "CostSchedule":
         unknown = set(data) - set(CATEGORIES)

@@ -266,9 +266,6 @@ class DidDocument:
                 return g
         raise UnknownGroup(f"group {group_id} not on document {self.did}")
 
-    def has_group(self, group_id: int) -> bool:
-        return any(g.group_id == group_id for g in self.groups)
-
 
 # --- change sets -------------------------------------------------------------
 
@@ -314,10 +311,6 @@ class ChangeSet:
         object.__setattr__(self, "group_ops", tuple(self.group_ops))
         if self.new_public_keys is None and self.new_attributes is None and not self.group_ops:
             raise InvalidChangeSet("change set must change something")
-
-    @property
-    def touches_content(self) -> bool:
-        return self.new_public_keys is not None or self.new_attributes is not None
 
 
 def apply_change_set(doc: DidDocument, change_set: ChangeSet) -> DidDocument:

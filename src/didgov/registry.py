@@ -7,21 +7,23 @@ commit. A raised error therefore leaves state, event log, and committed
 reports exactly as they were.
 
 The event log is the source of truth. Each event kind has one transition
-function, the only writer of registry state for that kind: a live
-transaction calls it after validating and then emits the event, and
-:func:`replay_events` calls it after decoding the event's payload, so a
-replayed log reproduces the live registry byte-for-byte (see
+function, the only writer of registry state for that kind and the one
+place that derives the fields its event records: a live transaction
+emits what it derived, and :func:`replay_events` calls it on the inputs
+a payload records and refuses any other recorded field that differs, so
+a replayed log reproduces the live registry byte-for-byte (see
 :func:`snapshot_json`). Tallies change only through :mod:`didgov.coord`.
 """
 
 from __future__ import annotations
 
 import json
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from . import authz, coord, crypto, encoding, model
-from .authz import AuthzAction, AuthzOutcome, AuthzRequest, NonceLedger
+from .authz import AuthzOutcome, AuthzRequest, NonceLedger
 from .coord import BatchResult, DecisionBatch, ResolveReason, Tally
 from .errors import (
     AlreadyAnchored,
@@ -34,7 +36,6 @@ from .errors import (
     NoActiveProposal,
     NotAnchored,
     ReplayedNonce,
-    StaleBaseVersion,
     Unauthorized,
     UnknownProposal,
     UntrustedIssuer,
@@ -85,6 +86,8 @@ class RegistryState:
 
 
 # --- transitions: one per event kind, the only writers of registry state ------
+# Each returns the fields it derived for its event: the payload itself, or the
+# proposal a payload records as JSON (replay compares the object, not its text).
 
 def _consume(state: RegistryState, nonce: Nonce) -> None:
     if nonce is not None:
@@ -92,62 +95,120 @@ def _consume(state: RegistryState, nonce: Nonce) -> None:
 
 
 def _anchored(state: RegistryState, doc: DidDocument) -> None:
+    """Install a new document; every document starts at version 1."""
+    if doc.did in state.documents:
+        raise AlreadyAnchored(f"did {doc.did} is already anchored")
+    if doc.version != 1:
+        raise ValueError(f"a new document is at version 1, not {doc.version}")
     state.documents[doc.did] = doc
 
 
-def _proposal_overridden(state: RegistryState, proposal: UpdateProposal, meter: Optional[CostMeter]) -> None:
+def _proposal_overridden(
+    state: RegistryState, did: Did, overriding_group: int, meter: Optional[CostMeter]
+) -> dict[str, str]:
+    """Freeze the DID's active proposal, displaced by one of ``overriding_group``."""
+    proposal = state.active_proposals[did]
     coord.freeze(state.tallies[proposal.proposal_id], meter)
     proposal.status = ProposalStatus.OVERRIDDEN
-    state.active_proposals.pop(proposal.did)
+    del state.active_proposals[did]
+    return {
+        "proposal_id": str(proposal.proposal_id),
+        "did": str(did),
+        "overriding_group": str(overriding_group),
+    }
 
 
-def _proposal_submitted(state: RegistryState, proposal: UpdateProposal, tally: Tally, nonce: Nonce) -> None:
+def _proposal_submitted(
+    state: RegistryState,
+    did: Did,
+    originating_group: int,
+    change_set: ChangeSet,
+    nonce: Nonce,
+    meter: Optional[CostMeter],
+) -> UpdateProposal:
+    """Open proposal ``next_proposal_id``: Active, against the document's
+    current version, created now, with no deadline yet and a fresh tally."""
+    active = state.active_proposals.get(did)
+    if active is not None:  # a live propose overrides it first
+        raise ActiveProposalPrecedence(f"proposal {active.proposal_id} is still active")
+    doc = state.documents[did]
+    proposal = UpdateProposal(
+        proposal_id=state.next_proposal_id,
+        did=did,
+        base_version=doc.version,
+        originating_group=originating_group,
+        change_set=change_set,
+        created_at=state.clock.now,
+    )
+    charge(meter, "storage_write_new", 1)  # proposal record
+    state.tallies[proposal.proposal_id] = coord.init_process(doc.group(originating_group), proposal, meter)
     state.proposals[proposal.proposal_id] = proposal
-    state.active_proposals[proposal.did] = proposal
-    state.tallies[proposal.proposal_id] = tally
+    state.active_proposals[did] = proposal
     state.next_proposal_id = proposal.proposal_id + 1
     _consume(state, nonce)
+    return proposal
 
 
 def _decision_accepted(state: RegistryState, nonce: Nonce) -> None:
-    # the tally entry itself is appended by coord before this runs
+    # coord has appended the tally entry; the event records only inputs
     _consume(state, nonce)
 
 
-def _scheduled(state: RegistryState, request: ScheduleRequest) -> None:
-    state.proposals[request.proposal_id].deadline = request.deadline
-    state.queue.push(request)
-
-
-def _resolution_status(verdict: Verdict, reason: ResolveReason) -> ProposalStatus:
-    if verdict is Verdict.APPROVE:
-        return ProposalStatus.APPROVED
-    return ProposalStatus.EXPIRED if reason is ResolveReason.EXPIRED else ProposalStatus.REJECTED
-
-
-def _resolved(
-    state: RegistryState,
-    proposal: UpdateProposal,
-    reason: ResolveReason,
-    status: ProposalStatus,
-    new_doc: Optional[DidDocument],
-    meter: Optional[CostMeter],
-) -> Verdict:
-    """Finalize the tally, install the approved successor document (if
-    any) and close the proposal; returns the tally's verdict."""
+def _scheduled(state: RegistryState, proposal: UpdateProposal) -> dict[str, str]:
+    """Set the deadline: the proposal's creation tick plus its group's time limit."""
     group = state.documents[proposal.did].group(proposal.originating_group)
-    verdict = coord.resolve(group.coord_config, state.tallies[proposal.proposal_id], reason, meter)
-    if new_doc is not None:
-        state.documents[proposal.did] = new_doc
+    request = ScheduleRequest(proposal.proposal_id, proposal.created_at + group.time_limit)
+    proposal.deadline = request.deadline
+    state.queue.push(request)
+    return {"proposal_id": str(request.proposal_id), "deadline": str(request.deadline)}
+
+
+def _resolved(state: RegistryState, proposal: UpdateProposal, meter: Optional[CostMeter]) -> dict[str, str]:
+    """Finalize the tally, install the approved successor document (if
+    any) and close the proposal.
+
+    The reason is derived too: decisive when an on-chain tally has settled
+    early (a live decision resolves it at once), expired once the deadline
+    has come (a live clock advance expires it at once), manual otherwise.
+    Applying the change set cannot fail on the live path: it was dry-run
+    against this document version on admission, and the single-active
+    rule keeps the document fixed until the proposal resolves.
+    """
+    doc = state.documents[proposal.did]
+    group = doc.group(proposal.originating_group)
+    tally = state.tallies[proposal.proposal_id]
+    settled = coord.early_outcome(group.coord_config, tally) is not None
+    if settled and group.execution is ExecutionMode.ON_CHAIN:
+        reason = ResolveReason.DECISIVE
+    elif proposal.deadline is not None and state.clock.now >= proposal.deadline:
+        reason = ResolveReason.EXPIRED
+    else:
+        reason = ResolveReason.MANUAL
+    verdict = coord.resolve(group.coord_config, tally, meter)
+    if verdict is Verdict.APPROVE:
+        state.documents[proposal.did] = model.apply_change_set(doc, proposal.change_set)
         charge(meter, "storage_write_update", 1)  # document record
-    proposal.status = status
-    state.active_proposals.pop(proposal.did, None)
-    return verdict
+        proposal.status = ProposalStatus.APPROVED
+    else:
+        proposal.status = ProposalStatus.EXPIRED if reason is ResolveReason.EXPIRED else ProposalStatus.REJECTED
+    del state.active_proposals[proposal.did]
+    payload = {
+        "proposal_id": str(proposal.proposal_id),
+        "verdict": verdict.value,
+        "reason": reason.value,
+        "status": proposal.status.value,
+    }
+    if verdict is Verdict.APPROVE:
+        payload["new_version"] = str(state.documents[proposal.did].version)
+    return payload
 
 
 def _clock_advanced(state: RegistryState, to: int) -> list[tuple[int, int]]:
-    """Move the clock and pop the queue entries that came due; the caller
-    fires the ones still active (replay: the log's resolved events do)."""
+    """Move the clock strictly forward and pop the queue entries that came
+    due; the caller fires the ones still active (replay: the log's resolved
+    events do)."""
+    if to <= state.clock.now:
+        raise ClockRegression(f"clock must move forward from {state.clock.now}, not to {to}")
     state.clock.advance(to)
     return state.queue.due(to)
 
@@ -200,24 +261,22 @@ def _nonce_fields(nonce: Nonce) -> dict[str, str]:
 class Registry:
     """In-process registry; owns all mutable governance state."""
 
-    def __init__(self, schedule: Optional[CostSchedule] = None, metered: bool = True) -> None:
+    def __init__(self, schedule: Optional[CostSchedule] = None) -> None:
         self.state = RegistryState()
         self.schedule = schedule if schedule is not None else CostSchedule()
-        self.metered = metered
         self.reports: list[CostReport] = []
 
     # -- transaction plumbing -------------------------------------------------
 
-    def _meter(self) -> Optional[CostMeter]:
-        return CostMeter(self.schedule) if self.metered else None
+    def _meter(self) -> CostMeter:
+        return CostMeter(self.schedule)
 
-    def _commit(self, meter: Optional[CostMeter], label: str) -> None:
-        if meter is not None:
-            self.reports.append(meter.report(label))
+    def _commit(self, meter: CostMeter, label: str) -> None:
+        self.reports.append(meter.report(label))
 
-    def _emit(self, kind: EventKind, payload: dict[str, str], meter: Optional[CostMeter]) -> GovernanceEvent:
-        """Log an event whose transition has just run: its tick is the clock
-        after the transition."""
+    def _emit(self, kind: EventKind, payload: dict[str, str], meter: CostMeter) -> None:
+        """Log what a transition has just derived: the event's tick is the
+        clock after the transition."""
         state = self.state
         event = GovernanceEvent(
             sequence=len(state.event_log) + 1,
@@ -228,7 +287,6 @@ class Registry:
         state.event_log.append(event)
         charge(meter, "event_base", 1)
         charge(meter, "event_per_byte", event.payload_bytes())
-        return event
 
     # -- anchoring ------------------------------------------------------------
 
@@ -239,12 +297,8 @@ class Registry:
         attributes,
         groups: Sequence[GovernanceGroup],
     ) -> DidDocument:
-        state = self.state
-        key = Did(did)
-        if key in state.documents:
-            raise AlreadyAnchored(f"did {key} is already anchored")
         doc = DidDocument(
-            did=key, version=1, public_keys=tuple(public_keys), attributes=attributes, groups=tuple(groups)
+            did=Did(did), version=1, public_keys=tuple(public_keys), attributes=attributes, groups=tuple(groups)
         )
         meter = self._meter()
         charge(meter, "base_tx", 1)
@@ -265,10 +319,10 @@ class Registry:
             charge(meter, "storage_write_new", 1)  # coordination parameters
             if group.time_limit is not None:
                 charge(meter, "storage_write_new", 1)  # time settings
-        _anchored(state, doc)
+        _anchored(self.state, doc)
         self._emit(
             EventKind.ANCHORED,
-            {"did": str(key), "document": _compact(model.document_to_json(doc))},
+            {"did": str(doc.did), "document": _compact(model.document_to_json(doc))},
             meter,
         )
         self._commit(meter, "anchor")
@@ -294,13 +348,7 @@ class Registry:
         charge(meter, "base_tx", 1)
         # the router fetches the governance configurations from the document
         charge(meter, "iteration_step", len(doc.groups))
-        request = AuthzRequest(
-            did=key,
-            controller_key=controller_key,
-            action=AuthzAction.PROPOSE,
-            proposal_id=None,
-            credential=credential,
-        )
+        request = AuthzRequest(did=key, controller_key=controller_key, credential=credential)
         outcome = authz.authorize(group.authz_config, request, state.nonce_ledger, meter)
         if not outcome.granted:
             raise outcome.denial
@@ -316,37 +364,14 @@ class Registry:
             )
         # ---- all checks passed; mutate ----
         if existing is not None:
-            _proposal_overridden(state, existing, meter)
-            self._emit(
-                EventKind.PROPOSAL_OVERRIDDEN,
-                {
-                    "proposal_id": str(existing.proposal_id),
-                    "did": str(key),
-                    "overriding_group": str(originating_group),
-                },
-                meter,
-            )
-        proposal = UpdateProposal(
-            proposal_id=state.next_proposal_id,
-            did=key,
-            base_version=doc.version,
-            originating_group=originating_group,
-            change_set=change_set,
-            created_at=state.clock.now,
-        )
-        charge(meter, "storage_write_new", 1)  # proposal record
-        tally, schedule_request = coord.init_process(group, proposal, state.clock.now, meter)
-        _proposal_submitted(state, proposal, tally, outcome.consume_nonce)
+            overridden = _proposal_overridden(state, key, originating_group, meter)
+            self._emit(EventKind.PROPOSAL_OVERRIDDEN, overridden, meter)
+        proposal = _proposal_submitted(state, key, originating_group, change_set, outcome.consume_nonce, meter)
         payload = {"proposal": _compact(model.proposal_to_json(proposal))}
         payload.update(_nonce_fields(outcome.consume_nonce))
         self._emit(EventKind.PROPOSAL_SUBMITTED, payload, meter)
-        if schedule_request is not None:
-            _scheduled(state, schedule_request)
-            self._emit(
-                EventKind.SCHEDULED,
-                {"proposal_id": str(proposal.proposal_id), "deadline": str(schedule_request.deadline)},
-                meter,
-            )
+        if group.time_limit is not None:
+            self._emit(EventKind.SCHEDULED, _scheduled(state, proposal), meter)
         self._commit(meter, "propose")
         return proposal.proposal_id
 
@@ -354,7 +379,7 @@ class Registry:
 
     def _open_decisions(
         self, proposal_id: int, mode: ExecutionMode
-    ) -> tuple[UpdateProposal, GovernanceGroup, Optional[CostMeter]]:
+    ) -> tuple[UpdateProposal, GovernanceGroup, CostMeter]:
         """Checks shared by ``decide`` and ``decide_batch``: the proposal is
         active, its deadline has not passed and its group uses ``mode``."""
         state = self.state
@@ -377,7 +402,7 @@ class Registry:
         proposal: UpdateProposal,
         group: GovernanceGroup,
         decision: Decision,
-        meter: Optional[CostMeter],
+        meter: CostMeter,
     ) -> AuthzOutcome:
         """Signature plus authorization for one decision. Every refusal,
         including key or signature bytes of the wrong length, comes back as
@@ -392,7 +417,6 @@ class Registry:
             request = AuthzRequest(
                 did=proposal.did,
                 controller_key=decision.controller_key,
-                action=AuthzAction.DECIDE,
                 proposal_id=proposal.proposal_id,
                 credential=decision.credential,
             )
@@ -400,7 +424,7 @@ class Registry:
         except VerificationError as exc:
             return AuthzOutcome(granted=False, denial=exc)
 
-    def _accept(self, decision: Decision, outcome: AuthzOutcome, meter: Optional[CostMeter]) -> None:
+    def _accept(self, decision: Decision, outcome: AuthzOutcome, meter: CostMeter) -> None:
         """Transition and event for a decision coord has just tallied."""
         _decision_accepted(self.state, outcome.consume_nonce)
         payload = {
@@ -425,7 +449,7 @@ class Registry:
         self._accept(decision, outcome, meter)
         result: Optional[Verdict] = None
         if early is not None:
-            result = self._apply_resolution(proposal, ResolveReason.DECISIVE, meter)
+            result = self._apply_resolution(proposal, meter)
         self._commit(meter, "decide")
         return result
 
@@ -463,38 +487,11 @@ class Registry:
 
     # -- resolution -----------------------------------------------------------
 
-    def _apply_resolution(
-        self, proposal: UpdateProposal, reason: ResolveReason, meter: Optional[CostMeter]
-    ) -> Verdict:
-        """Finalize an Active proposal's process and apply the outcome.
-
-        The approved successor document is computed before the transition
-        runs, so the transition cannot fail halfway.
-        """
-        state = self.state
-        doc = state.documents[proposal.did]
-        group = doc.group(proposal.originating_group)
-        verdict = coord.evaluate(group.coord_config, state.tallies[proposal.proposal_id].accepted)
-        new_doc: Optional[DidDocument] = None
-        if verdict is Verdict.APPROVE:
-            if doc.version != proposal.base_version:  # unreachable under single-active rule
-                raise StaleBaseVersion(
-                    f"proposal {proposal.proposal_id} pinned version {proposal.base_version}, "
-                    f"document is at {doc.version}"
-                )
-            new_doc = model.apply_change_set(doc, proposal.change_set)
-        status = _resolution_status(verdict, reason)
-        _resolved(state, proposal, reason, status, new_doc, meter)
-        payload = {
-            "proposal_id": str(proposal.proposal_id),
-            "verdict": verdict.value,
-            "reason": reason.value,
-            "status": status.value,
-        }
-        if new_doc is not None:
-            payload["new_version"] = str(new_doc.version)
+    def _apply_resolution(self, proposal: UpdateProposal, meter: CostMeter) -> Verdict:
+        """Resolve an Active proposal (see :func:`_resolved`); returns the verdict."""
+        payload = _resolved(self.state, proposal, meter)
         self._emit(EventKind.RESOLVED, payload, meter)
-        return verdict
+        return Verdict(payload["verdict"])
 
     def resolve_manual(self, proposal_id: int) -> Verdict:
         state = self.state
@@ -505,7 +502,7 @@ class Registry:
             raise AlreadyFinalized(f"proposal {proposal_id} is {proposal.status.value}")
         meter = self._meter()
         charge(meter, "base_tx", 1)
-        verdict = self._apply_resolution(proposal, ResolveReason.MANUAL, meter)
+        verdict = self._apply_resolution(proposal, meter)
         self._commit(meter, "resolve")
         return verdict
 
@@ -520,27 +517,22 @@ class Registry:
         transaction: it is metered but changes nothing and logs no event.
         """
         state = self.state
-        if to < state.clock.now:
-            raise ClockRegression(f"cannot move clock from {state.clock.now} back to {to}")
         meter = self._meter()
         charge(meter, "base_tx", 1)
         resolved: list[int] = []
-        if to > state.clock.now:
-            due = _clock_advanced(state, to)
+        if to != state.clock.now:
+            due = _clock_advanced(state, to)  # ClockRegression if to is earlier
             self._emit(EventKind.CLOCK_ADVANCED, {"to": str(to)}, meter)
             for _deadline, proposal_id in due:
                 proposal = state.proposals.get(proposal_id)
                 if proposal is None or proposal.status is not ProposalStatus.ACTIVE:
                     continue  # stale entry: resolved before its deadline
-                self._apply_resolution(proposal, ResolveReason.EXPIRED, meter)
+                self._apply_resolution(proposal, meter)
                 resolved.append(proposal_id)
         self._commit(meter, "advance_clock")
         return resolved
 
     # -- snapshots ------------------------------------------------------------
-
-    def snapshot(self) -> dict:
-        return state_snapshot(self.state)
 
     def snapshot_json(self) -> str:
         return snapshot_json(self.state)
@@ -611,28 +603,36 @@ def _decode_nonce(payload) -> Nonce:
     return bytes.fromhex(payload["nonce_issuer"]), bytes.fromhex(payload["nonce"])
 
 
+def _check_logged_nonce(state: RegistryState, config: model.AuthzConfig, nonce: Nonce, what: str) -> None:
+    """A token group's ``what`` (decision or proposal) burns a nonce, not
+    yet consumed, from an issuer the group trusts; no other group's
+    carries one."""
+    if isinstance(config, TokenConfig):
+        if nonce is None:
+            raise Unauthorized(f"token {what} carries no nonce")
+        if nonce[0] not in config.trusted_issuers:
+            raise UntrustedIssuer("nonce issuer is not trusted")
+        if state.nonce_ledger.is_consumed(*nonce):
+            raise ReplayedNonce("nonce already consumed")
+    elif nonce is not None:
+        raise Unauthorized(f"only token {what}s carry a nonce")
+
+
 def _check_logged_decision(
     state: RegistryState, config: model.AuthzConfig, controller: bytes, weight: int, nonce: Nonce
 ) -> None:
     """Re-check the authorization a ``decision_accepted`` event records,
     as far as the log shows it.
 
-    ACL: the controller is a member and the weight is its configured one.
-    Token: the event carries an unconsumed nonce from a trusted issuer and
-    weight 1. VC: the weight is at least 1; the credential is not logged,
-    so its issuer, holder and claims cannot be re-checked. No event logs a
+    Token: the nonce passes :func:`_check_logged_nonce` and the weight is
+    1. ACL: the controller is a member and the weight is its configured
+    one. VC: the weight is at least 1; the credential is not logged, so
+    its issuer, holder and claims cannot be re-checked. No event logs a
     signature, so none is verified here.
     """
+    _check_logged_nonce(state, config, nonce, "decision")
     if isinstance(config, TokenConfig):
-        if nonce is None:
-            raise Unauthorized("token decision carries no nonce")
-        if nonce[0] not in config.trusted_issuers:
-            raise UntrustedIssuer("nonce issuer is not trusted")
-        if state.nonce_ledger.is_consumed(*nonce):
-            raise ReplayedNonce("nonce already consumed")
         expected = 1
-    elif nonce is not None:
-        raise Unauthorized("only token decisions carry a nonce")
     elif isinstance(config, AclConfig):
         index = config.index.get(controller)
         if index is None:
@@ -646,14 +646,78 @@ def _check_logged_decision(
         raise Unauthorized(f"logged weight {weight}, authorization gives {expected}")
 
 
+def _expect(logged: Mapping, derived: Mapping) -> None:
+    """Refuse logged fields that differ from the ones a transition derived."""
+    if logged != derived:
+        key = next(k for k in (*derived, *logged) if logged.get(k) != derived.get(k))
+        raise EncodingError(f"logged {key} {logged.get(key)!r}, derived {derived.get(key)!r}")
+
+
+# --- folds: decode a payload into its transition's inputs, run it, compare ---
+
+def _fold_anchored(state: RegistryState, payload: Mapping[str, str]) -> None:
+    doc = model.document_from_json(json.loads(payload["document"]))
+    _anchored(state, doc)
+    _expect({"did": payload["did"]}, {"did": doc.did})
+
+
+def _fold_proposal_submitted(state: RegistryState, payload: Mapping[str, str]) -> None:
+    logged = model.proposal_from_json(json.loads(payload["proposal"]))
+    nonce = _decode_nonce(payload)
+    group = state.documents[logged.did].group(logged.originating_group)
+    _check_logged_nonce(state, group.authz_config, nonce, "proposal")  # the proposer is not logged
+    proposal = _proposal_submitted(state, logged.did, logged.originating_group, logged.change_set, nonce, None)
+    _expect(vars(logged), vars(proposal))
+
+
+def _fold_proposal_overridden(state: RegistryState, payload: Mapping[str, str]) -> None:
+    _expect(payload, _proposal_overridden(state, Did(payload["did"]), int(payload["overriding_group"]), None))
+
+
+def _fold_decision_accepted(state: RegistryState, payload: Mapping[str, str]) -> None:
+    proposal = state.proposals[int(payload["proposal_id"])]
+    group = state.documents[proposal.did].group(proposal.originating_group)
+    entry = (bytes.fromhex(payload["controller"]), Verdict(payload["verdict"]), int(payload["weight"]))
+    nonce = _decode_nonce(payload)
+    _check_logged_decision(state, group.authz_config, entry[0], entry[2], nonce)
+    coord.append_entry(group.coord_config, state.tallies[proposal.proposal_id], entry)
+    _decision_accepted(state, nonce)
+
+
+def _fold_scheduled(state: RegistryState, payload: Mapping[str, str]) -> None:
+    _expect(payload, _scheduled(state, state.proposals[int(payload["proposal_id"])]))
+
+
+def _fold_resolved(state: RegistryState, payload: Mapping[str, str]) -> None:
+    _expect(payload, _resolved(state, state.proposals[int(payload["proposal_id"])], None))
+
+
+def _fold_clock_advanced(state: RegistryState, payload: Mapping[str, str]) -> None:
+    _clock_advanced(state, int(payload["to"]))  # the log's own resolved events follow
+
+
+_FOLDS = {
+    EventKind.ANCHORED: _fold_anchored,
+    EventKind.PROPOSAL_SUBMITTED: _fold_proposal_submitted,
+    EventKind.PROPOSAL_OVERRIDDEN: _fold_proposal_overridden,
+    EventKind.DECISION_ACCEPTED: _fold_decision_accepted,
+    EventKind.SCHEDULED: _fold_scheduled,
+    EventKind.RESOLVED: _fold_resolved,
+    EventKind.CLOCK_ADVANCED: _fold_clock_advanced,
+}
+
+
 def replay_events(events: Sequence[GovernanceEvent]) -> RegistryState:
     """Fold an audit log over an empty registry (event sourcing).
 
-    Each payload is decoded and handed to the transition the live
-    transaction called; a decision is first checked against its group's
-    authorization config (see :func:`_check_logged_decision`). A log that
-    does not decode, fold or pass that check raises ``EncodingError``
-    naming the event's sequence number.
+    Each event goes through its kind's fold: decode the transition's
+    inputs, call the transition the live transaction called, and compare
+    what it derived with what the log records; the event's tick must be
+    the clock after the fold. A decision, and a token group's proposal,
+    is first checked against its group's authorization config (see
+    :func:`_check_logged_decision`). A log that does not decode, fold or
+    pass these checks raises ``EncodingError`` naming the event's
+    sequence number.
     """
     state = RegistryState()
     for event in events:
@@ -661,45 +725,10 @@ def replay_events(events: Sequence[GovernanceEvent]) -> RegistryState:
         if event.sequence != expected:
             raise EncodingError(f"event sequence {event.sequence}, expected {expected}")
         state.event_log.append(event)
-        payload = event.payload
         try:
-            if event.kind is EventKind.ANCHORED:
-                _anchored(state, model.document_from_json(json.loads(payload["document"])))
-            elif event.kind is EventKind.PROPOSAL_SUBMITTED:
-                proposal = model.proposal_from_json(json.loads(payload["proposal"]))
-                _proposal_submitted(state, proposal, Tally(proposal.proposal_id), _decode_nonce(payload))
-            elif event.kind is EventKind.PROPOSAL_OVERRIDDEN:
-                _proposal_overridden(state, state.proposals[int(payload["proposal_id"])], None)
-            elif event.kind is EventKind.DECISION_ACCEPTED:
-                proposal = state.proposals[int(payload["proposal_id"])]
-                group = state.documents[proposal.did].group(proposal.originating_group)
-                entry = (
-                    bytes.fromhex(payload["controller"]),
-                    Verdict(payload["verdict"]),
-                    int(payload["weight"]),
-                )
-                nonce = _decode_nonce(payload)
-                _check_logged_decision(state, group.authz_config, entry[0], entry[2], nonce)
-                coord.append_entry(group.coord_config, state.tallies[proposal.proposal_id], entry)
-                _decision_accepted(state, nonce)
-            elif event.kind is EventKind.SCHEDULED:
-                _scheduled(state, ScheduleRequest(int(payload["proposal_id"]), int(payload["deadline"])))
-            elif event.kind is EventKind.RESOLVED:
-                proposal = state.proposals[int(payload["proposal_id"])]
-                reason = ResolveReason(payload["reason"])
-                status = ProposalStatus(payload["status"])
-                new_doc = None
-                if status is ProposalStatus.APPROVED:
-                    new_doc = model.apply_change_set(state.documents[proposal.did], proposal.change_set)
-                verdict = _resolved(state, proposal, reason, status, new_doc, None)
-                if verdict.value != payload["verdict"] or _resolution_status(verdict, reason) is not status:
-                    raise EncodingError(
-                        f"tally resolves to {verdict.value}, log says {payload['verdict']}/{status.value}"
-                    )
-            elif event.kind is EventKind.CLOCK_ADVANCED:
-                _clock_advanced(state, int(payload["to"]))  # the log's own resolved events follow
-            else:  # pragma: no cover - EventKind is closed
-                raise EncodingError(f"unknown event kind {event.kind}")
+            _FOLDS[event.kind](state, event.payload)
+            if event.tick != state.clock.now:
+                raise EncodingError(f"logged tick {event.tick}, derived {state.clock.now}")
         except _MALFORMED as exc:
             raise EncodingError(
                 f"event {event.sequence} ({event.kind.value}) does not fold: {type(exc).__name__}: {exc}"

@@ -1,8 +1,14 @@
 import re
 
 import pytest
+from hypothesis import settings
 
 from .util import pair
+
+# Tier-1 is deterministic: every @given test draws the same examples on each
+# run and machine, and no saved example database adds others.
+settings.register_profile("deterministic", derandomize=True, database=None)
+settings.load_profile("deterministic")
 
 CRITERIA = {
     1: "anchoring cost linear in groups and members",

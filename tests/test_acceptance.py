@@ -252,7 +252,7 @@ def _check_invariants(registry, did, overridden):
 
 
 def _acl_sequence(rng):
-    registry = Registry(metered=False)
+    registry = Registry()
     did = Did("ac" * 16)
     registry.anchor(did, [_CONTROLLERS[0].public_key], {}, _ACL_GROUPS)
     active = None  # (proposal_id, group_id)
@@ -362,7 +362,7 @@ def _acl_sequence(rng):
 
 
 def _token_sequence(rng):
-    registry = Registry(metered=False)
+    registry = Registry()
     did = Did("7c" * 16)
     group = token_group(_ISSUER, coord=NOfMConfig(n=2, m=3))
     registry.anchor(did, [_CONTROLLERS[0].public_key], {}, (group,))

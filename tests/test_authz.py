@@ -2,7 +2,6 @@ import pytest
 
 from didgov import crypto
 from didgov.authz import (
-    AuthzAction,
     AuthzRequest,
     NonceLedger,
     authorize,
@@ -25,7 +24,6 @@ def _request(controller, credential=None, proposal_id=None):
     return AuthzRequest(
         did=DID,
         controller_key=controller.public_key,
-        action=AuthzAction.DECIDE if proposal_id is not None else AuthzAction.PROPOSE,
         proposal_id=proposal_id,
         credential=credential,
     )
@@ -81,7 +79,7 @@ class TestAcl:
     def test_index_lookup_matches_linear_scan(self, who, weights):
         config = AclConfig(members=tuple(pair(f"m-{i}").public_key for i in range(7)), weights=weights)
         key = {"first": config.members[0], "last": config.members[-1], "miss": pair("z").public_key}[who]
-        request = AuthzRequest(did=DID, controller_key=key, action=AuthzAction.DECIDE, proposal_id=1)
+        request = AuthzRequest(did=DID, controller_key=key, proposal_id=1)
         meter = CostMeter()
         outcome = authorize(config, request, NonceLedger(), meter)
         charged = meter.report("decide").count("iteration_step")

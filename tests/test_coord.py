@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from didgov import coord
 from didgov.authz import AuthzOutcome
-from didgov.coord import DecisionBatch, ResolveReason, Tally
+from didgov.coord import DecisionBatch, Tally
 from didgov.errors import (
     AlreadyFinalized,
     DuplicateBatch,
@@ -59,19 +59,20 @@ def _proposal(status=ProposalStatus.ACTIVE) -> UpdateProposal:
 
 class TestInitProcess:
     def test_plain_group_gets_tally_only(self):
-        tally, request = coord.init_process(acl_group([pair("a")]), _proposal(), now=5)
+        meter = CostMeter()
+        tally = coord.init_process(acl_group([pair("a")]), _proposal(), meter)
         assert tally.proposal_id == 1 and not tally.accepted
-        assert request is None
+        assert meter.report("propose").count("storage_write_new") == 1  # tally record
 
     def test_time_limit_schedules_deadline(self):
-        group = acl_group([pair("a")], time_limit=10)
-        _, request = coord.init_process(group, _proposal(), now=5)
-        assert request is not None
-        assert (request.proposal_id, request.deadline) == (1, 15)
+        # the deadline itself is derived when the registry schedules it
+        meter = CostMeter()
+        coord.init_process(acl_group([pair("a")], time_limit=10), _proposal(), meter)
+        assert meter.report("propose").count("storage_write_new") == 2  # tally record + deadline settings
 
     def test_non_active_proposal_rejected(self):
         with pytest.raises(NoActiveProposal):
-            coord.init_process(acl_group([pair("a")]), _proposal(ProposalStatus.EXPIRED), now=0)
+            coord.init_process(acl_group([pair("a")]), _proposal(ProposalStatus.EXPIRED))
 
 
 class TestNOfM:
@@ -173,7 +174,7 @@ class TestTurnoutSensitive:
         tally = Tally(proposal_id=1)
         coord.submit_decision(self.config, tally, _decision("a", Verdict.APPROVE), GRANT)
         coord.submit_decision(self.config, tally, _decision("b", Verdict.APPROVE), GRANT)
-        assert coord.resolve(self.config, tally, ResolveReason.MANUAL) is Verdict.REJECT
+        assert coord.resolve(self.config, tally) is Verdict.REJECT
 
     def test_threshold_scales_with_turnout(self):
         # 4 submitted, ratio 2/3 -> ceil(8/3) = 3 approvals needed
@@ -185,7 +186,7 @@ class TestTurnoutSensitive:
             ("d", Verdict.REJECT),
         ):
             coord.submit_decision(self.config, tally, _decision(tag, verdict), GRANT)
-        assert coord.resolve(self.config, tally, ResolveReason.MANUAL) is Verdict.APPROVE
+        assert coord.resolve(self.config, tally) is Verdict.APPROVE
 
     def test_exact_fraction_no_float_drift(self):
         # 1/3 of 3 is exactly 1: one approval suffices at quorum
@@ -197,7 +198,7 @@ class TestTurnoutSensitive:
             ("c", Verdict.REJECT),
         ):
             coord.submit_decision(config, tally, _decision(tag, verdict), GRANT)
-        assert coord.resolve(config, tally, ResolveReason.MANUAL) is Verdict.APPROVE
+        assert coord.resolve(config, tally) is Verdict.APPROVE
 
 
 class TestBatch:
@@ -251,10 +252,10 @@ class TestResolveAndFreeze:
         tally = Tally(proposal_id=1)
         config = NOfMConfig(n=1, m=3)
         coord.submit_decision(config, tally, _decision("a", Verdict.REJECT), GRANT)
-        assert coord.resolve(config, tally, ResolveReason.MANUAL) is Verdict.REJECT
+        assert coord.resolve(config, tally) is Verdict.REJECT
         assert tally.finalized
         with pytest.raises(AlreadyFinalized):
-            coord.resolve(config, tally, ResolveReason.MANUAL)
+            coord.resolve(config, tally)
         with pytest.raises(TallyFinalized):
             coord.submit_decision(config, tally, _decision("b", Verdict.APPROVE), GRANT)
 
@@ -262,7 +263,7 @@ class TestResolveAndFreeze:
         config = NOfMConfig(n=2, m=5)
         tally = Tally(proposal_id=1)
         coord.submit_decision(config, tally, _decision("a", Verdict.APPROVE), GRANT)
-        assert coord.resolve(config, tally, ResolveReason.EXPIRED) is Verdict.REJECT
+        assert coord.resolve(config, tally) is Verdict.REJECT
 
     def test_freeze_takes_no_verdict(self):
         tally = Tally(proposal_id=1)
@@ -277,7 +278,7 @@ class TestResolveAndFreeze:
             for tag in "abcd":
                 coord.submit_decision(config, tally, _decision(tag, Verdict.REJECT), GRANT)
             meter = CostMeter()
-            coord.resolve(config, tally, ResolveReason.MANUAL, meter)
+            coord.resolve(config, tally, meter)
             return meter.total
 
         turnout = resolve_cost(TurnoutConfig(quorum=5, ratio=Fraction(1, 2)))
@@ -304,9 +305,9 @@ def run_sequence(config, entries):
             stop = (index, early.value)
             break
     if stop is not None:
-        verdict = coord.resolve(config, tally, ResolveReason.DECISIVE)
+        verdict = coord.resolve(config, tally)
         return stop, verdict.value
-    return None, coord.resolve(config, tally, ResolveReason.MANUAL).value
+    return None, coord.resolve(config, tally).value
 
 
 def exhaustive_configs(length):
@@ -424,4 +425,4 @@ def test_running_tally_matches_rescan(config, entries):
         assert tally.approve_weight == sum(w for _, v, w in accepted if v is Verdict.APPROVE)
         for key in _KEYS:
             assert tally.has_decided(key) == _scan_has_decided(accepted, key)
-        assert coord._early_outcome(config, tally) == _scan_early_outcome(config, accepted)
+        assert coord.early_outcome(config, tally) == _scan_early_outcome(config, accepted)

@@ -43,10 +43,6 @@ def test_text_map_round_trip():
     assert ByteWriter().text_map({}).getvalue() == b"\x00" * 8
 
 
-def test_boolean_round_trip():
-    assert ByteWriter().boolean(True).boolean(False).getvalue() == b"\x01\x00"
-
-
 def test_decision_payload_exact_bytes():
     assert encoding.decision_payload("ab", 3, 2, "approve") == (
         b"\xd1"

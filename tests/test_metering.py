@@ -27,8 +27,7 @@ def test_schedule_rejects_non_positive_or_non_integer_units():
 
 
 def test_schedule_json_round_trip():
-    schedule = CostSchedule(base_tx=100, sig_verify=7)
-    assert CostSchedule.from_json(schedule.to_json()) == schedule
+    assert CostSchedule.from_json({"base_tx": 100, "sig_verify": 7}) == CostSchedule(base_tx=100, sig_verify=7)
     partial = CostSchedule.from_json({"iteration_step": 9})
     assert partial.iteration_step == 9
     assert partial.base_tx == CostSchedule().base_tx

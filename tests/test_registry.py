@@ -675,6 +675,21 @@ class TestEventSourcing:
         with pytest.raises(EncodingError, match=f"event {index + 1} .*{message}"):
             registry_mod.replay_events(events)
 
+    def test_replay_refuses_a_proposal_with_a_consumed_nonce(self):
+        issuer = pair("issuer")
+        registry = Registry()
+        registry.anchor("bb", [], {}, (token_group(issuer, coord=NOfMConfig(n=1, m=1)),))
+        for nonce in (b"1" * 16, b"2" * 16):
+            token = crypto.TokenPresentation(token=crypto.issue_token(issuer, nonce))
+            registry.resolve_manual(_propose(registry, "bb", pair("x"), credential=token))
+        events = list(registry.state.event_log)
+        assert registry_mod.snapshot_json(registry_mod.replay_events(events)) == registry.snapshot_json()
+        first, second = [i for i, e in enumerate(events) if e.kind is EventKind.PROPOSAL_SUBMITTED]
+        payload = {**events[second].payload, "nonce": events[first].payload["nonce"]}
+        events[second] = dataclasses.replace(events[second], payload=payload)
+        with pytest.raises(EncodingError, match=f"event {second + 1} .*already consumed"):
+            registry_mod.replay_events(events)
+
     def test_event_sequence_and_ticks_are_coherent(self):
         registry = self._busy_registry()
         log = registry.state.event_log
@@ -682,14 +697,3 @@ class TestEventSourcing:
         ticks = [e.tick for e in log]
         assert ticks == sorted(ticks)
 
-
-def test_metering_never_changes_behavior():
-    def run(registry):
-        registry.anchor("cc", [], {}, (acl_group([pair("a")], coord=NOfMConfig(n=1, m=1)),))
-        pid = _propose(registry, "cc", pair("a"))
-        _decide(registry, "cc", pair("a"), pid)
-        return registry.snapshot_json()
-
-    plain = Registry(metered=False)
-    assert run(plain) == run(Registry())
-    assert plain.reports == []

@@ -188,17 +188,55 @@ def _event_line(kind, payload, sequence=1):
     return json.dumps({"sequence": sequence, "tick": 0, "kind": kind, "payload": payload}) + "\n"
 
 
-def _forged_golden_decision(**changes):
-    """The key_rotation_2of3 golden log with its first decision's payload
-    changed; returns the log text and the place the replay error names."""
-    lines = (GOLDEN / "key_rotation_2of3" / "events.jsonl").read_text().splitlines(keepends=True)
-    for index, line in enumerate(lines):
-        event = json.loads(line)
-        if event["kind"] == "decision_accepted":
-            event["payload"].update(changes)
-            lines[index] = json.dumps(event, separators=(",", ":")) + "\n"
-            return "".join(lines), f"event {event['sequence']} "
-    raise AssertionError("golden log holds no decision")
+def _forged_golden(scenario, edit):
+    """The golden log of ``scenario`` after ``edit`` changes its decoded
+    events in place; ``edit`` returns the event the replay error must name.
+    Returns the log text and that place."""
+    lines = (GOLDEN / scenario / "events.jsonl").read_text().splitlines()
+    events = [json.loads(line) for line in lines]
+    named = edit(events)
+    text = "".join(json.dumps(event, separators=(",", ":")) + "\n" for event in events)
+    return text, f"event {named['sequence']} "
+
+
+def _nth(events, kind, nth=1):
+    return [event for event in events if event["kind"] == kind][nth - 1]
+
+
+def _forged_payload(scenario, kind, nth=1, **changes):
+    """``scenario``'s golden log with the payload of its ``nth`` ``kind`` event changed."""
+
+    def edit(events):
+        event = _nth(events, kind, nth)
+        event["payload"].update(changes)
+        return event
+
+    return _forged_golden(scenario, edit)
+
+
+def _forged_proposal(**changes):
+    """The key_rotation_2of3 golden log with fields of its logged proposal
+    changed; a new proposal id is carried into later events, so the log
+    still folds where the id is not derived."""
+
+    def edit(events):
+        event = _nth(events, "proposal_submitted")
+        proposal = json.loads(event["payload"]["proposal"])
+        logged_id = str(proposal["proposal_id"])
+        proposal.update(changes)
+        for later in events:
+            if later["payload"].get("proposal_id") == logged_id:
+                later["payload"]["proposal_id"] = str(proposal["proposal_id"])
+        event["payload"]["proposal"] = json.dumps(proposal, separators=(",", ":"))
+        return event
+
+    return _forged_golden("key_rotation_2of3", edit)
+
+
+def _clock_moved_back(events):
+    event = _nth(events, "clock_advanced", 2)
+    event["tick"], event["payload"]["to"] = 5, "5"
+    return event
 
 
 # logs that decode or fold badly, each for a different reason, with the
@@ -218,8 +256,23 @@ MALFORMED_LOGS = {
         "event 1",
     ),
     "not-utf8": ("\xff\xfe\n", "byte 0"),
-    "forged-controller": _forged_golden_decision(controller="ab" * 32),
-    "forged-weight": _forged_golden_decision(weight="7"),
+    "forged-controller": _forged_payload("key_rotation_2of3", "decision_accepted", controller="ab" * 32),
+    "forged-weight": _forged_payload("key_rotation_2of3", "decision_accepted", weight="7"),
+    # fields a transition derives, each edited in a log that folds unchecked
+    "forged-new-version": _forged_payload("key_rotation_2of3", "resolved", new_version="99"),
+    "forged-reason-decisive": _forged_payload("key_rotation_2of3", "resolved", reason="manual"),
+    "forged-proposal-id": _forged_proposal(proposal_id=7),
+    "forged-base-version": _forged_proposal(base_version=5),
+    "forged-created-at": _forged_proposal(created_at=3),
+    "forged-proposal-status": _forged_proposal(status="rejected"),
+    "forged-proposal-deadline": _forged_proposal(deadline=50),
+    "forged-anchored-did": _forged_payload("key_rotation_2of3", "anchored", did="c0ffee99"),
+    "forged-reason-expired": _forged_payload("offchain_batch", "resolved", reason="expired"),
+    "forged-deadline": _forged_payload("offchain_batch", "scheduled", deadline="30"),
+    "clock-moved-back": _forged_golden("expiry_timeout", _clock_moved_back),
+    "untrusted-proposal-issuer": _forged_payload(
+        "credential_access", "proposal_submitted", nonce_issuer="ab" * 32
+    ),
 }
 
 
