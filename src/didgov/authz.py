@@ -44,15 +44,25 @@ class AuthzRequest:
 class AuthzOutcome:
     """Result of one authorization check.
 
-    ``denial`` is an un-raised error instance classifying why the request
-    was refused; callers that need to fail raise it, callers that skip and
-    report (batch submission) read its ``code``.
+    A refused outcome records what to raise, ``refusal``: the error class
+    and its message. ``denial`` builds a new, un-raised error from it on
+    each read; callers that need to fail ``raise outcome.denial``, callers
+    that skip and report (batch submission) read its ``code``. The outcome
+    never holds the exception a caller raises, so a frame that keeps the
+    outcome forms no cycle with that exception's traceback.
     """
 
     granted: bool
     effective_weight: int = 1
-    denial: Optional[GovernanceError] = None
+    refusal: Optional[tuple[type[GovernanceError], str]] = None
     consume_nonce: Optional[tuple[bytes, bytes]] = None
+
+    @property
+    def denial(self) -> Optional[GovernanceError]:
+        if self.refusal is None:
+            return None
+        error, message = self.refusal
+        return error(message)
 
 
 class NonceLedger:
@@ -74,8 +84,8 @@ class NonceLedger:
         return len(self._consumed)
 
 
-def _deny(error: GovernanceError) -> AuthzOutcome:
-    return AuthzOutcome(granted=False, denial=error)
+def _deny(error: type[GovernanceError], message: str) -> AuthzOutcome:
+    return AuthzOutcome(granted=False, refusal=(error, message))
 
 
 def _issuer_trusted(issuers: tuple[bytes, ...], issuer_key: bytes, meter: Optional[CostMeter]) -> bool:
@@ -91,12 +101,12 @@ def _issuer_trusted(issuers: tuple[bytes, ...], issuer_key: bytes, meter: Option
 
 def _authorize_acl(config: AclConfig, request: AuthzRequest, meter: Optional[CostMeter]) -> AuthzOutcome:
     if request.credential is not None:
-        return _deny(MalformedCredential("acl group takes no credential"))
+        return _deny(MalformedCredential, "acl group takes no credential")
     # Charged as the on-chain linear scan it models; computed by lookup.
     index = config.index.get(request.controller_key)
     if index is None:
         charge(meter, "iteration_step", len(config.members))
-        return _deny(Unauthorized("controller is not an acl member"))
+        return _deny(Unauthorized, "controller is not an acl member")
     charge(meter, "iteration_step", index + 1)
     weight = config.weights[index] if config.weights is not None else 1
     return AuthzOutcome(granted=True, effective_weight=weight)
@@ -109,15 +119,15 @@ def _authorize_token(
     meter: Optional[CostMeter],
 ) -> AuthzOutcome:
     if not isinstance(request.credential, TokenPresentation):
-        return _deny(MalformedCredential("token group requires a bearer token"))
+        return _deny(MalformedCredential, "token group requires a bearer token")
     token = request.credential.token
     if not _issuer_trusted(config.trusted_issuers, token.issuer_key, meter):
-        return _deny(UntrustedIssuer("token issuer is not trusted"))
+        return _deny(UntrustedIssuer, "token issuer is not trusted")
     charge(meter, "sig_verify", 1)
     if not token.verify_issuer():
-        return _deny(Unauthorized("token issuer signature invalid"))
+        return _deny(Unauthorized, "token issuer signature invalid")
     if nonce_ledger.is_consumed(token.issuer_key, token.nonce):
-        return _deny(ReplayedNonce("token nonce already consumed"))
+        return _deny(ReplayedNonce, "token nonce already consumed")
     return AuthzOutcome(granted=True, consume_nonce=(token.issuer_key, token.nonce))
 
 
@@ -127,24 +137,24 @@ def _authorize_vc(
     meter: Optional[CostMeter],
 ) -> AuthzOutcome:
     if not isinstance(request.credential, VcPresentation):
-        return _deny(MalformedCredential("vc group requires a credential presentation"))
+        return _deny(MalformedCredential, "vc group requires a credential presentation")
     vc = request.credential.credential
     if not _issuer_trusted(config.trusted_issuers, vc.issuer_key, meter):
-        return _deny(UntrustedIssuer("credential issuer is not trusted"))
+        return _deny(UntrustedIssuer, "credential issuer is not trusted")
     charge(meter, "sig_verify", 1)
     if not vc.verify_issuer():
-        return _deny(Unauthorized("credential issuer signature invalid"))
+        return _deny(Unauthorized, "credential issuer signature invalid")
     # The holder proof is the extra signature check credential flows pay
     # over bearer tokens.
     charge(meter, "sig_verify", 1)
     if not request.credential.verify_holder(request.did, request.presentation_context()):
-        return _deny(Unauthorized("holder proof-of-possession invalid"))
+        return _deny(Unauthorized, "holder proof-of-possession invalid")
     if vc.holder_key != request.controller_key:
-        return _deny(Unauthorized("credential bound to a different holder"))
+        return _deny(Unauthorized, "credential bound to a different holder")
     for key, value in config.required_claims.items():
         charge(meter, "iteration_step", 1)
         if vc.claims.get(key) != value:
-            return _deny(Unauthorized(f"claim {key!r} missing or not an exact match"))
+            return _deny(Unauthorized, f"claim {key!r} missing or not an exact match")
     return AuthzOutcome(granted=True, effective_weight=_weight_from_claims(vc.claims))
 
 

@@ -18,8 +18,10 @@ a replayed log reproduces the live registry byte-for-byte (see
 from __future__ import annotations
 
 import json
-from collections.abc import Mapping
+from collections import deque
+from collections.abc import Callable, Mapping
 from dataclasses import dataclass, field
+from json.encoder import JSONEncoder, c_make_encoder, encode_basestring_ascii
 from typing import Optional, Sequence
 
 from . import authz, coord, crypto, encoding, model
@@ -68,8 +70,26 @@ from .scheduler import DeadlineQueue, ScheduleRequest, SimClock
 Nonce = Optional[tuple[bytes, bytes]]  # (issuer key, nonce) a token burns
 
 
+if c_make_encoder is None:
+    raise ImportError("didgov requires CPython's _json accelerator (json.encoder.c_make_encoder)")
+
+
+def _compact_writer() -> Callable[[object], str]:
+    """A writer of compact JSON text, equal to ``json.dumps(value,
+    separators=(",", ":"))``: one C encoder built with the arguments
+    ``json.dumps`` gives it (fresh circular-reference markers, the stock
+    ``default``, ASCII escaping, no key sorting or skipping, NaN allowed).
+    ``json.dumps`` builds that encoder for each value; build one writer
+    per call and write every value of the call through it."""
+    encode = c_make_encoder(
+        {}, JSONEncoder().default, encode_basestring_ascii, None, ":", ",", False, False, True
+    )
+    return lambda value: "".join(encode(value, 0))
+
+
 def _compact(value) -> str:
-    return json.dumps(value, separators=(",", ":"))
+    """``value`` as compact JSON text, through a writer built for it."""
+    return _compact_writer()(value)
 
 
 @dataclass
@@ -203,14 +223,35 @@ def _resolved(state: RegistryState, proposal: UpdateProposal, meter: Optional[Co
     return payload
 
 
-def _clock_advanced(state: RegistryState, to: int) -> list[tuple[int, int]]:
+def _clock_advanced(state: RegistryState, to: int) -> list[UpdateProposal]:
     """Move the clock strictly forward and pop the queue entries that came
-    due; the caller fires the ones still active (replay: the log's resolved
-    events do)."""
+    due. Returns their proposals that are still active, in firing order:
+    the caller expires each at once (replay: the log's next resolved events
+    must). Entries of proposals resolved before their deadline are dropped."""
     if to <= state.clock.now:
         raise ClockRegression(f"clock must move forward from {state.clock.now}, not to {to}")
     state.clock.advance(to)
-    return state.queue.due(to)
+    due = [state.proposals.get(proposal_id) for _deadline, proposal_id in state.queue.due(to)]
+    return [p for p in due if p is not None and p.status is ProposalStatus.ACTIVE]
+
+
+def _check_edit_right(group: GovernanceGroup, originating_group: int, change_set: ChangeSet) -> None:
+    if not allowed_changes(group.edit_right, originating_group, change_set):
+        raise EditRightViolation(
+            f"{group.edit_right.json_name()} group {originating_group} cannot make this change"
+        )
+
+
+def _check_precedence(state: RegistryState, did: Did, group: GovernanceGroup) -> None:
+    """A proposal from ``group`` overrides the DID's active proposal only
+    with strictly higher edit right than that proposal's group."""
+    existing = state.active_proposals.get(did)
+    if existing is None:
+        return
+    if group.edit_right <= state.documents[did].group(existing.originating_group).edit_right:
+        raise ActiveProposalPrecedence(
+            f"proposal {existing.proposal_id} is active with equal or higher privilege"
+        )
 
 
 def allowed_changes(edit_right: EditRightLevel, originating_group: int, change_set: ChangeSet) -> bool:
@@ -352,18 +393,11 @@ class Registry:
         outcome = authz.authorize(group.authz_config, request, state.nonce_ledger, meter)
         if not outcome.granted:
             raise outcome.denial
-        if not allowed_changes(group.edit_right, originating_group, change_set):
-            raise EditRightViolation(
-                f"{group.edit_right.json_name()} group {originating_group} cannot make this change"
-            )
+        _check_edit_right(group, originating_group, change_set)
         model.apply_change_set(doc, change_set)  # dry run: reject unappliable proposals now
-        existing = state.active_proposals.get(key)
-        if existing is not None and group.edit_right <= doc.group(existing.originating_group).edit_right:
-            raise ActiveProposalPrecedence(
-                f"proposal {existing.proposal_id} is active with equal or higher privilege"
-            )
+        _check_precedence(state, key, group)
         # ---- all checks passed; mutate ----
-        if existing is not None:
+        if key in state.active_proposals:
             overridden = _proposal_overridden(state, key, originating_group, meter)
             self._emit(EventKind.PROPOSAL_OVERRIDDEN, overridden, meter)
         proposal = _proposal_submitted(state, key, originating_group, change_set, outcome.consume_nonce, meter)
@@ -413,7 +447,7 @@ class Registry:
         )
         try:
             if not crypto.verify(decision.controller_key, payload, decision.signature):
-                return AuthzOutcome(granted=False, denial=Unauthorized("decision signature invalid"))
+                return AuthzOutcome(granted=False, refusal=(Unauthorized, "decision signature invalid"))
             request = AuthzRequest(
                 did=proposal.did,
                 controller_key=decision.controller_key,
@@ -422,7 +456,7 @@ class Registry:
             )
             return authz.authorize(group.authz_config, request, self.state.nonce_ledger, meter)
         except VerificationError as exc:
-            return AuthzOutcome(granted=False, denial=exc)
+            return AuthzOutcome(granted=False, refusal=(type(exc), str(exc)))
 
     def _accept(self, decision: Decision, outcome: AuthzOutcome, meter: CostMeter) -> None:
         """Transition and event for a decision coord has just tallied."""
@@ -523,12 +557,9 @@ class Registry:
         if to != state.clock.now:
             due = _clock_advanced(state, to)  # ClockRegression if to is earlier
             self._emit(EventKind.CLOCK_ADVANCED, {"to": str(to)}, meter)
-            for _deadline, proposal_id in due:
-                proposal = state.proposals.get(proposal_id)
-                if proposal is None or proposal.status is not ProposalStatus.ACTIVE:
-                    continue  # stale entry: resolved before its deadline
+            for proposal in due:
                 self._apply_resolution(proposal, meter)
-                resolved.append(proposal_id)
+                resolved.append(proposal.proposal_id)
         self._commit(meter, "advance_clock")
         return resolved
 
@@ -577,7 +608,8 @@ def snapshot_json(state: RegistryState) -> str:
 
 
 def event_log_to_jsonl(events: Sequence[GovernanceEvent]) -> str:
-    return "".join(_compact(model.event_to_json(event)) + "\n" for event in events)
+    write = _compact_writer()
+    return "".join([write(model.event_to_json(event)) + "\n" for event in events])
 
 
 # What a hostile log can make decoding or folding raise; each is reported
@@ -654,6 +686,11 @@ def _expect(logged: Mapping, derived: Mapping) -> None:
 
 
 # --- folds: decode a payload into its transition's inputs, run it, compare ---
+# A fold may return the events its transaction owes the log next: each is
+# (kind, what it must do, a test on the state after folding it).
+
+_Owed = tuple[EventKind, str, Callable[[RegistryState], bool]]
+
 
 def _fold_anchored(state: RegistryState, payload: Mapping[str, str]) -> None:
     doc = model.document_from_json(json.loads(payload["document"]))
@@ -666,12 +703,21 @@ def _fold_proposal_submitted(state: RegistryState, payload: Mapping[str, str]) -
     nonce = _decode_nonce(payload)
     group = state.documents[logged.did].group(logged.originating_group)
     _check_logged_nonce(state, group.authz_config, nonce, "proposal")  # the proposer is not logged
+    _check_edit_right(group, logged.originating_group, logged.change_set)
     proposal = _proposal_submitted(state, logged.did, logged.originating_group, logged.change_set, nonce, None)
     _expect(vars(logged), vars(proposal))
 
 
-def _fold_proposal_overridden(state: RegistryState, payload: Mapping[str, str]) -> None:
-    _expect(payload, _proposal_overridden(state, Did(payload["did"]), int(payload["overriding_group"]), None))
+def _fold_proposal_overridden(state: RegistryState, payload: Mapping[str, str]) -> list[_Owed]:
+    did, group_id = Did(payload["did"]), int(payload["overriding_group"])
+    _check_precedence(state, did, state.documents[did].group(group_id))
+    _expect(payload, _proposal_overridden(state, did, group_id, None))
+
+    def submitted(after: RegistryState) -> bool:
+        active = after.active_proposals.get(did)
+        return active is not None and active.originating_group == group_id
+
+    return [(EventKind.PROPOSAL_SUBMITTED, f"submit group {group_id}'s proposal on did {did}", submitted)]
 
 
 def _fold_decision_accepted(state: RegistryState, payload: Mapping[str, str]) -> None:
@@ -692,8 +738,15 @@ def _fold_resolved(state: RegistryState, payload: Mapping[str, str]) -> None:
     _expect(payload, _resolved(state, state.proposals[int(payload["proposal_id"])], None))
 
 
-def _fold_clock_advanced(state: RegistryState, payload: Mapping[str, str]) -> None:
-    _clock_advanced(state, int(payload["to"]))  # the log's own resolved events follow
+def _fold_clock_advanced(state: RegistryState, payload: Mapping[str, str]) -> list[_Owed]:
+    return [_expiry(proposal) for proposal in _clock_advanced(state, int(payload["to"]))]
+
+
+def _expiry(proposal: UpdateProposal) -> _Owed:
+    def expired(_after: RegistryState) -> bool:
+        return proposal.status is not ProposalStatus.ACTIVE
+
+    return EventKind.RESOLVED, f"expire proposal {proposal.proposal_id}", expired
 
 
 _FOLDS = {
@@ -715,22 +768,36 @@ def replay_events(events: Sequence[GovernanceEvent]) -> RegistryState:
     what it derived with what the log records; the event's tick must be
     the clock after the fold. A decision, and a token group's proposal,
     is first checked against its group's authorization config (see
-    :func:`_check_logged_decision`). A log that does not decode, fold or
-    pass these checks raises ``EncodingError`` naming the event's
-    sequence number.
+    :func:`_check_logged_decision`); a proposal against its group's edit
+    right, and an override against the overridden proposal's group, as
+    the live ``propose`` checks them. The events a transaction owes come
+    next, before any other: the submission an override makes room for,
+    and the expiry of each proposal a clock advance made due, in firing
+    order. A log that does not decode, fold or pass these checks raises
+    ``EncodingError`` naming the event's sequence number.
     """
     state = RegistryState()
+    owed: deque[_Owed] = deque()
     for event in events:
         expected = len(state.event_log) + 1
         if event.sequence != expected:
             raise EncodingError(f"event sequence {event.sequence}, expected {expected}")
         state.event_log.append(event)
         try:
-            _FOLDS[event.kind](state, event.payload)
+            requires = _FOLDS[event.kind](state, event.payload)
+            if owed:
+                kind, what, done = owed.popleft()
+                if event.kind is not kind or not done(state):
+                    raise EncodingError(f"the event must {what}")
+            if requires:
+                owed.extend(requires)
             if event.tick != state.clock.now:
                 raise EncodingError(f"logged tick {event.tick}, derived {state.clock.now}")
         except _MALFORMED as exc:
             raise EncodingError(
                 f"event {event.sequence} ({event.kind.value}) does not fold: {type(exc).__name__}: {exc}"
             ) from exc
+    if owed:
+        last = len(state.event_log)
+        raise EncodingError(f"the log ends after event {last} before an event can {owed[0][1]}")
     return state

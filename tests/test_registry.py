@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 
 import pytest
 
@@ -15,6 +16,7 @@ from didgov.errors import (
     EditRightViolation,
     EmptyBatch,
     EncodingError,
+    GovernanceError,
     InvalidChangeSet,
     MalformedCredential,
     NoActiveProposal,
@@ -690,6 +692,31 @@ class TestEventSourcing:
         with pytest.raises(EncodingError, match=f"event {second + 1} .*already consumed"):
             registry_mod.replay_events(events)
 
+    def test_replay_requires_due_expiries_in_firing_order(self):
+        registry = Registry()
+        for did, time_limit in (("aa", 5), ("bb", 8)):
+            group = acl_group([pair("a"), pair("b")], coord=NOfMConfig(n=2, m=2), time_limit=time_limit)
+            registry.anchor(did, [], {}, (group,))
+        first = _propose(registry, "aa", pair("a"))
+        _propose(registry, "bb", pair("a"))
+        registry.advance_clock(10)
+        events = list(registry.state.event_log)
+        assert registry_mod.snapshot_json(registry_mod.replay_events(events)) == registry.snapshot_json()
+        events[-2:] = events[:-3:-1]  # the second expiry logged first
+        events = [dataclasses.replace(e, sequence=n) for n, e in enumerate(events, start=1)]
+        with pytest.raises(EncodingError, match=f"event {len(events) - 1} .*expire proposal {first}"):
+            registry_mod.replay_events(events)
+
+    def test_replay_requires_the_overriding_groups_submission_next(self):
+        events = list(self._busy_registry().state.event_log)
+        anchor_bb = events.pop(1)  # tick 0, like every event up to the override
+        assert anchor_bb.kind is EventKind.ANCHORED and anchor_bb.payload["did"] == "bb"
+        index = next(i for i, e in enumerate(events) if e.kind is EventKind.PROPOSAL_OVERRIDDEN)
+        events.insert(index + 1, anchor_bb)  # between the override and its submission
+        events = [dataclasses.replace(e, sequence=n) for n, e in enumerate(events, start=1)]
+        with pytest.raises(EncodingError, match=f"event {index + 2} .*submit group 1's proposal on did aa"):
+            registry_mod.replay_events(events)
+
     def test_event_sequence_and_ticks_are_coherent(self):
         registry = self._busy_registry()
         log = registry.state.event_log
@@ -697,3 +724,51 @@ class TestEventSourcing:
         ticks = [e.tick for e in log]
         assert ticks == sorted(ticks)
 
+
+
+def _garbage_after_refusal(call) -> int:
+    """Objects the cyclic collector finds unreachable after ``call`` is
+    refused, with the collector off meanwhile."""
+    gc.collect()
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        try:
+            call()
+        except GovernanceError:
+            pass
+        else:
+            pytest.fail("the call was not refused")
+        return gc.collect()
+    finally:
+        if enabled:
+            gc.enable()
+
+
+class TestRefusalLeavesNoCycle:
+    """A refused transaction's exception holds its traceback and so its
+    frame; if the frame also held the exception, the cycle would keep the
+    frame's objects alive until the cyclic collector ran."""
+
+    def _registry(self):
+        registry, did = anchored([acl_group([pair("a"), pair("b")], coord=NOfMConfig(n=2, m=2))])
+        return registry, did, _propose(registry, did, pair("a"))
+
+    def test_refused_propose(self):
+        registry, did, _ = self._registry()
+        assert _garbage_after_refusal(lambda: _propose(registry, did, pair("stranger"))) == 0
+
+    def test_refused_decide(self):
+        registry, did, pid = self._registry()
+        assert _garbage_after_refusal(lambda: _decide(registry, did, pair("stranger"), pid)) == 0
+
+    def test_refused_decide_with_a_malformed_key(self):
+        registry, did, pid = self._registry()
+        decision = dataclasses.replace(
+            build_decision(pair("a"), Did(did), pid, 1, Verdict.APPROVE), controller_key=b"short"
+        )
+        assert _garbage_after_refusal(lambda: registry.decide(decision)) == 0
+
+    def test_refused_resolve_manual(self):
+        registry, _, _ = self._registry()
+        assert _garbage_after_refusal(lambda: registry.resolve_manual(99)) == 0

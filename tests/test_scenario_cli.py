@@ -239,6 +239,38 @@ def _clock_moved_back(events):
     return event
 
 
+def _dropped_expiry(events):
+    """Drop the resolved event that expires a due proposal; the log then
+    ends right after the clock advance that made it due."""
+    events.remove(_nth(events, "resolved"))
+    return events[-1]
+
+
+def _added_group(events):
+    """Make the first proposal, from a document-level group, add a group."""
+    document = json.loads(_nth(events, "anchored")["payload"]["document"])
+    event = _nth(events, "proposal_submitted")
+    proposal = json.loads(event["payload"]["proposal"])
+    proposal["change_set"]["group_ops"] = [{"op": "add", "group": dict(document["groups"][0], group_id=7)}]
+    event["payload"]["proposal"] = json.dumps(proposal, separators=(",", ":"))
+    return event
+
+
+def _equal_privilege_override(events):
+    """Move the overridden proposal into the overriding group itself."""
+    event = _nth(events, "proposal_submitted")
+    proposal = json.loads(event["payload"]["proposal"])
+    proposal["originating_group"] = 1
+    event["payload"]["proposal"] = json.dumps(proposal, separators=(",", ":"))
+    return _nth(events, "proposal_overridden")
+
+
+def _truncated_after_override(events):
+    override = _nth(events, "proposal_overridden")
+    del events[events.index(override) + 1:]
+    return override
+
+
 # logs that decode or fold badly, each for a different reason, with the
 # place the error message must name
 MALFORMED_LOGS = {
@@ -273,6 +305,11 @@ MALFORMED_LOGS = {
     "untrusted-proposal-issuer": _forged_payload(
         "credential_access", "proposal_submitted", nonce_issuer="ab" * 32
     ),
+    # what live propose and advance_clock refuse or always do, each left out of a log
+    "dropped-expiry": _forged_golden("expiry_timeout", _dropped_expiry),
+    "forged-edit-right": _forged_golden("key_rotation_2of3", _added_group),
+    "forged-override-privilege": _forged_golden("privilege_override", _equal_privilege_override),
+    "override-without-submission": _forged_golden("privilege_override", _truncated_after_override),
 }
 
 
