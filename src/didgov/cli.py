@@ -162,8 +162,7 @@ def replay(events, expect):
     if expect is None:
         click.echo(rebuilt, nl=False)
         return
-    expected = Path(expect).read_text(encoding="utf-8")
-    if rebuilt != expected:
+    if rebuilt.encode() != Path(expect).read_bytes():
         _fail(f"replayed state does not match {expect}", 1)
     click.echo(f"{len(log)} events replayed; state matches {expect}")
 

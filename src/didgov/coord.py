@@ -26,8 +26,7 @@ from .errors import (
     AlreadyFinalized,
     DuplicateBatch,
     DuplicateDecision,
-    EmptyBatch,
-    NoActiveProposal,
+    ReplayedNonce,
     TallyFinalized,
     TallyFull,
 )
@@ -38,7 +37,6 @@ from .model import (
     ExecutionMode,
     GovernanceGroup,
     NOfMConfig,
-    ProposalStatus,
     TurnoutConfig,
     UpdateProposal,
     Verdict,
@@ -105,8 +103,6 @@ def init_process(
     meter: Optional[CostMeter] = None,
 ) -> Tally:
     """Start the coordination process for a freshly admitted proposal."""
-    if proposal.status is not ProposalStatus.ACTIVE:
-        raise NoActiveProposal(f"proposal {proposal.proposal_id} is {proposal.status.value}")
     charge(meter, "storage_write_new", 1)  # tally record
     if group.execution is ExecutionMode.OFF_CHAIN:
         # aggregation setup: record where/how signatures will be collected
@@ -195,29 +191,33 @@ def submit_batch(
     config: CoordConfig,
     tally: Tally,
     batch: DecisionBatch,
-    outcomes: Sequence[tuple[Optional[AuthzOutcome], Optional[str]]],
+    outcomes: Sequence[AuthzOutcome],
     meter: Optional[CostMeter] = None,
 ) -> BatchResult:
     """Count an off-chain aggregate in one pass, skipping invalid entries.
 
-    ``outcomes`` parallels ``batch.decisions``: the caller has already run
-    signature and authorization checks and supplies either a granted
-    outcome or the denial code. No early termination happens mid-batch;
+    ``outcomes`` parallels ``batch.decisions``: each entry's signature and
+    authorization check. An entry is skipped under the code of what refused
+    it: its check, a token nonce an earlier entry of the batch presented
+    (reserved before the append, so even an entry the append refuses holds
+    it), or :func:`append_entry`. No early termination happens mid-batch;
     the verdict is computed at resolve time.
     """
-    if not batch.decisions:
-        raise EmptyBatch("batch holds no decisions")
-    if tally.finalized:
-        raise TallyFinalized(f"tally for proposal {tally.proposal_id} is finalized")
     if tally.accepted:
         raise DuplicateBatch("an aggregate was already submitted for this proposal")
     tallied: list[int] = []
     skipped: list[tuple[int, str]] = []
-    for index, decision in enumerate(batch.decisions):
-        outcome, denial_code = outcomes[index]
-        if denial_code is not None or outcome is None:
-            skipped.append((index, denial_code or "unauthorized"))
+    presented: set[tuple[bytes, bytes]] = set()
+    for index, (decision, outcome) in enumerate(zip(batch.decisions, outcomes)):
+        if not outcome.granted:
+            skipped.append((index, outcome.denial.code))
             continue
+        nonce = outcome.consume_nonce
+        if nonce is not None:
+            if nonce in presented:
+                skipped.append((index, ReplayedNonce.code))
+                continue
+            presented.add(nonce)
         entry = (decision.controller_key, decision.verdict, outcome.effective_weight)
         try:
             append_entry(config, tally, entry, meter)

@@ -107,12 +107,6 @@ class NoActiveProposal(GovernanceError):
     code = "no-active-proposal"
 
 
-class DeadlinePassed(GovernanceError):
-    """Decision arrived after the proposal's deadline."""
-
-    code = "deadline-passed"
-
-
 class UnknownProposal(GovernanceError):
     """Referenced proposal does not exist or is not active."""
 

@@ -121,13 +121,8 @@ class CostMeter:
     def total(self) -> int:
         return sum(units for _, _, units in self.items())
 
-    def report(self, label: str, dimensions: Optional[Mapping[str, object]] = None) -> CostReport:
-        return CostReport(
-            transaction_label=label,
-            total=self.total,
-            items=self.items(),
-            dimensions=dimensions or {},
-        )
+    def report(self, label: str) -> CostReport:
+        return CostReport(transaction_label=label, total=self.total, items=self.items())
 
 
 def charge(meter: Optional[CostMeter], category: str, count: int = 1) -> None:

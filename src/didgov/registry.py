@@ -31,7 +31,6 @@ from .errors import (
     AlreadyAnchored,
     AlreadyFinalized,
     ClockRegression,
-    DeadlinePassed,
     EmptyBatch,
     EncodingError,
     GovernanceError,
@@ -190,9 +189,10 @@ def _resolved(state: RegistryState, proposal: UpdateProposal, meter: Optional[Co
     The reason is derived too: decisive when an on-chain tally has settled
     early (a live decision resolves it at once), expired once the deadline
     has come (a live clock advance expires it at once), manual otherwise.
-    Applying the change set cannot fail on the live path: it was dry-run
-    against this document version on admission, and the single-active
-    rule keeps the document fixed until the proposal resolves.
+    Applying the change set cannot fail: it was dry-run against this
+    document version on admission, live and on replay, and the
+    single-active rule keeps the document fixed until the proposal
+    resolves.
     """
     doc = state.documents[proposal.did]
     group = doc.group(proposal.originating_group)
@@ -231,15 +231,19 @@ def _clock_advanced(state: RegistryState, to: int) -> list[UpdateProposal]:
     if to <= state.clock.now:
         raise ClockRegression(f"clock must move forward from {state.clock.now}, not to {to}")
     state.clock.advance(to)
-    due = [state.proposals.get(proposal_id) for _deadline, proposal_id in state.queue.due(to)]
-    return [p for p in due if p is not None and p.status is ProposalStatus.ACTIVE]
+    due = [state.proposals[proposal_id] for _deadline, proposal_id in state.queue.due(to)]
+    return [p for p in due if p.status is ProposalStatus.ACTIVE]
 
 
-def _check_edit_right(group: GovernanceGroup, originating_group: int, change_set: ChangeSet) -> None:
-    if not allowed_changes(group.edit_right, originating_group, change_set):
+def _check_admission(doc: DidDocument, group: GovernanceGroup, change_set: ChangeSet) -> None:
+    """``group`` submits only a change set its edit right permits and that
+    applies to the document as it stands (a dry run), so resolving the
+    proposal cannot fail."""
+    if not allowed_changes(group.edit_right, group.group_id, change_set):
         raise EditRightViolation(
-            f"{group.edit_right.json_name()} group {originating_group} cannot make this change"
+            f"{group.edit_right.json_name()} group {group.group_id} cannot make this change"
         )
+    model.apply_change_set(doc, change_set)
 
 
 def _check_precedence(state: RegistryState, did: Did, group: GovernanceGroup) -> None:
@@ -393,8 +397,7 @@ class Registry:
         outcome = authz.authorize(group.authz_config, request, state.nonce_ledger, meter)
         if not outcome.granted:
             raise outcome.denial
-        _check_edit_right(group, originating_group, change_set)
-        model.apply_change_set(doc, change_set)  # dry run: reject unappliable proposals now
+        _check_admission(doc, group, change_set)
         _check_precedence(state, key, group)
         # ---- all checks passed; mutate ----
         if key in state.active_proposals:
@@ -415,7 +418,8 @@ class Registry:
         self, proposal_id: int, mode: ExecutionMode
     ) -> tuple[UpdateProposal, GovernanceGroup, CostMeter]:
         """Checks shared by ``decide`` and ``decide_batch``: the proposal is
-        active, its deadline has not passed and its group uses ``mode``."""
+        active and its group uses ``mode``. An active proposal's deadline
+        lies ahead: the clock advance that reaches it expires the proposal."""
         state = self.state
         proposal = state.proposals.get(proposal_id)
         if proposal is None or proposal.status is not ProposalStatus.ACTIVE:
@@ -423,8 +427,6 @@ class Registry:
         group = state.documents[proposal.did].group(proposal.originating_group)
         meter = self._meter()
         charge(meter, "base_tx", 1)  # an off-chain aggregate rides one transaction too
-        if proposal.deadline is not None and state.clock.now > proposal.deadline:
-            raise DeadlinePassed(f"proposal {proposal.proposal_id} expired at {proposal.deadline}")
         if group.execution is not mode:
             if mode is ExecutionMode.ON_CHAIN:
                 raise WrongExecutionMode("single decisions are only possible for on-chain coordination")
@@ -491,31 +493,18 @@ class Registry:
         """Submit an off-chain aggregate as one transaction.
 
         Invalid entries (bad or malformed signature, denied authorization,
-        duplicate controller, turnout cap) are skipped and reported, not
+        a token nonce used twice in the batch, duplicate controller, turnout
+        cap) are skipped and reported by :func:`coord.submit_batch`, not
         fatal.
         """
         if not batch.decisions:
             raise EmptyBatch("batch holds no decisions")
         proposal, group, meter = self._open_decisions(batch.proposal_id, ExecutionMode.OFF_CHAIN)
-        outcomes: list[tuple[Optional[AuthzOutcome], Optional[str]]] = []
-        pending_nonces: set[tuple[bytes, bytes]] = set()
-        for decision in batch.decisions:
-            outcome = self._check_decision(proposal, group, decision, meter)
-            if not outcome.granted:
-                outcomes.append((None, outcome.denial.code))
-                continue
-            if outcome.consume_nonce is not None:
-                if outcome.consume_nonce in pending_nonces:
-                    outcomes.append((None, "replayed-nonce"))
-                    continue
-                pending_nonces.add(outcome.consume_nonce)
-            outcomes.append((outcome, None))
+        outcomes = [self._check_decision(proposal, group, decision, meter) for decision in batch.decisions]
         tally = self.state.tallies[proposal.proposal_id]
         result = coord.submit_batch(group.coord_config, tally, batch, outcomes, meter)
         for index in result.tallied:
-            outcome = outcomes[index][0]
-            assert outcome is not None
-            self._accept(batch.decisions[index], outcome, meter)
+            self._accept(batch.decisions[index], outcomes[index], meter)
         self._commit(meter, "decide_batch")
         return result
 
@@ -698,14 +687,22 @@ def _fold_anchored(state: RegistryState, payload: Mapping[str, str]) -> None:
     _expect({"did": payload["did"]}, {"did": doc.did})
 
 
-def _fold_proposal_submitted(state: RegistryState, payload: Mapping[str, str]) -> None:
+def _fold_proposal_submitted(state: RegistryState, payload: Mapping[str, str]) -> list[_Owed]:
     logged = model.proposal_from_json(json.loads(payload["proposal"]))
     nonce = _decode_nonce(payload)
-    group = state.documents[logged.did].group(logged.originating_group)
+    doc = state.documents[logged.did]
+    group = doc.group(logged.originating_group)
     _check_logged_nonce(state, group.authz_config, nonce, "proposal")  # the proposer is not logged
-    _check_edit_right(group, logged.originating_group, logged.change_set)
+    _check_admission(doc, group, logged.change_set)
     proposal = _proposal_submitted(state, logged.did, logged.originating_group, logged.change_set, nonce, None)
     _expect(vars(logged), vars(proposal))
+    if group.time_limit is None:
+        return []
+
+    def scheduled(_after: RegistryState) -> bool:
+        return proposal.deadline is not None
+
+    return [(EventKind.SCHEDULED, f"schedule proposal {proposal.proposal_id}", scheduled)]
 
 
 def _fold_proposal_overridden(state: RegistryState, payload: Mapping[str, str]) -> list[_Owed]:
@@ -720,14 +717,18 @@ def _fold_proposal_overridden(state: RegistryState, payload: Mapping[str, str]) 
     return [(EventKind.PROPOSAL_SUBMITTED, f"submit group {group_id}'s proposal on did {did}", submitted)]
 
 
-def _fold_decision_accepted(state: RegistryState, payload: Mapping[str, str]) -> None:
+def _fold_decision_accepted(state: RegistryState, payload: Mapping[str, str]) -> list[_Owed]:
     proposal = state.proposals[int(payload["proposal_id"])]
     group = state.documents[proposal.did].group(proposal.originating_group)
+    tally = state.tallies[proposal.proposal_id]
     entry = (bytes.fromhex(payload["controller"]), Verdict(payload["verdict"]), int(payload["weight"]))
     nonce = _decode_nonce(payload)
     _check_logged_decision(state, group.authz_config, entry[0], entry[2], nonce)
-    coord.append_entry(group.coord_config, state.tallies[proposal.proposal_id], entry)
+    coord.append_entry(group.coord_config, tally, entry)
     _decision_accepted(state, nonce)
+    if group.execution is ExecutionMode.ON_CHAIN and coord.early_outcome(group.coord_config, tally) is not None:
+        return [_resolution(proposal, "resolve")]  # a live decide resolves a settled tally at once
+    return []
 
 
 def _fold_scheduled(state: RegistryState, payload: Mapping[str, str]) -> None:
@@ -739,14 +740,14 @@ def _fold_resolved(state: RegistryState, payload: Mapping[str, str]) -> None:
 
 
 def _fold_clock_advanced(state: RegistryState, payload: Mapping[str, str]) -> list[_Owed]:
-    return [_expiry(proposal) for proposal in _clock_advanced(state, int(payload["to"]))]
+    return [_resolution(proposal, "expire") for proposal in _clock_advanced(state, int(payload["to"]))]
 
 
-def _expiry(proposal: UpdateProposal) -> _Owed:
-    def expired(_after: RegistryState) -> bool:
+def _resolution(proposal: UpdateProposal, what: str) -> _Owed:
+    def resolved(_after: RegistryState) -> bool:
         return proposal.status is not ProposalStatus.ACTIVE
 
-    return EventKind.RESOLVED, f"expire proposal {proposal.proposal_id}", expired
+    return EventKind.RESOLVED, f"{what} proposal {proposal.proposal_id}", resolved
 
 
 _FOLDS = {
@@ -770,8 +771,11 @@ def replay_events(events: Sequence[GovernanceEvent]) -> RegistryState:
     is first checked against its group's authorization config (see
     :func:`_check_logged_decision`); a proposal against its group's edit
     right, and an override against the overridden proposal's group, as
-    the live ``propose`` checks them. The events a transaction owes come
+    the live ``propose`` checks them, and a proposal's change set is
+    dry-run against the document. The events a transaction owes come
     next, before any other: the submission an override makes room for,
+    the scheduling of a proposal whose group has a time limit, the
+    resolution of an on-chain proposal whose tally a decision settled,
     and the expiry of each proposal a clock advance made due, in firing
     order. A log that does not decode, fold or pass these checks raises
     ``EncodingError`` naming the event's sequence number.

@@ -17,7 +17,10 @@ from __future__ import annotations
 
 import json
 import sys
+from collections.abc import Callable, Iterator
+from contextlib import contextmanager
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 from typing import Optional
 
@@ -25,7 +28,6 @@ from . import crypto, model, registry as registry_mod
 from .coord import DecisionBatch
 from .crypto import BearerToken, KeyPair, TokenPresentation, VerifiableCredential
 from .errors import GovernanceError
-from .metering import CostSchedule
 from .model import ChangeSet, Did, EditRightLevel, Verdict
 from .registry import Registry, build_decision
 
@@ -81,6 +83,17 @@ class ScenarioRun:
     warnings: list[str] = field(default_factory=list)
 
 
+@contextmanager
+def _decoding(context: str) -> Iterator[None]:
+    """Report what malformed scenario data makes decoding raise as a
+    ``ScenarioParseError`` naming ``context``. It wraps decoding only, never
+    a registry call, so an engine fault still surfaces as itself."""
+    try:
+        yield
+    except (LookupError, ValueError, TypeError, AttributeError) as exc:
+        raise ScenarioParseError(f"{context}: {type(exc).__name__}: {exc}") from exc
+
+
 def _require(mapping: dict, key: str, context: str):
     if key not in mapping:
         raise ScenarioParseError(f"{context}: missing required field {key!r}")
@@ -98,6 +111,8 @@ def load_scenario(path) -> Scenario:
     path = Path(path)
     try:
         data = json.loads(path.read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise ScenarioParseError(f"{path.name}: not UTF-8 text (byte {exc.start})") from exc
     except json.JSONDecodeError as exc:
         raise ScenarioParseError(
             f"{path.name}: invalid JSON: {exc.msg}", line=exc.lineno, column=exc.colno
@@ -106,44 +121,46 @@ def load_scenario(path) -> Scenario:
         raise ScenarioParseError(f"{path.name}: top level must be an object")
     name = data.get("name", path.stem)
     keys: dict[str, KeyPair] = {}
-    for key_name, seed_hex in data.get("seed_keys", {}).items():
-        try:
-            seed = bytes.fromhex(seed_hex)
-        except ValueError:
-            raise ScenarioParseError(f"seed_keys[{key_name!r}]: not hex") from None
-        if len(seed) != 32:
-            raise ScenarioParseError(f"seed_keys[{key_name!r}]: seed must be 32 bytes")
-        keys[key_name] = crypto.generate_keypair(seed)
+    with _decoding("seed_keys"):
+        for key_name, seed_hex in data.get("seed_keys", {}).items():
+            try:
+                seed = bytes.fromhex(seed_hex)
+            except ValueError:
+                raise ScenarioParseError(f"seed_keys[{key_name!r}]: not hex") from None
+            if len(seed) != 32:
+                raise ScenarioParseError(f"seed_keys[{key_name!r}]: seed must be 32 bytes")
+            keys[key_name] = crypto.generate_keypair(seed)
     tokens: dict[str, BearerToken] = {}
     vcs: dict[str, tuple[VerifiableCredential, KeyPair]] = {}
-    for decl in data.get("credentials", ()):
-        decl_name = _require(decl, "name", "credential")
-        issuer_name = _require(decl, "issuer", f"credential {decl_name!r}")
-        if issuer_name not in keys:
-            raise ScenarioParseError(f"credential {decl_name!r}: undeclared issuer {issuer_name!r}")
-        issuer = keys[issuer_name]
-        kind = _require(decl, "kind", f"credential {decl_name!r}")
-        if kind == "token":
-            try:
-                nonce = bytes.fromhex(_require(decl, "nonce", f"credential {decl_name!r}"))
-            except ValueError:
-                raise ScenarioParseError(f"credential {decl_name!r}: nonce is not hex") from None
-            if len(nonce) != crypto.NONCE_LEN:
-                raise ScenarioParseError(
-                    f"credential {decl_name!r}: nonce must be {crypto.NONCE_LEN} bytes"
-                )
-            tokens[decl_name] = crypto.issue_token(issuer, nonce)
-        elif kind == "vc":
-            holder_name = _require(decl, "holder", f"credential {decl_name!r}")
-            if holder_name not in keys:
-                raise ScenarioParseError(
-                    f"credential {decl_name!r}: undeclared holder {holder_name!r}"
-                )
-            holder = keys[holder_name]
-            claims = decl.get("claims", {})
-            vcs[decl_name] = (crypto.issue_vc(issuer, holder.public_key, claims), holder)
-        else:
-            raise ScenarioParseError(f"credential {decl_name!r}: unknown kind {kind!r}")
+    with _decoding("credentials"):
+        for decl in data.get("credentials", ()):
+            decl_name = _require(decl, "name", "credential")
+            issuer_name = _require(decl, "issuer", f"credential {decl_name!r}")
+            if issuer_name not in keys:
+                raise ScenarioParseError(f"credential {decl_name!r}: undeclared issuer {issuer_name!r}")
+            issuer = keys[issuer_name]
+            kind = _require(decl, "kind", f"credential {decl_name!r}")
+            if kind == "token":
+                try:
+                    nonce = bytes.fromhex(_require(decl, "nonce", f"credential {decl_name!r}"))
+                except ValueError:
+                    raise ScenarioParseError(f"credential {decl_name!r}: nonce is not hex") from None
+                if len(nonce) != crypto.NONCE_LEN:
+                    raise ScenarioParseError(
+                        f"credential {decl_name!r}: nonce must be {crypto.NONCE_LEN} bytes"
+                    )
+                tokens[decl_name] = crypto.issue_token(issuer, nonce)
+            elif kind == "vc":
+                holder_name = _require(decl, "holder", f"credential {decl_name!r}")
+                if holder_name not in keys:
+                    raise ScenarioParseError(
+                        f"credential {decl_name!r}: undeclared holder {holder_name!r}"
+                    )
+                holder = keys[holder_name]
+                claims = decl.get("claims", {})
+                vcs[decl_name] = (crypto.issue_vc(issuer, holder.public_key, claims), holder)
+            else:
+                raise ScenarioParseError(f"credential {decl_name!r}: unknown kind {kind!r}")
     actions = data.get("actions", [])
     if not isinstance(actions, list):
         raise ScenarioParseError("actions must be a list")
@@ -215,6 +232,8 @@ class _Runner:
         raise ScenarioParseError(f"{context}: undeclared credential {name!r}")
 
     # -- actions --------------------------------------------------------------
+    # Each _do_<action> decodes its action and returns the registry call it
+    # makes (None for a check), so only decoding runs under _decoding.
 
     def execute(self) -> None:
         for index, action in enumerate(self.scenario.actions):
@@ -224,15 +243,16 @@ class _Runner:
             handler = getattr(self, f"_do_{kind}", None)
             if handler is None:
                 raise ScenarioParseError(f"action {index}: unknown action {kind!r}")
+            context = f"action {index} ({kind})"
             try:
-                handler(index, action)
-            except (ScenarioParseError, ScenarioAssertionError):
-                raise
+                with _decoding(context):
+                    submit = handler(index, action, context)
+                if submit is not None:
+                    submit()
             except GovernanceError as exc:
                 raise ScenarioEngineError(index, exc) from exc
 
-    def _do_anchor(self, index: int, action: dict) -> None:
-        context = f"action {index} (anchor)"
+    def _do_anchor(self, index: int, action: dict, context: str) -> Callable[[], object]:
         did = self._did(_require(action, "did", context), context)
         public_keys = [
             bytes.fromhex(self._key_hex(ref, context)) for ref in action.get("public_keys", ())
@@ -241,26 +261,20 @@ class _Runner:
             model.group_from_json(self._resolve_group_json(g, context))
             for g in _require(action, "groups", context)
         )
-        self.registry.anchor(did, public_keys, action.get("attributes", {}), groups)
         if all(g.edit_right is EditRightLevel.DOCUMENT for g in groups):
             self.warnings.append(
                 f"{did}: every group is Document-level; the governance rules of this "
                 "document can never change"
             )
+        return partial(self.registry.anchor, did, public_keys, dict(action.get("attributes", {})), groups)
 
-    def _do_propose(self, index: int, action: dict) -> None:
-        context = f"action {index} (propose)"
+    def _do_propose(self, index: int, action: dict, context: str) -> Callable[[], object]:
         did = self._did(_require(action, "did", context), context)
         proposer = self._signer(_require(action, "proposer", context), context)
         change_set = self._resolve_change_set(_require(action, "change_set", context), context)
         credential = self._presentation(action.get("credential"), did, 0, context)
-        self.registry.propose(
-            did,
-            _require_int(action, "group_id", context),
-            change_set,
-            proposer.public_key,
-            credential,
-        )
+        group_id = _require_int(action, "group_id", context)
+        return partial(self.registry.propose, did, group_id, change_set, proposer.public_key, credential)
 
     def _build_decision(self, entry: dict, proposal_id: int, context: str):
         controller = self._signer(_require(entry, "controller", context), context)
@@ -274,30 +288,25 @@ class _Runner:
         credential = self._presentation(entry.get("credential"), str(did), proposal_id, context)
         return build_decision(controller, did, proposal_id, base_version, verdict, credential)
 
-    def _do_decide(self, index: int, action: dict) -> None:
-        context = f"action {index} (decide)"
+    def _do_decide(self, index: int, action: dict, context: str) -> Callable[[], object]:
         proposal_id = _require_int(action, "proposal_id", context)
-        self.registry.decide(self._build_decision(action, proposal_id, context))
+        return partial(self.registry.decide, self._build_decision(action, proposal_id, context))
 
-    def _do_decide_batch(self, index: int, action: dict) -> None:
-        context = f"action {index} (decide_batch)"
+    def _do_decide_batch(self, index: int, action: dict, context: str) -> Callable[[], object]:
         proposal_id = _require_int(action, "proposal_id", context)
         decisions = tuple(
             self._build_decision(entry, proposal_id, context)
             for entry in _require(action, "decisions", context)
         )
-        self.registry.decide_batch(DecisionBatch(proposal_id=proposal_id, decisions=decisions))
+        return partial(self.registry.decide_batch, DecisionBatch(proposal_id=proposal_id, decisions=decisions))
 
-    def _do_advance_time(self, index: int, action: dict) -> None:
-        self.registry.advance_clock(_require_int(action, "to", f"action {index} (advance_time)"))
+    def _do_advance_time(self, index: int, action: dict, context: str) -> Callable[[], object]:
+        return partial(self.registry.advance_clock, _require_int(action, "to", context))
 
-    def _do_resolve_manual(self, index: int, action: dict) -> None:
-        self.registry.resolve_manual(
-            _require_int(action, "proposal_id", f"action {index} (resolve_manual)")
-        )
+    def _do_resolve_manual(self, index: int, action: dict, context: str) -> Callable[[], object]:
+        return partial(self.registry.resolve_manual, _require_int(action, "proposal_id", context))
 
-    def _do_assert_state(self, index: int, action: dict) -> None:
-        context = f"action {index} (assert_state)"
+    def _do_assert_state(self, index: int, action: dict, context: str) -> None:
         state = self.registry.state
         doc = None
         if "did" in action:
@@ -330,15 +339,10 @@ class _Runner:
             raise ScenarioAssertionError(index, check, expected, actual)
 
 
-def run_scenario(
-    path,
-    out_dir=None,
-    schedule: Optional[CostSchedule] = None,
-    echo_warnings: bool = True,
-) -> ScenarioRun:
+def run_scenario(path, out_dir=None, echo_warnings: bool = True) -> ScenarioRun:
     """Execute one scenario file; write artifacts on success."""
     scenario = load_scenario(path)
-    registry = Registry(schedule=schedule)
+    registry = Registry()
     runner = _Runner(scenario, registry)
     runner.execute()
     target = Path(out_dir) if out_dir is not None else Path(path).parent / f"{Path(path).stem}-out"

@@ -1,7 +1,8 @@
 """Simulated time: an integer-tick clock and a deadline-ordered queue.
 
 Replaces the on-chain scheduler plus its off-chain watcher with virtual
-time the test harness controls. Queue entries for proposals that were
+time the test harness controls. The registry enforces that time only
+moves forward (``ClockRegression``); the clock itself just records it. Queue entries for proposals that were
 resolved before their deadline are not cancelled; they are discarded
 lazily when the clock reaches them, mirroring a fire-and-forget event
 mechanism.
@@ -12,8 +13,6 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 
-from .errors import ClockRegression
-
 
 @dataclass(frozen=True)
 class ScheduleRequest:
@@ -22,14 +21,12 @@ class ScheduleRequest:
 
 
 class SimClock:
-    """Monotone non-decreasing integer tick counter, starting at 0."""
+    """Integer tick counter, starting at 0."""
 
-    def __init__(self, now: int = 0) -> None:
-        self.now = now
+    def __init__(self) -> None:
+        self.now = 0
 
     def advance(self, to: int) -> None:
-        if to < self.now:
-            raise ClockRegression(f"cannot move clock from {self.now} back to {to}")
         self.now = to
 
 

@@ -223,6 +223,21 @@ class TestVc:
         )
         assert isinstance(outcome.denial, UntrustedIssuer)
 
+    def test_forged_issuer_signature_denied(self):
+        # the holder presents claims the issuer never signed
+        vc = crypto.issue_vc(self.issuer, self.holder.public_key, {"role": "voter"})
+        forged = crypto.VerifiableCredential(
+            issuer_key=vc.issuer_key,
+            holder_key=vc.holder_key,
+            claims={"role": "voter", "weight": "9"},
+            issuer_signature=vc.issuer_signature,
+        )
+        presentation = crypto.present_vc(forged, self.holder, str(DID), 3)
+        outcome = authorize(
+            self.config, _request(self.holder, presentation, proposal_id=3), NonceLedger()
+        )
+        assert outcome.refusal == (Unauthorized, "credential issuer signature invalid")
+
     def test_token_on_vc_group_malformed(self):
         token = crypto.issue_token(self.issuer, b"n" * 16)
         outcome = authorize(

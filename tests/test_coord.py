@@ -12,10 +12,9 @@ from didgov.errors import (
     AlreadyFinalized,
     DuplicateBatch,
     DuplicateDecision,
-    EmptyBatch,
-    NoActiveProposal,
     TallyFinalized,
     TallyFull,
+    Unauthorized,
 )
 from didgov.metering import CostMeter
 from didgov.model import (
@@ -23,7 +22,6 @@ from didgov.model import (
     Decision,
     Did,
     NOfMConfig,
-    ProposalStatus,
     TurnoutConfig,
     UpdateProposal,
     Verdict,
@@ -45,7 +43,7 @@ def _decision(tag: str, verdict: Verdict, proposal_id: int = 1) -> Decision:
     )
 
 
-def _proposal(status=ProposalStatus.ACTIVE) -> UpdateProposal:
+def _proposal() -> UpdateProposal:
     return UpdateProposal(
         proposal_id=1,
         did=Did("aa"),
@@ -53,7 +51,6 @@ def _proposal(status=ProposalStatus.ACTIVE) -> UpdateProposal:
         originating_group=0,
         change_set=ChangeSet(new_attributes={"k": "v"}),
         created_at=0,
-        status=status,
     )
 
 
@@ -69,10 +66,6 @@ class TestInitProcess:
         meter = CostMeter()
         coord.init_process(acl_group([pair("a")], time_limit=10), _proposal(), meter)
         assert meter.report("propose").count("storage_write_new") == 2  # tally record + deadline settings
-
-    def test_non_active_proposal_rejected(self):
-        with pytest.raises(NoActiveProposal):
-            coord.init_process(acl_group([pair("a")]), _proposal(ProposalStatus.EXPIRED))
 
 
 class TestNOfM:
@@ -119,7 +112,7 @@ class TestNOfM:
                 )
             ),
         )
-        result = coord.submit_batch(config, tally, batch, [(GRANT, None)] * 4)
+        result = coord.submit_batch(config, tally, batch, [GRANT] * 4)
         assert result.tallied == (0, 1, 2)
         assert result.skipped == ((3, "tally-full"),)
 
@@ -213,17 +206,13 @@ class TestBatch:
         with pytest.raises(ValueError):
             DecisionBatch(proposal_id=2, decisions=(_decision("a", Verdict.APPROVE, proposal_id=1),))
 
-    def test_empty_batch_rejected(self):
-        with pytest.raises(EmptyBatch):
-            coord.submit_batch(self.config, Tally(proposal_id=1), DecisionBatch(1, ()), [])
-
     def test_second_batch_rejected(self):
         tally = Tally(proposal_id=1)
         batch = self._batch([("a", Verdict.APPROVE), ("b", Verdict.APPROVE)])
-        coord.submit_batch(self.config, tally, batch, [(GRANT, None)] * 2)
+        coord.submit_batch(self.config, tally, batch, [GRANT] * 2)
         with pytest.raises(DuplicateBatch):
             coord.submit_batch(
-                self.config, tally, self._batch([("c", Verdict.APPROVE)]), [(GRANT, None)]
+                self.config, tally, self._batch([("c", Verdict.APPROVE)]), [GRANT]
             )
 
     def test_invalid_entries_skipped_not_fatal(self):
@@ -231,18 +220,28 @@ class TestBatch:
         batch = self._batch(
             [("a", Verdict.APPROVE), ("a", Verdict.REJECT), ("b", Verdict.APPROVE), ("z", Verdict.APPROVE)]
         )
-        outcomes = [(GRANT, None), (GRANT, None), (GRANT, None), (None, "unauthorized")]
+        outcomes = [GRANT, GRANT, GRANT, AuthzOutcome(granted=False, refusal=(Unauthorized, "not a member"))]
         result = coord.submit_batch(self.config, tally, batch, outcomes)
         assert result.tallied == (0, 2)
         assert result.skipped == ((1, "duplicate-decision"), (3, "unauthorized"))
         assert len(tally.accepted) == 2
+
+    def test_nonce_held_from_its_first_presentation(self):
+        # an entry reserves its token nonce before the append, so a later
+        # entry presenting it is a replay even when that append refused
+        tally = Tally(proposal_id=1)
+        batch = self._batch([("a", Verdict.APPROVE), ("a", Verdict.REJECT), ("b", Verdict.APPROVE)])
+        first, second = (AuthzOutcome(granted=True, consume_nonce=(b"i", nonce)) for nonce in (b"n", b"m"))
+        result = coord.submit_batch(self.config, tally, batch, [first, second, second])
+        assert result.tallied == (0,)
+        assert result.skipped == ((1, "duplicate-decision"), (2, "replayed-nonce"))
 
     def test_batch_never_resolves(self):
         # even a decisive aggregate leaves resolution to a separate step
         config = NOfMConfig(n=1, m=5)
         tally = Tally(proposal_id=1)
         batch = self._batch([("a", Verdict.APPROVE), ("b", Verdict.APPROVE)])
-        result = coord.submit_batch(config, tally, batch, [(GRANT, None)] * 2)
+        result = coord.submit_batch(config, tally, batch, [GRANT] * 2)
         assert result.tallied == (0, 1)
         assert not tally.finalized
 

@@ -48,12 +48,12 @@ def test_meter_accumulates_and_reports():
     meter.charge("iteration_step", 3)
     meter.charge("iteration_step", 2)
     assert meter.total == 10 + 5 * 2
-    report = meter.report("label", {"members": 4})
+    report = meter.report("label")
     assert report.transaction_label == "label"
     assert report.total == 20
     assert report.count("iteration_step") == 5
     assert report.units("iteration_step") == 10
-    assert report.dimensions == {"members": 4}
+    assert report.dimensions == {}  # only a benchmark sweep labels its reports
 
 
 def test_meter_items_keep_first_charge_order():

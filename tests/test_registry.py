@@ -10,7 +10,6 @@ from didgov.errors import (
     AlreadyAnchored,
     AlreadyFinalized,
     ClockRegression,
-    DeadlinePassed,
     DuplicateBatch,
     DuplicateDecision,
     EditRightViolation,
@@ -279,16 +278,6 @@ class TestDecide:
         with pytest.raises(WrongExecutionMode):
             registry.decide_batch(DecisionBatch(proposal_id=pid, decisions=(decision,)))
 
-    def test_deadline_passed_is_defensive(self):
-        # the scheduler resolves expiry before this check can fire naturally,
-        # so poke the deadline in directly to cover the guard
-        registry, did = self._registry()
-        pid = _propose(registry, did, pair("a"))
-        registry.state.proposals[pid].deadline = 0
-        registry.advance_clock(1)
-        with pytest.raises(DeadlinePassed):
-            _decide(registry, did, pair("a"), pid)
-
     def test_failed_decide_changes_nothing(self):
         registry, did = self._registry()
         pid = _propose(registry, did, pair("a"))
@@ -501,6 +490,8 @@ class TestClockAndExpiry:
         assert proposal.status is ProposalStatus.EXPIRED
         assert registry.state.documents[Did(did)].version == 1
         assert Did(did) not in registry.state.active_proposals
+        with pytest.raises(NoActiveProposal):  # a decision after the deadline
+            _decide(registry, did, pair("b"), pid)
 
     def test_expiry_applies_passing_turnout_tally(self):
         # early termination beats any deadline for n-of-m and weighted, so a

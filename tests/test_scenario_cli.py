@@ -1,9 +1,12 @@
+import functools
 import json
+import operator
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+from didgov import cli, registry as registry_mod
 from didgov.cli import main
 from didgov.registry import event_log_from_jsonl, replay_events, snapshot_json
 from didgov.scenario import (
@@ -78,6 +81,17 @@ class TestLoading:
         with pytest.raises(ScenarioParseError, match="unknown kind"):
             load_scenario(path)
 
+    def test_non_utf8_file_is_a_parse_error(self, tmp_path):
+        path = tmp_path / "latin.json"
+        path.write_bytes(b'{"name": "caf\xe9"}')
+        with pytest.raises(ScenarioParseError, match="not UTF-8 text"):
+            load_scenario(path)
+
+    def test_malformed_section_named(self, tmp_path):
+        path = _write(tmp_path, dict(_minimal([]), seed_keys=None))
+        with pytest.raises(ScenarioParseError, match="^seed_keys: AttributeError"):
+            load_scenario(path)
+
     def test_credentials_issued_at_load(self, tmp_path):
         credentials = [
             {"name": "t", "kind": "token", "issuer": "a", "nonce": "00" * 16},
@@ -122,6 +136,24 @@ class TestExecution:
             run_scenario(path, tmp_path / "out")
         assert err.value.action_index == 1
         assert err.value.code == "unknown-proposal"
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("attributes", "zz"), ("groups", [{"edit_right": "document"}]), ("public_keys", [7])],
+        ids=["attributes-not-a-map", "group-without-id", "key-not-text"],
+    )
+    def test_malformed_action_field_names_the_action(self, tmp_path, field, value):
+        path = _write(tmp_path, _minimal([_anchor(), dict(_anchor(did="bb"), **{field: value})]))
+        with pytest.raises(ScenarioParseError, match=r"^action 1 \(anchor\): "):
+            run_scenario(path, tmp_path / "out")
+
+    def test_engine_fault_is_not_reported_as_a_parse_error(self, tmp_path, monkeypatch):
+        def broken_anchor(*args):
+            raise TypeError("engine fault")
+
+        monkeypatch.setattr(registry_mod.Registry, "anchor", broken_anchor)
+        with pytest.raises(TypeError, match="engine fault"):
+            run_scenario(_write(tmp_path, _minimal([_anchor()])), tmp_path / "out")
 
     def test_decider_must_be_declared(self, tmp_path):
         actions = [
@@ -271,6 +303,56 @@ def _truncated_after_override(events):
     return override
 
 
+def _renumber(events):
+    for sequence, event in enumerate(events, start=1):
+        event["sequence"] = sequence
+
+
+def _unscheduled_proposal(events):
+    """Drop the scheduled event of a timed proposal and cut the log after
+    the first clock advance, before the deadline the event would set."""
+    events.remove(_nth(events, "scheduled"))
+    del events[events.index(_nth(events, "clock_advanced")) + 1:]
+    _renumber(events)
+    return _nth(events, "decision_accepted")
+
+
+def _unresolved_settled_tally(events):
+    """Drop the resolved event that the decisive on-chain decision owes."""
+    events.remove(_nth(events, "resolved"))
+    return events[-1]
+
+
+def _unappliable_change_set(events):
+    """Make the All-level group's proposal remove a group the document lacks
+    and resolve it, with an empty tally, as rejected."""
+    event = _nth(events, "proposal_submitted", 2)
+    del events[events.index(event) + 1:]
+    proposal = json.loads(event["payload"]["proposal"])
+    proposal["change_set"] = {"new_public_keys": None, "new_attributes": None,
+                              "group_ops": [{"op": "remove", "group_id": 99}]}
+    event["payload"]["proposal"] = json.dumps(proposal, separators=(",", ":"))
+    payload = {"proposal_id": str(proposal["proposal_id"]), "verdict": "reject",
+               "reason": "manual", "status": "rejected"}
+    events.append({"sequence": len(events) + 1, "tick": 0, "kind": "resolved", "payload": payload})
+    return event
+
+
+def _submission_while_active(events):
+    """Drop the override, so a second proposal arrives while the first is active."""
+    events.remove(_nth(events, "proposal_overridden"))
+    _renumber(events)
+    return _nth(events, "proposal_submitted", 2)
+
+
+def _anchored_at_version_two(events):
+    event = _nth(events, "anchored")
+    document = json.loads(event["payload"]["document"])
+    document["version"] = 2
+    event["payload"]["document"] = json.dumps(document, separators=(",", ":"))
+    return event
+
+
 # logs that decode or fold badly, each for a different reason, with the
 # place the error message must name
 MALFORMED_LOGS = {
@@ -310,6 +392,11 @@ MALFORMED_LOGS = {
     "forged-edit-right": _forged_golden("key_rotation_2of3", _added_group),
     "forged-override-privilege": _forged_golden("privilege_override", _equal_privilege_override),
     "override-without-submission": _forged_golden("privilege_override", _truncated_after_override),
+    "unscheduled-proposal": _forged_golden("expiry_timeout", _unscheduled_proposal),
+    "unresolved-settled-tally": _forged_golden("key_rotation_2of3", _unresolved_settled_tally),
+    "unappliable-change-set": _forged_golden("privilege_override", _unappliable_change_set),
+    "submission-while-active": _forged_golden("privilege_override", _submission_while_active),
+    "anchored-at-version-two": _forged_golden("key_rotation_2of3", _anchored_at_version_two),
 }
 
 
@@ -449,6 +536,27 @@ class TestCli:
         result = self.runner.invoke(main, ["replay", str(out / "events.jsonl")])
         assert result.exit_code == 1
 
+    @pytest.mark.parametrize("sibling", [False, True], ids=["expect", "sibling"])
+    def test_replay_non_utf8_snapshot_is_a_mismatch(self, tmp_path, sibling):
+        out = self._run_golden(tmp_path)
+        snapshot = out / "final_state.json"
+        if not sibling:
+            snapshot = tmp_path / "expected.json"
+        snapshot.write_bytes((out / "final_state.json").read_bytes() + b"\xff")
+        args = ["replay", str(out / "events.jsonl")] + ([] if sibling else ["--expect", str(snapshot)])
+        result = self.runner.invoke(main, args)
+        assert result.exit_code == 1, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert f"does not match {snapshot}" in result.output
+
+    def test_run_non_utf8_scenario_exit_two(self, tmp_path):
+        path = tmp_path / "latin.json"
+        path.write_bytes(b'{"name": "caf\xe9"}')
+        result = self.runner.invoke(main, ["run", str(path), "--out", str(tmp_path / "out")])
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert "not UTF-8 text (byte 13)" in result.output
+
     def test_replay_corrupt_log_exit_two(self, tmp_path):
         events = tmp_path / "events.jsonl"
         events.write_text("not json\n")
@@ -473,3 +581,68 @@ class TestCli:
         result = self.runner.invoke(main, ["replay", str(moved)])
         assert result.exit_code == 0
         assert json.loads(result.output)["clock"] == 0
+
+
+# --- CLI fuzz: every field of every golden input deleted or replaced ---------
+
+_DELETE = object()
+
+
+def _json_paths(value, path=()):
+    """The path of every field below ``value``, parents first."""
+    if isinstance(value, dict):
+        children = value.items()
+    elif isinstance(value, list):
+        children = enumerate(value)
+    else:
+        return
+    for key, child in children:
+        yield path + (key,)
+        yield from _json_paths(child, path + (key,))
+
+
+def _mutants(text, replacements):
+    """The JSON value of ``text`` with one field deleted (``_DELETE``) or
+    replaced, for every field and every replacement."""
+    for path in list(_json_paths(json.loads(text))):
+        for replacement in replacements:
+            mutant = json.loads(text)
+            parent = functools.reduce(operator.getitem, path[:-1], mutant)
+            if replacement is _DELETE:
+                del parent[path[-1]]
+            else:
+                parent[path[-1]] = replacement
+            yield path, replacement, mutant
+
+
+def _exit_code(command, *args) -> int:
+    """Run a CLI command's body without click's argument parsing; return
+    its exit code. Any exception but ``SystemExit`` fails the test."""
+    try:
+        command.callback(*args)
+    except SystemExit as exc:
+        return exc.code
+    return 0
+
+
+@pytest.mark.parametrize("path", sorted(SCENARIOS.glob("*.json")), ids=lambda p: p.stem)
+def test_run_exits_with_a_documented_code_on_every_field_mutation(path, tmp_path):
+    """``didgov run`` exits 0, 1 (an assertion), 2 (a parse error) or 3 (an
+    engine refusal), never with a traceback."""
+    scenario, out = tmp_path / "scenario.json", tmp_path / "out"
+    for field, replacement, mutant in _mutants(path.read_text(), (_DELETE, None, "zz", 7, [])):
+        scenario.write_text(json.dumps(mutant))
+        assert _exit_code(cli.run, str(scenario), str(out)) in (0, 1, 2, 3), (field, replacement)
+
+
+@pytest.mark.parametrize("scenario", sorted(p.name for p in GOLDEN.iterdir() if p.is_dir()))
+def test_replay_exits_with_a_documented_code_on_every_field_mutation(scenario, tmp_path):
+    """``didgov replay`` exits 0, 1 (a snapshot mismatch) or 2 (a malformed
+    log), never with a traceback."""
+    log = tmp_path / "events.jsonl"
+    (tmp_path / "final_state.json").write_bytes((GOLDEN / scenario / "final_state.json").read_bytes())
+    lines = (GOLDEN / scenario / "events.jsonl").read_text().splitlines(keepends=True)
+    for index, line in enumerate(lines):
+        for field, replacement, mutant in _mutants(line, (_DELETE, None, "zz", 7, [], {})):
+            log.write_text("".join(lines[:index]) + json.dumps(mutant) + "\n" + "".join(lines[index + 1:]))
+            assert _exit_code(cli.replay, str(log), None) in (0, 1, 2), (index, field, replacement)

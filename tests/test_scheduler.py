@@ -1,6 +1,3 @@
-import pytest
-
-from didgov.errors import ClockRegression
 from didgov.scheduler import DeadlineQueue, ScheduleRequest, SimClock
 
 
@@ -10,13 +7,6 @@ def test_clock_starts_at_zero_and_advances():
     clock.advance(7)
     clock.advance(7)  # same tick is fine
     assert clock.now == 7
-
-
-def test_clock_rejects_regression():
-    clock = SimClock(now=5)
-    with pytest.raises(ClockRegression):
-        clock.advance(4)
-    assert clock.now == 5
 
 
 def test_queue_pops_in_deadline_then_id_order():
