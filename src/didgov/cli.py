@@ -65,10 +65,16 @@ def _parse_range(text: str, flag: str) -> tuple[int, ...]:
             lo_i, hi_i = int(lo), int(hi)
             if hi_i < lo_i:
                 raise ValueError
-            return tuple(range(lo_i, hi_i + 1))
-        return tuple(int(part) for part in text.split(","))
+            counts = tuple(range(lo_i, hi_i + 1))
+        else:
+            counts = tuple(int(part) for part in text.split(","))
+        if min(counts) < 1:
+            raise ValueError
+        return counts
     except ValueError:
-        raise click.BadParameter(f"{text!r} (expected N, N..M or N,M,...)", param_hint=flag)
+        raise click.BadParameter(
+            f"{text!r} (expected counts of at least 1: N, N..M or N,M,...)", param_hint=flag
+        )
 
 
 def _parse_enum(text: str, enum_cls, flag: str):

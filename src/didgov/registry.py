@@ -6,19 +6,20 @@ when it changes state, and freezes its cost meter into a report on
 commit. A raised error therefore leaves state, event log, and committed
 reports exactly as they were.
 
-The event log is the source of truth. Each event kind has one transition
-function, the only writer of registry state for that kind and the one
-place that derives the fields its event records: a live transaction
-emits what it derived, and :func:`replay_events` calls it on the inputs
-a payload records and refuses any other recorded field that differs, so
-a replayed log reproduces the live registry byte-for-byte (see
-:func:`snapshot_json`). Tallies change only through :mod:`didgov.coord`.
+The event log is the source of truth. Each transaction has one body, the
+only writer of registry state and the one place that derives, in order,
+the events the transaction logs. A live transaction authorizes its caller
+and runs the body, which logs what it derives. :func:`replay_events`
+re-checks the authorization a log records, runs the same body on the
+inputs the log records and requires every event the body derives to be
+the next one logged, so a replayed log reproduces the live registry
+byte-for-byte (see :func:`snapshot_json`). Tallies change only through
+:mod:`didgov.coord`.
 """
 
 from __future__ import annotations
 
 import json
-from collections import deque
 from collections.abc import Callable, Mapping
 from dataclasses import dataclass, field
 from json.encoder import JSONEncoder, c_make_encoder, encode_basestring_ascii
@@ -104,158 +105,197 @@ class RegistryState:
     next_proposal_id: int = 1
 
 
-# --- transitions: one per event kind, the only writers of registry state ------
-# Each returns the fields it derived for its event: the payload itself, or the
-# proposal a payload records as JSON (replay compares the object, not its text).
+# --- transactions: one body each, run by the live registry and by replay ------
+# A body holds all of a transaction's work after authorization: its checks,
+# its state writes and, in order, each event it derives. It hands every event
+# to ``emit``: live, :func:`_log_event` appends and meters it; replay requires
+# the next logged event to equal it (see :func:`replay_events`).
+
+Emit = Callable[[RegistryState, EventKind, dict[str, str], Optional[CostMeter]], None]
+
+
+def _log_event(
+    state: RegistryState, kind: EventKind, payload: dict[str, str], meter: Optional[CostMeter]
+) -> None:
+    """Live ``emit``: append the event at the clock after the transition,
+    and meter it."""
+    event = GovernanceEvent(
+        sequence=len(state.event_log) + 1,
+        tick=state.clock.now,
+        kind=kind,
+        payload=payload,
+    )
+    state.event_log.append(event)
+    charge(meter, "event_base", 1)
+    charge(meter, "event_per_byte", event.payload_bytes())
+
 
 def _consume(state: RegistryState, nonce: Nonce) -> None:
     if nonce is not None:
         state.nonce_ledger.consume(*nonce)
 
 
-def _anchored(state: RegistryState, doc: DidDocument) -> None:
-    """Install a new document; every document starts at version 1."""
+def _nonce_fields(nonce: Nonce) -> dict[str, str]:
+    return {} if nonce is None else {"nonce_issuer": nonce[0].hex(), "nonce": nonce[1].hex()}
+
+
+def _anchor(
+    state: RegistryState, doc: DidDocument, document: str, meter: Optional[CostMeter], emit: Emit
+) -> None:
+    """Install a new document, at version 1. ``document`` is its JSON text,
+    the event's record of it."""
     if doc.did in state.documents:
         raise AlreadyAnchored(f"did {doc.did} is already anchored")
     if doc.version != 1:
         raise ValueError(f"a new document is at version 1, not {doc.version}")
     state.documents[doc.did] = doc
+    emit(state, EventKind.ANCHORED, {"did": str(doc.did), "document": document}, meter)
 
 
-def _proposal_overridden(
-    state: RegistryState, did: Did, overriding_group: int, meter: Optional[CostMeter]
-) -> dict[str, str]:
-    """Freeze the DID's active proposal, displaced by one of ``overriding_group``."""
-    proposal = state.active_proposals[did]
-    coord.freeze(state.tallies[proposal.proposal_id], meter)
-    proposal.status = ProposalStatus.OVERRIDDEN
-    del state.active_proposals[did]
-    return {
-        "proposal_id": str(proposal.proposal_id),
-        "did": str(did),
-        "overriding_group": str(overriding_group),
-    }
-
-
-def _proposal_submitted(
+def _propose(
     state: RegistryState,
-    did: Did,
-    originating_group: int,
+    doc: DidDocument,
+    group: GovernanceGroup,
     change_set: ChangeSet,
     nonce: Nonce,
     meter: Optional[CostMeter],
+    emit: Emit,
 ) -> UpdateProposal:
-    """Open proposal ``next_proposal_id``: Active, against the document's
-    current version, created now, with no deadline yet and a fresh tally."""
-    active = state.active_proposals.get(did)
-    if active is not None:  # a live propose overrides it first
-        raise ActiveProposalPrecedence(f"proposal {active.proposal_id} is still active")
-    doc = state.documents[did]
+    """Admit ``group``'s change set to ``doc``: override the DID's active
+    proposal, if any, then open proposal ``next_proposal_id`` (Active,
+    against the document's current version, created now, with a fresh
+    tally) and schedule its deadline if the group has a time limit.
+
+    The group submits only a change set its edit right permits and that
+    applies to the document as it stands (a dry run), so resolving the
+    proposal cannot fail; and it overrides an active proposal only with
+    strictly higher edit right than that proposal's group.
+    """
+    if not allowed_changes(group.edit_right, group.group_id, change_set):
+        raise EditRightViolation(
+            f"{group.edit_right.json_name()} group {group.group_id} cannot make this change"
+        )
+    model.apply_change_set(doc, change_set)
+    active = state.active_proposals.get(doc.did)
+    if active is not None:
+        if group.edit_right <= doc.group(active.originating_group).edit_right:
+            raise ActiveProposalPrecedence(
+                f"proposal {active.proposal_id} is active with equal or higher privilege"
+            )
+        coord.freeze(state.tallies[active.proposal_id], meter)
+        active.status = ProposalStatus.OVERRIDDEN
+        overridden = {
+            "proposal_id": str(active.proposal_id),
+            "did": str(doc.did),
+            "overriding_group": str(group.group_id),
+        }
+        emit(state, EventKind.PROPOSAL_OVERRIDDEN, overridden, meter)
     proposal = UpdateProposal(
         proposal_id=state.next_proposal_id,
-        did=did,
+        did=doc.did,
         base_version=doc.version,
-        originating_group=originating_group,
+        originating_group=group.group_id,
         change_set=change_set,
         created_at=state.clock.now,
     )
     charge(meter, "storage_write_new", 1)  # proposal record
-    state.tallies[proposal.proposal_id] = coord.init_process(doc.group(originating_group), proposal, meter)
+    state.tallies[proposal.proposal_id] = coord.init_process(group, proposal, meter)
     state.proposals[proposal.proposal_id] = proposal
-    state.active_proposals[did] = proposal
+    state.active_proposals[doc.did] = proposal
     state.next_proposal_id = proposal.proposal_id + 1
     _consume(state, nonce)
+    submitted = {"proposal": _compact(model.proposal_to_json(proposal))}
+    submitted.update(_nonce_fields(nonce))
+    emit(state, EventKind.PROPOSAL_SUBMITTED, submitted, meter)
+    if group.time_limit is not None:
+        request = ScheduleRequest(proposal.proposal_id, proposal.created_at + group.time_limit)
+        proposal.deadline = request.deadline
+        state.queue.push(request)
+        scheduled = {"proposal_id": str(request.proposal_id), "deadline": str(request.deadline)}
+        emit(state, EventKind.SCHEDULED, scheduled, meter)
     return proposal
 
 
-def _decision_accepted(state: RegistryState, nonce: Nonce) -> None:
-    # coord has appended the tally entry; the event records only inputs
+def _decision(
+    state: RegistryState,
+    proposal: UpdateProposal,
+    group: GovernanceGroup,
+    entry: coord.TallyEntry,
+    nonce: Nonce,
+    meter: Optional[CostMeter],
+    emit: Emit,
+) -> Optional[Verdict]:
+    """Log a decision coord has just counted and burn its token nonce. A
+    decision that settles an on-chain tally resolves the proposal at once;
+    returns the verdict if it did."""
     _consume(state, nonce)
+    controller, verdict, weight = entry
+    accepted = {
+        "proposal_id": str(proposal.proposal_id),
+        "controller": controller.hex(),
+        "verdict": verdict.value,
+        "weight": str(weight),
+    }
+    accepted.update(_nonce_fields(nonce))
+    emit(state, EventKind.DECISION_ACCEPTED, accepted, meter)
+    tally = state.tallies[proposal.proposal_id]
+    if group.execution is ExecutionMode.ON_CHAIN and coord.early_outcome(group.coord_config, tally) is not None:
+        return _resolve(state, proposal, ResolveReason.DECISIVE, meter, emit)
+    return None
 
 
-def _scheduled(state: RegistryState, proposal: UpdateProposal) -> dict[str, str]:
-    """Set the deadline: the proposal's creation tick plus its group's time limit."""
-    group = state.documents[proposal.did].group(proposal.originating_group)
-    request = ScheduleRequest(proposal.proposal_id, proposal.created_at + group.time_limit)
-    proposal.deadline = request.deadline
-    state.queue.push(request)
-    return {"proposal_id": str(request.proposal_id), "deadline": str(request.deadline)}
+def _resolve(
+    state: RegistryState,
+    proposal: UpdateProposal,
+    reason: ResolveReason,
+    meter: Optional[CostMeter],
+    emit: Emit,
+) -> Verdict:
+    """Finalize the tally of an Active proposal, install the approved
+    successor document (if any) and close the proposal for ``reason``.
 
-
-def _resolved(state: RegistryState, proposal: UpdateProposal, meter: Optional[CostMeter]) -> dict[str, str]:
-    """Finalize the tally, install the approved successor document (if
-    any) and close the proposal.
-
-    The reason is derived too: decisive when an on-chain tally has settled
-    early (a live decision resolves it at once), expired once the deadline
-    has come (a live clock advance expires it at once), manual otherwise.
     Applying the change set cannot fail: it was dry-run against this
-    document version on admission, live and on replay, and the
-    single-active rule keeps the document fixed until the proposal
-    resolves.
+    document version on admission, and the single-active rule keeps the
+    document fixed until the proposal resolves.
     """
     doc = state.documents[proposal.did]
     group = doc.group(proposal.originating_group)
-    tally = state.tallies[proposal.proposal_id]
-    settled = coord.early_outcome(group.coord_config, tally) is not None
-    if settled and group.execution is ExecutionMode.ON_CHAIN:
-        reason = ResolveReason.DECISIVE
-    elif proposal.deadline is not None and state.clock.now >= proposal.deadline:
-        reason = ResolveReason.EXPIRED
-    else:
-        reason = ResolveReason.MANUAL
-    verdict = coord.resolve(group.coord_config, tally, meter)
+    verdict = coord.resolve(group.coord_config, state.tallies[proposal.proposal_id], meter)
     if verdict is Verdict.APPROVE:
-        state.documents[proposal.did] = model.apply_change_set(doc, proposal.change_set)
+        doc = model.apply_change_set(doc, proposal.change_set)
+        state.documents[proposal.did] = doc
         charge(meter, "storage_write_update", 1)  # document record
         proposal.status = ProposalStatus.APPROVED
     else:
         proposal.status = ProposalStatus.EXPIRED if reason is ResolveReason.EXPIRED else ProposalStatus.REJECTED
     del state.active_proposals[proposal.did]
-    payload = {
+    resolved = {
         "proposal_id": str(proposal.proposal_id),
         "verdict": verdict.value,
         "reason": reason.value,
         "status": proposal.status.value,
     }
     if verdict is Verdict.APPROVE:
-        payload["new_version"] = str(state.documents[proposal.did].version)
-    return payload
+        resolved["new_version"] = str(doc.version)
+    emit(state, EventKind.RESOLVED, resolved, meter)
+    return verdict
 
 
-def _clock_advanced(state: RegistryState, to: int) -> list[UpdateProposal]:
-    """Move the clock strictly forward and pop the queue entries that came
-    due. Returns their proposals that are still active, in firing order:
-    the caller expires each at once (replay: the log's next resolved events
-    must). Entries of proposals resolved before their deadline are dropped."""
+def _advance_clock(state: RegistryState, to: int, meter: Optional[CostMeter], emit: Emit) -> list[int]:
+    """Move the clock strictly forward and expire each proposal whose
+    deadline came due and that is still active, in firing order; returns
+    their ids. Queue entries of proposals resolved earlier are dropped."""
     if to <= state.clock.now:
         raise ClockRegression(f"clock must move forward from {state.clock.now}, not to {to}")
     state.clock.advance(to)
-    due = [state.proposals[proposal_id] for _deadline, proposal_id in state.queue.due(to)]
-    return [p for p in due if p.status is ProposalStatus.ACTIVE]
-
-
-def _check_admission(doc: DidDocument, group: GovernanceGroup, change_set: ChangeSet) -> None:
-    """``group`` submits only a change set its edit right permits and that
-    applies to the document as it stands (a dry run), so resolving the
-    proposal cannot fail."""
-    if not allowed_changes(group.edit_right, group.group_id, change_set):
-        raise EditRightViolation(
-            f"{group.edit_right.json_name()} group {group.group_id} cannot make this change"
-        )
-    model.apply_change_set(doc, change_set)
-
-
-def _check_precedence(state: RegistryState, did: Did, group: GovernanceGroup) -> None:
-    """A proposal from ``group`` overrides the DID's active proposal only
-    with strictly higher edit right than that proposal's group."""
-    existing = state.active_proposals.get(did)
-    if existing is None:
-        return
-    if group.edit_right <= state.documents[did].group(existing.originating_group).edit_right:
-        raise ActiveProposalPrecedence(
-            f"proposal {existing.proposal_id} is active with equal or higher privilege"
-        )
+    emit(state, EventKind.CLOCK_ADVANCED, {"to": str(to)}, meter)
+    expired: list[int] = []
+    for _deadline, proposal_id in state.queue.due(to):
+        proposal = state.proposals[proposal_id]
+        if proposal.status is ProposalStatus.ACTIVE:
+            _resolve(state, proposal, ResolveReason.EXPIRED, meter, emit)
+            expired.append(proposal_id)
+    return expired
 
 
 def allowed_changes(edit_right: EditRightLevel, originating_group: int, change_set: ChangeSet) -> bool:
@@ -299,10 +339,6 @@ def build_decision(
     )
 
 
-def _nonce_fields(nonce: Nonce) -> dict[str, str]:
-    return {} if nonce is None else {"nonce_issuer": nonce[0].hex(), "nonce": nonce[1].hex()}
-
-
 class Registry:
     """In-process registry; owns all mutable governance state."""
 
@@ -318,20 +354,6 @@ class Registry:
 
     def _commit(self, meter: CostMeter, label: str) -> None:
         self.reports.append(meter.report(label))
-
-    def _emit(self, kind: EventKind, payload: dict[str, str], meter: CostMeter) -> None:
-        """Log what a transition has just derived: the event's tick is the
-        clock after the transition."""
-        state = self.state
-        event = GovernanceEvent(
-            sequence=len(state.event_log) + 1,
-            tick=state.clock.now,
-            kind=kind,
-            payload=payload,
-        )
-        state.event_log.append(event)
-        charge(meter, "event_base", 1)
-        charge(meter, "event_per_byte", event.payload_bytes())
 
     # -- anchoring ------------------------------------------------------------
 
@@ -364,12 +386,7 @@ class Registry:
             charge(meter, "storage_write_new", 1)  # coordination parameters
             if group.time_limit is not None:
                 charge(meter, "storage_write_new", 1)  # time settings
-        _anchored(self.state, doc)
-        self._emit(
-            EventKind.ANCHORED,
-            {"did": str(doc.did), "document": _compact(model.document_to_json(doc))},
-            meter,
-        )
+        _anchor(self.state, doc, _compact(model.document_to_json(doc)), meter, _log_event)
         self._commit(meter, "anchor")
         return doc
 
@@ -397,18 +414,7 @@ class Registry:
         outcome = authz.authorize(group.authz_config, request, state.nonce_ledger, meter)
         if not outcome.granted:
             raise outcome.denial
-        _check_admission(doc, group, change_set)
-        _check_precedence(state, key, group)
-        # ---- all checks passed; mutate ----
-        if key in state.active_proposals:
-            overridden = _proposal_overridden(state, key, originating_group, meter)
-            self._emit(EventKind.PROPOSAL_OVERRIDDEN, overridden, meter)
-        proposal = _proposal_submitted(state, key, originating_group, change_set, outcome.consume_nonce, meter)
-        payload = {"proposal": _compact(model.proposal_to_json(proposal))}
-        payload.update(_nonce_fields(outcome.consume_nonce))
-        self._emit(EventKind.PROPOSAL_SUBMITTED, payload, meter)
-        if group.time_limit is not None:
-            self._emit(EventKind.SCHEDULED, _scheduled(state, proposal), meter)
+        proposal = _propose(state, doc, group, change_set, outcome.consume_nonce, meter, _log_event)
         self._commit(meter, "propose")
         return proposal.proposal_id
 
@@ -460,18 +466,6 @@ class Registry:
         except VerificationError as exc:
             return AuthzOutcome(granted=False, refusal=(type(exc), str(exc)))
 
-    def _accept(self, decision: Decision, outcome: AuthzOutcome, meter: CostMeter) -> None:
-        """Transition and event for a decision coord has just tallied."""
-        _decision_accepted(self.state, outcome.consume_nonce)
-        payload = {
-            "proposal_id": str(decision.proposal_id),
-            "controller": decision.controller_key.hex(),
-            "verdict": decision.verdict.value,
-            "weight": str(outcome.effective_weight),
-        }
-        payload.update(_nonce_fields(outcome.consume_nonce))
-        self._emit(EventKind.DECISION_ACCEPTED, payload, meter)
-
     def decide(self, decision: Decision) -> Optional[Verdict]:
         """Submit one on-chain decision; returns the verdict if it resolved
         the proposal (decisive vote), else None."""
@@ -481,11 +475,9 @@ class Registry:
             raise outcome.denial
         tally = self.state.tallies[proposal.proposal_id]
         # submit_decision validates (duplicate/full/finalized) before appending
-        early = coord.submit_decision(group.coord_config, tally, decision, outcome, meter)
-        self._accept(decision, outcome, meter)
-        result: Optional[Verdict] = None
-        if early is not None:
-            result = self._apply_resolution(proposal, meter)
+        coord.submit_decision(group.coord_config, tally, decision, outcome, meter)
+        entry = (decision.controller_key, decision.verdict, outcome.effective_weight)
+        result = _decision(self.state, proposal, group, entry, outcome.consume_nonce, meter, _log_event)
         self._commit(meter, "decide")
         return result
 
@@ -504,17 +496,13 @@ class Registry:
         tally = self.state.tallies[proposal.proposal_id]
         result = coord.submit_batch(group.coord_config, tally, batch, outcomes, meter)
         for index in result.tallied:
-            self._accept(batch.decisions[index], outcomes[index], meter)
+            decision, outcome = batch.decisions[index], outcomes[index]
+            entry = (decision.controller_key, decision.verdict, outcome.effective_weight)
+            _decision(self.state, proposal, group, entry, outcome.consume_nonce, meter, _log_event)
         self._commit(meter, "decide_batch")
         return result
 
     # -- resolution -----------------------------------------------------------
-
-    def _apply_resolution(self, proposal: UpdateProposal, meter: CostMeter) -> Verdict:
-        """Resolve an Active proposal (see :func:`_resolved`); returns the verdict."""
-        payload = _resolved(self.state, proposal, meter)
-        self._emit(EventKind.RESOLVED, payload, meter)
-        return Verdict(payload["verdict"])
 
     def resolve_manual(self, proposal_id: int) -> Verdict:
         state = self.state
@@ -525,7 +513,7 @@ class Registry:
             raise AlreadyFinalized(f"proposal {proposal_id} is {proposal.status.value}")
         meter = self._meter()
         charge(meter, "base_tx", 1)
-        verdict = self._apply_resolution(proposal, meter)
+        verdict = _resolve(state, proposal, ResolveReason.MANUAL, meter, _log_event)
         self._commit(meter, "resolve")
         return verdict
 
@@ -542,13 +530,7 @@ class Registry:
         state = self.state
         meter = self._meter()
         charge(meter, "base_tx", 1)
-        resolved: list[int] = []
-        if to != state.clock.now:
-            due = _clock_advanced(state, to)  # ClockRegression if to is earlier
-            self._emit(EventKind.CLOCK_ADVANCED, {"to": str(to)}, meter)
-            for proposal in due:
-                self._apply_resolution(proposal, meter)
-                resolved.append(proposal.proposal_id)
+        resolved = [] if to == state.clock.now else _advance_clock(state, to, meter, _log_event)
         self._commit(meter, "advance_clock")
         return resolved
 
@@ -667,141 +649,104 @@ def _check_logged_decision(
         raise Unauthorized(f"logged weight {weight}, authorization gives {expected}")
 
 
-def _expect(logged: Mapping, derived: Mapping) -> None:
-    """Refuse logged fields that differ from the ones a transition derived."""
-    if logged != derived:
-        key = next(k for k in (*derived, *logged) if logged.get(k) != derived.get(k))
-        raise EncodingError(f"logged {key} {logged.get(key)!r}, derived {derived.get(key)!r}")
+def _submission_after(events: Sequence[GovernanceEvent], at: int) -> Mapping[str, str]:
+    """The payload of the submission an override at ``events[at]`` makes
+    room for: the event logged next."""
+    if at + 1 < len(events) and events[at + 1].kind is EventKind.PROPOSAL_SUBMITTED:
+        return events[at + 1].payload
+    override = events[at].payload
+    what = f"submit group {override['overriding_group']}'s proposal on did {override['did']}"
+    if at + 1 == len(events):
+        raise EncodingError(f"the log ends before an event can {what}")
+    raise EncodingError(f"event {at + 2} must {what}")
 
 
-# --- folds: decode a payload into its transition's inputs, run it, compare ---
-# A fold may return the events its transaction owes the log next: each is
-# (kind, what it must do, a test on the state after folding it).
-
-_Owed = tuple[EventKind, str, Callable[[RegistryState], bool]]
-
-
-def _fold_anchored(state: RegistryState, payload: Mapping[str, str]) -> None:
-    doc = model.document_from_json(json.loads(payload["document"]))
-    _anchored(state, doc)
-    _expect({"did": payload["did"]}, {"did": doc.did})
-
-
-def _fold_proposal_submitted(state: RegistryState, payload: Mapping[str, str]) -> list[_Owed]:
-    logged = model.proposal_from_json(json.loads(payload["proposal"]))
-    nonce = _decode_nonce(payload)
-    doc = state.documents[logged.did]
-    group = doc.group(logged.originating_group)
-    _check_logged_nonce(state, group.authz_config, nonce, "proposal")  # the proposer is not logged
-    _check_admission(doc, group, logged.change_set)
-    proposal = _proposal_submitted(state, logged.did, logged.originating_group, logged.change_set, nonce, None)
-    _expect(vars(logged), vars(proposal))
-    if group.time_limit is None:
-        return []
-
-    def scheduled(_after: RegistryState) -> bool:
-        return proposal.deadline is not None
-
-    return [(EventKind.SCHEDULED, f"schedule proposal {proposal.proposal_id}", scheduled)]
-
-
-def _fold_proposal_overridden(state: RegistryState, payload: Mapping[str, str]) -> list[_Owed]:
-    did, group_id = Did(payload["did"]), int(payload["overriding_group"])
-    _check_precedence(state, did, state.documents[did].group(group_id))
-    _expect(payload, _proposal_overridden(state, did, group_id, None))
-
-    def submitted(after: RegistryState) -> bool:
-        active = after.active_proposals.get(did)
-        return active is not None and active.originating_group == group_id
-
-    return [(EventKind.PROPOSAL_SUBMITTED, f"submit group {group_id}'s proposal on did {did}", submitted)]
-
-
-def _fold_decision_accepted(state: RegistryState, payload: Mapping[str, str]) -> list[_Owed]:
-    proposal = state.proposals[int(payload["proposal_id"])]
-    group = state.documents[proposal.did].group(proposal.originating_group)
-    tally = state.tallies[proposal.proposal_id]
-    entry = (bytes.fromhex(payload["controller"]), Verdict(payload["verdict"]), int(payload["weight"]))
-    nonce = _decode_nonce(payload)
-    _check_logged_decision(state, group.authz_config, entry[0], entry[2], nonce)
-    coord.append_entry(group.coord_config, tally, entry)
-    _decision_accepted(state, nonce)
-    if group.execution is ExecutionMode.ON_CHAIN and coord.early_outcome(group.coord_config, tally) is not None:
-        return [_resolution(proposal, "resolve")]  # a live decide resolves a settled tally at once
-    return []
-
-
-def _fold_scheduled(state: RegistryState, payload: Mapping[str, str]) -> None:
-    _expect(payload, _scheduled(state, state.proposals[int(payload["proposal_id"])]))
-
-
-def _fold_resolved(state: RegistryState, payload: Mapping[str, str]) -> None:
-    _expect(payload, _resolved(state, state.proposals[int(payload["proposal_id"])], None))
-
-
-def _fold_clock_advanced(state: RegistryState, payload: Mapping[str, str]) -> list[_Owed]:
-    return [_resolution(proposal, "expire") for proposal in _clock_advanced(state, int(payload["to"]))]
-
-
-def _resolution(proposal: UpdateProposal, what: str) -> _Owed:
-    def resolved(_after: RegistryState) -> bool:
-        return proposal.status is not ProposalStatus.ACTIVE
-
-    return EventKind.RESOLVED, f"{what} proposal {proposal.proposal_id}", resolved
-
-
-_FOLDS = {
-    EventKind.ANCHORED: _fold_anchored,
-    EventKind.PROPOSAL_SUBMITTED: _fold_proposal_submitted,
-    EventKind.PROPOSAL_OVERRIDDEN: _fold_proposal_overridden,
-    EventKind.DECISION_ACCEPTED: _fold_decision_accepted,
-    EventKind.SCHEDULED: _fold_scheduled,
-    EventKind.RESOLVED: _fold_resolved,
-    EventKind.CLOCK_ADVANCED: _fold_clock_advanced,
-}
+def _difference(logged: GovernanceEvent, derived: GovernanceEvent) -> str:
+    """The first field, or payload field, in which two events differ."""
+    for name in ("sequence", "tick", "kind"):
+        if getattr(logged, name) != getattr(derived, name):
+            return f"logged {name} {getattr(logged, name)!r}, derived {getattr(derived, name)!r}"
+    logged_payload, derived_payload = logged.payload, derived.payload
+    key = next(
+        k for k in (*derived_payload, *logged_payload) if logged_payload.get(k) != derived_payload.get(k)
+    )
+    return f"logged {key} {logged_payload.get(key)!r}, derived {derived_payload.get(key)!r}"
 
 
 def replay_events(events: Sequence[GovernanceEvent]) -> RegistryState:
     """Fold an audit log over an empty registry (event sourcing).
 
-    Each event goes through its kind's fold: decode the transition's
-    inputs, call the transition the live transaction called, and compare
-    what it derived with what the log records; the event's tick must be
-    the clock after the fold. A decision, and a token group's proposal,
-    is first checked against its group's authorization config (see
-    :func:`_check_logged_decision`); a proposal against its group's edit
-    right, and an override against the overridden proposal's group, as
-    the live ``propose`` checks them, and a proposal's change set is
-    dry-run against the document. The events a transaction owes come
-    next, before any other: the submission an override makes room for,
-    the scheduling of a proposal whose group has a time limit, the
-    resolution of an on-chain proposal whose tally a decision settled,
-    and the expiry of each proposal a clock advance made due, in firing
-    order. A log that does not decode, fold or pass these checks raises
+    Each transaction runs the body the live registry runs. Replay reads
+    the body's inputs from the transaction's first event: an anchored
+    document, a proposal (from the submission an override makes room
+    for), a decision, a manual resolution or a clock advance; a
+    ``scheduled`` event never begins a transaction. A decision, and a
+    token group's proposal, is first checked against its group's
+    authorization config as far as the log shows it (see
+    :func:`_check_logged_decision`). Every event the body derives must be
+    the next one logged, equal in sequence, tick, kind and payload. A log
+    that does not decode, fold or pass these checks raises
     ``EncodingError`` naming the event's sequence number.
     """
     state = RegistryState()
-    owed: deque[_Owed] = deque()
-    for event in events:
-        expected = len(state.event_log) + 1
-        if event.sequence != expected:
-            raise EncodingError(f"event sequence {event.sequence}, expected {expected}")
-        state.event_log.append(event)
+
+    def emit(
+        state: RegistryState, kind: EventKind, payload: dict[str, str], meter: Optional[CostMeter]
+    ) -> None:
+        at = len(state.event_log)
+        if at == len(events):
+            raise EncodingError(f"the transaction derives a {kind.value} event next")
+        logged, tick = events[at], state.clock.now
+        if (
+            logged.sequence != at + 1
+            or logged.tick != tick
+            or logged.kind is not kind
+            or logged.payload != payload
+        ):
+            raise EncodingError(_difference(logged, GovernanceEvent(at + 1, tick, kind, payload)))
+        state.event_log.append(logged)
+
+    while len(state.event_log) < len(events):
+        at = len(state.event_log)
+        event = events[at]
+        payload = event.payload
         try:
-            requires = _FOLDS[event.kind](state, event.payload)
-            if owed:
-                kind, what, done = owed.popleft()
-                if event.kind is not kind or not done(state):
-                    raise EncodingError(f"the event must {what}")
-            if requires:
-                owed.extend(requires)
-            if event.tick != state.clock.now:
-                raise EncodingError(f"logged tick {event.tick}, derived {state.clock.now}")
+            if event.kind is EventKind.ANCHORED:
+                document = payload["document"]
+                _anchor(state, model.document_from_json(json.loads(document)), document, None, emit)
+            elif event.kind in (EventKind.PROPOSAL_SUBMITTED, EventKind.PROPOSAL_OVERRIDDEN):
+                if event.kind is EventKind.PROPOSAL_OVERRIDDEN:
+                    payload = _submission_after(events, at)
+                logged = model.proposal_from_json(json.loads(payload["proposal"]))
+                nonce = _decode_nonce(payload)
+                doc = state.documents[logged.did]
+                group = doc.group(logged.originating_group)
+                _check_logged_nonce(state, group.authz_config, nonce, "proposal")  # the proposer is not logged
+                _propose(state, doc, group, logged.change_set, nonce, None, emit)
+            elif event.kind is EventKind.DECISION_ACCEPTED:
+                proposal = state.proposals[int(payload["proposal_id"])]
+                group = state.documents[proposal.did].group(proposal.originating_group)
+                entry = (
+                    bytes.fromhex(payload["controller"]),
+                    Verdict(payload["verdict"]),
+                    int(payload["weight"]),
+                )
+                nonce = _decode_nonce(payload)
+                _check_logged_decision(state, group.authz_config, entry[0], entry[2], nonce)
+                coord.append_entry(group.coord_config, state.tallies[proposal.proposal_id], entry)
+                _decision(state, proposal, group, entry, nonce, None, emit)
+            elif event.kind is EventKind.RESOLVED:
+                _resolve(state, state.proposals[int(payload["proposal_id"])], ResolveReason.MANUAL, None, emit)
+            elif event.kind is EventKind.CLOCK_ADVANCED:
+                _advance_clock(state, int(payload["to"]), None, emit)
+            else:
+                raise EncodingError("a scheduled event never begins a transaction")
         except _MALFORMED as exc:
+            at = len(state.event_log)
+            if at == len(events):
+                raise EncodingError(f"the log ends after event {at} ({exc})") from exc
+            failed = events[at]
             raise EncodingError(
-                f"event {event.sequence} ({event.kind.value}) does not fold: {type(exc).__name__}: {exc}"
+                f"event {failed.sequence} ({failed.kind.value}) does not fold: {type(exc).__name__}: {exc}"
             ) from exc
-    if owed:
-        last = len(state.event_log)
-        raise EncodingError(f"the log ends after event {last} before an event can {owed[0][1]}")
     return state

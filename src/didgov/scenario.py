@@ -85,11 +85,14 @@ class ScenarioRun:
 
 @contextmanager
 def _decoding(context: str) -> Iterator[None]:
-    """Report what malformed scenario data makes decoding raise as a
-    ``ScenarioParseError`` naming ``context``. It wraps decoding only, never
-    a registry call, so an engine fault still surfaces as itself."""
+    """Report what malformed scenario data makes decoding raise, a model
+    decoder's refusal included, as a ``ScenarioParseError`` naming
+    ``context``. It wraps decoding only, never a registry call, so an engine
+    refusal or fault still surfaces as itself."""
     try:
         yield
+    except GovernanceError as exc:
+        raise ScenarioParseError(f"{context}: {exc.code}: {exc}") from exc
     except (LookupError, ValueError, TypeError, AttributeError) as exc:
         raise ScenarioParseError(f"{context}: {type(exc).__name__}: {exc}") from exc
 

@@ -689,13 +689,14 @@ class TestEventSourcing:
             group = acl_group([pair("a"), pair("b")], coord=NOfMConfig(n=2, m=2), time_limit=time_limit)
             registry.anchor(did, [], {}, (group,))
         first = _propose(registry, "aa", pair("a"))
-        _propose(registry, "bb", pair("a"))
+        second = _propose(registry, "bb", pair("a"))
         registry.advance_clock(10)
         events = list(registry.state.event_log)
         assert registry_mod.snapshot_json(registry_mod.replay_events(events)) == registry.snapshot_json()
         events[-2:] = events[:-3:-1]  # the second expiry logged first
         events = [dataclasses.replace(e, sequence=n) for n, e in enumerate(events, start=1)]
-        with pytest.raises(EncodingError, match=f"event {len(events) - 1} .*expire proposal {first}"):
+        message = f"event {len(events) - 1} .*logged proposal_id '{second}', derived '{first}'"
+        with pytest.raises(EncodingError, match=message):
             registry_mod.replay_events(events)
 
     def test_replay_requires_the_overriding_groups_submission_next(self):
