@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import Optional, Union
 
 from .crypto import CredentialPresentation
-from .errors import EncodingError, InvalidChangeSet, InvalidGroupConfig, UnknownGroup
+from .errors import EncodingError, GovernanceError, InvalidChangeSet, InvalidGroupConfig, UnknownGroup
 
 _HEX_DIGITS = frozenset("0123456789abcdef")
 
@@ -99,6 +99,23 @@ def _enum_from_value(enum_cls, value):
         raise EncodingError(f"unknown {enum_cls.__name__} value {value!r}") from None
 
 
+def _require_int(value, what: str, error: type[GovernanceError]) -> None:
+    """Refuse ``value`` unless it is an integer, as JSON writes one: an
+    ``int`` that is not a ``bool``."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise error(f"{what} must be an integer, not {value!r}")
+
+
+def text_map(value, what: str) -> dict[str, str]:
+    """``value`` as a new dict that must map str to str, as document
+    attributes, change-set attributes and VC claims do."""
+    mapping = dict(value)
+    for key, item in mapping.items():
+        if not isinstance(key, str) or not isinstance(item, str):
+            raise EncodingError(f"{what} must map text to text, not {key!r}: {item!r}")
+    return mapping
+
+
 # --- authorization configs ---------------------------------------------------
 
 @dataclass(frozen=True)
@@ -120,6 +137,8 @@ class AclConfig:
         object.__setattr__(self, "index", index)
         if self.weights is not None:
             object.__setattr__(self, "weights", tuple(self.weights))
+            for weight in self.weights:
+                _require_int(weight, "an acl weight", InvalidGroupConfig)
             if len(self.weights) != len(self.members):
                 raise InvalidGroupConfig("acl weights must parallel members")
             if any(w < 1 for w in self.weights):
@@ -143,7 +162,7 @@ class VcConfig:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "trusted_issuers", tuple(self.trusted_issuers))
-        object.__setattr__(self, "required_claims", dict(self.required_claims))
+        object.__setattr__(self, "required_claims", text_map(self.required_claims, "required_claims"))
         if not self.trusted_issuers:
             raise InvalidGroupConfig("vc trusted_issuers must be non-empty")
 
@@ -161,6 +180,8 @@ class NOfMConfig:
     m: int
 
     def __post_init__(self) -> None:
+        _require_int(self.n, "n", InvalidGroupConfig)
+        _require_int(self.m, "m", InvalidGroupConfig)
         if self.n < 1 or self.m < self.n:
             raise InvalidGroupConfig(f"need 1 <= n <= m, got n={self.n} m={self.m}")
 
@@ -174,6 +195,7 @@ class TurnoutConfig:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "ratio", Fraction(self.ratio))
+        _require_int(self.quorum, "quorum", InvalidGroupConfig)
         if self.quorum < 1:
             raise InvalidGroupConfig("quorum must be >= 1")
         if not (0 < self.ratio <= 1):
@@ -185,6 +207,7 @@ class WeightedConfig:
     threshold: int
 
     def __post_init__(self) -> None:
+        _require_int(self.threshold, "threshold", InvalidGroupConfig)
         if self.threshold < 1:
             raise InvalidGroupConfig("threshold must be >= 1")
 
@@ -217,14 +240,17 @@ class GovernanceGroup:
     time_limit: Optional[int] = None
 
     def __post_init__(self) -> None:
+        _require_int(self.group_id, "group_id", InvalidGroupConfig)
         if self.group_id < 0:
             raise InvalidGroupConfig("group_id must be unsigned")
         if type(self.authz_config) not in _AUTHZ_KIND_BY_TYPE:
             raise InvalidGroupConfig(f"unknown authz config {type(self.authz_config).__name__}")
         if type(self.coord_config) not in _COORD_KIND_BY_TYPE:
             raise InvalidGroupConfig(f"unknown coord config {type(self.coord_config).__name__}")
-        if self.time_limit is not None and self.time_limit <= 0:
-            raise InvalidGroupConfig("time_limit must be > 0 when present")
+        if self.time_limit is not None:
+            _require_int(self.time_limit, "time_limit", InvalidGroupConfig)
+            if self.time_limit <= 0:
+                raise InvalidGroupConfig("time_limit must be > 0 when present")
 
     @property
     def authz_kind(self) -> AuthzKind:
@@ -248,8 +274,9 @@ class DidDocument:
     def __post_init__(self) -> None:
         object.__setattr__(self, "did", Did(self.did))
         object.__setattr__(self, "public_keys", tuple(self.public_keys))
-        object.__setattr__(self, "attributes", dict(self.attributes))
+        object.__setattr__(self, "attributes", text_map(self.attributes, "attributes"))
         object.__setattr__(self, "groups", tuple(self.groups))
+        _require_int(self.version, "version", EncodingError)
         if self.version < 1:
             raise ValueError(f"version must be >= 1, got {self.version}")
         if not self.groups:
@@ -280,6 +307,7 @@ class ReplaceGroup:
     group: GovernanceGroup
 
     def __post_init__(self) -> None:
+        _require_int(self.group_id, "group_id", InvalidChangeSet)
         if self.group.group_id != self.group_id:
             raise InvalidChangeSet(
                 f"replacement group keeps its id: {self.group.group_id} != {self.group_id}"
@@ -289,6 +317,9 @@ class ReplaceGroup:
 @dataclass(frozen=True)
 class RemoveGroup:
     group_id: int
+
+    def __post_init__(self) -> None:
+        _require_int(self.group_id, "group_id", InvalidChangeSet)
 
 
 GroupOp = Union[AddGroup, ReplaceGroup, RemoveGroup]
@@ -307,7 +338,7 @@ class ChangeSet:
         if self.new_public_keys is not None:
             object.__setattr__(self, "new_public_keys", tuple(self.new_public_keys))
         if self.new_attributes is not None:
-            object.__setattr__(self, "new_attributes", dict(self.new_attributes))
+            object.__setattr__(self, "new_attributes", text_map(self.new_attributes, "new_attributes"))
         object.__setattr__(self, "group_ops", tuple(self.group_ops))
         if self.new_public_keys is None and self.new_attributes is None and not self.group_ops:
             raise InvalidChangeSet("change set must change something")
@@ -434,7 +465,7 @@ def authz_config_from_json(kind: AuthzKind, data: Mapping) -> AuthzConfig:
     issuers = tuple(bytes.fromhex(k) for k in data["trusted_issuers"])
     if kind is AuthzKind.TOKEN:
         return TokenConfig(trusted_issuers=issuers)
-    return VcConfig(trusted_issuers=issuers, required_claims=dict(data.get("required_claims", {})))
+    return VcConfig(trusted_issuers=issuers, required_claims=data.get("required_claims", {}))
 
 
 def coord_config_to_json(config: CoordConfig) -> dict:
@@ -494,7 +525,7 @@ def document_from_json(data: Mapping) -> DidDocument:
         did=Did(data["did"]),
         version=data["version"],
         public_keys=tuple(bytes.fromhex(k) for k in data["public_keys"]),
-        attributes=dict(data["attributes"]),
+        attributes=data["attributes"],
         groups=tuple(group_from_json(g) for g in data["groups"]),
     )
 
@@ -539,7 +570,7 @@ def change_set_from_json(data: Mapping) -> ChangeSet:
         new_public_keys=(
             tuple(bytes.fromhex(k) for k in new_public_keys) if new_public_keys is not None else None
         ),
-        new_attributes=dict(new_attributes) if new_attributes is not None else None,
+        new_attributes=new_attributes,
         group_ops=tuple(group_op_from_json(op) for op in data.get("group_ops", ())),
     )
 
@@ -558,6 +589,10 @@ def proposal_to_json(proposal: UpdateProposal) -> dict:
 
 
 def proposal_from_json(data: Mapping) -> UpdateProposal:
+    for name in ("proposal_id", "base_version", "originating_group", "created_at"):
+        _require_int(data[name], name, EncodingError)
+    if data.get("deadline") is not None:
+        _require_int(data["deadline"], "deadline", EncodingError)
     return UpdateProposal(
         proposal_id=data["proposal_id"],
         did=Did(data["did"]),
@@ -579,10 +614,25 @@ def event_to_json(event: GovernanceEvent) -> dict:
     }
 
 
-def event_from_json(data: Mapping) -> GovernanceEvent:
-    return GovernanceEvent(
-        sequence=data["sequence"],
-        tick=data["tick"],
-        kind=_enum_from_value(EventKind, data["kind"]),
-        payload=dict(data["payload"]),
-    )
+_EVENT_FIELDS = frozenset(("sequence", "tick", "kind", "payload"))
+_EVENT_KINDS = {kind.value: kind for kind in EventKind}
+
+
+def event_from_json(data) -> GovernanceEvent:
+    """An event from its decoded JSON: an object with exactly the fields
+    ``sequence`` and ``tick`` (integers), ``kind`` and ``payload`` (an
+    object). The value comes from a JSON decoder, so an integer is exactly
+    an ``int`` and an object exactly a ``dict``."""
+    if type(data) is not dict or data.keys() != _EVENT_FIELDS:
+        fields = sorted(data) if type(data) is dict else type(data).__name__
+        raise EncodingError(f"an event is an object with exactly the fields {sorted(_EVENT_FIELDS)}, not {fields}")
+    sequence, tick, payload = data["sequence"], data["tick"], data["payload"]
+    if type(sequence) is not int or type(tick) is not int:
+        raise EncodingError(f"event sequence and tick must be integers, not {sequence!r} and {tick!r}")
+    if type(payload) is not dict:
+        raise EncodingError(f"event payload must be an object, not {type(payload).__name__}")
+    try:
+        kind = _EVENT_KINDS[data["kind"]]
+    except (KeyError, TypeError):
+        raise EncodingError(f"unknown EventKind value {data['kind']!r}") from None
+    return GovernanceEvent(sequence, tick, kind, payload)

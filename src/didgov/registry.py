@@ -15,6 +15,13 @@ inputs the log records and requires every event the body derives to be
 the next one logged, so a replayed log reproduces the live registry
 byte-for-byte (see :func:`snapshot_json`). Tallies change only through
 :mod:`didgov.coord`.
+
+An audit decodes, folds, then snapshots. :func:`event_log_from_jsonl`
+reads each line with CPython's C JSON scanner and accepts only a line that
+is exactly one event (:func:`didgov.model.event_from_json`).
+:func:`snapshot_json` writes the text of ``json.dumps(snapshot, indent=2,
+sort_keys=True)`` in one pass over the dicts and lists that
+:func:`state_snapshot` builds.
 """
 
 from __future__ import annotations
@@ -22,7 +29,9 @@ from __future__ import annotations
 import json
 from collections.abc import Callable, Mapping
 from dataclasses import dataclass, field
+from json.decoder import JSONDecodeError, JSONDecoder
 from json.encoder import JSONEncoder, c_make_encoder, encode_basestring_ascii
+from json.scanner import c_make_scanner
 from typing import Optional, Sequence
 
 from . import authz, coord, crypto, encoding, model
@@ -70,8 +79,8 @@ from .scheduler import DeadlineQueue, ScheduleRequest, SimClock
 Nonce = Optional[tuple[bytes, bytes]]  # (issuer key, nonce) a token burns
 
 
-if c_make_encoder is None:
-    raise ImportError("didgov requires CPython's _json accelerator (json.encoder.c_make_encoder)")
+if c_make_encoder is None or c_make_scanner is None:
+    raise ImportError("didgov requires CPython's _json accelerator (c_make_encoder and c_make_scanner)")
 
 
 def _compact_writer() -> Callable[[object], str]:
@@ -574,8 +583,67 @@ def state_snapshot(state: RegistryState) -> dict:
     }
 
 
+def _indented(value) -> str:
+    """``value`` as the text of ``json.dumps(value, indent=2,
+    sort_keys=True)``, written in one pass. Its domain is what
+    :func:`state_snapshot` builds: dicts with str keys, lists, and str, int,
+    bool and ``None`` leaves (str and int subclasses included). Any other
+    value raises ``TypeError``."""
+    out: list[str] = []
+    _write_indented(value, "\n", out.append)
+    return "".join(out)
+
+
+def _write_indented(value, newline: str, append: Callable[[str], None]) -> None:
+    """Append the text of ``value`` to the output; ``newline`` is the line
+    break and indent of the line it starts on. (A module function, not a
+    closure: a closure that calls itself is a reference cycle, and it would
+    keep the whole output alive until the cyclic collector runs.)"""
+    kind = type(value)
+    if kind is dict:
+        if not value:
+            append("{}")
+            return
+        inner = newline + "  "
+        separator, comma = "{" + inner, "," + inner
+        for key in sorted(value):
+            append(separator)
+            append(encode_basestring_ascii(key))  # a TypeError for a key that is not a str
+            append(": ")
+            _write_indented(value[key], inner, append)
+            separator = comma
+        append(newline)
+        append("}")
+    elif kind is list:
+        if not value:
+            append("[]")
+            return
+        inner = newline + "  "
+        separator, comma = "[" + inner, "," + inner
+        for item in value:
+            append(separator)
+            _write_indented(item, inner, append)
+            separator = comma
+        append(newline)
+        append("]")
+    elif kind is str:
+        append(encode_basestring_ascii(value))
+    elif value is None:
+        append("null")
+    elif value is True:
+        append("true")
+    elif value is False:
+        append("false")
+    elif isinstance(value, int):
+        append(int.__repr__(value))
+    elif isinstance(value, str):
+        append(encode_basestring_ascii(value))
+    else:
+        raise TypeError(f"Object of type {kind.__name__} is not in the snapshot's JSON domain")
+
+
 def snapshot_json(state: RegistryState) -> str:
-    return json.dumps(state_snapshot(state), indent=2, sort_keys=True) + "\n"
+    return _indented(state_snapshot(state)) + "\n"
 
 
 def event_log_to_jsonl(events: Sequence[GovernanceEvent]) -> str:
@@ -588,13 +656,38 @@ def event_log_to_jsonl(events: Sequence[GovernanceEvent]) -> str:
 _MALFORMED = (GovernanceError, LookupError, ValueError, TypeError, AttributeError)
 
 
+_scan = c_make_scanner(JSONDecoder())
+_JSON_SPACE = " \t\n\r"
+
+
+def _json_line(line: str):
+    """``json.loads(line)``, errors included, without its per-call Python
+    layers: the C scanner reads the value after any JSON whitespace, and
+    only JSON whitespace may follow it."""
+    start = len(line) - len(line.lstrip(_JSON_SPACE))
+    try:
+        value, end = _scan(line, start)
+    except StopIteration as stop:
+        if line.startswith("\ufeff"):
+            raise JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", line, 0) from None
+        raise JSONDecodeError("Expecting value", line, stop.value) from None
+    if end != len(line):
+        extra = len(line) - len(line[end:].lstrip(_JSON_SPACE))
+        if extra != len(line):
+            raise JSONDecodeError("Extra data", line, extra)
+    return value
+
+
 def event_log_from_jsonl(text: str) -> list[GovernanceEvent]:
+    """The events of a JSONL log, one per non-blank line. A line that does
+    not decode to an event raises an ``EncodingError`` naming it."""
     events = []
+    append = events.append
     for line_number, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
         try:
-            events.append(model.event_from_json(json.loads(line)))
+            append(model.event_from_json(_json_line(line)))
         except _MALFORMED as exc:
             raise EncodingError(f"bad event on line {line_number}: {type(exc).__name__}: {exc}") from exc
     return events

@@ -269,7 +269,8 @@ class _Runner:
                 f"{did}: every group is Document-level; the governance rules of this "
                 "document can never change"
             )
-        return partial(self.registry.anchor, did, public_keys, dict(action.get("attributes", {})), groups)
+        attributes = model.text_map(action.get("attributes", {}), "attributes")
+        return partial(self.registry.anchor, did, public_keys, attributes, groups)
 
     def _do_propose(self, index: int, action: dict, context: str) -> Callable[[], object]:
         did = self._did(_require(action, "did", context), context)

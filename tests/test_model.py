@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from didgov import model
-from didgov.errors import InvalidChangeSet, InvalidGroupConfig, UnknownGroup
+from didgov.errors import EncodingError, InvalidChangeSet, InvalidGroupConfig, UnknownGroup
 from didgov.model import (
     AclConfig,
     AddGroup,
@@ -26,7 +26,7 @@ from didgov.model import (
     apply_change_set,
 )
 
-from .util import acl_group, pair
+from .util import acl_group, anchored, pair
 
 
 def test_did_accepts_lowercase_hex_only():
@@ -315,3 +315,92 @@ def test_event_round_trips():
     )
     assert model.event_from_json(model.event_to_json(event)) == event
     assert event.payload_bytes() == len("proposal_id2verdictapprove")
+
+
+# --- values of the wrong JSON type --------------------------------------------
+
+def _sample_json():
+    """The JSON of one value per decoder, each with every field it checks."""
+    document = DidDocument(
+        did=Did("abc123"), version=3, public_keys=(), attributes={"service": "x"}, groups=tuple(_sample_groups())
+    )
+    change = ChangeSet(
+        new_attributes={"a": "1"},
+        group_ops=(ReplaceGroup(group_id=0, group=acl_group([pair("c")], group_id=0)), RemoveGroup(group_id=1)),
+    )
+    proposal = UpdateProposal(
+        proposal_id=4, did=Did("abc123"), base_version=2, originating_group=1,
+        change_set=change, created_at=9, deadline=15,
+    )
+    event = GovernanceEvent(sequence=7, tick=3, kind=EventKind.RESOLVED, payload={"proposal_id": "2"})
+    return {
+        "document": (model.document_from_json, model.document_to_json(document)),
+        "proposal": (model.proposal_from_json, model.proposal_to_json(proposal)),
+        "event": (model.event_from_json, model.event_to_json(event)),
+    }
+
+
+def _set(path, value):
+    def edit(data):
+        for key in path[:-1]:
+            data = data[key]
+        data[path[-1]] = value
+    return edit
+
+
+_GROUPS = ("groups",)
+_CHANGE = ("change_set",)
+
+
+@pytest.mark.parametrize(
+    "decoded, edit, error",
+    [
+        ("document", _set(("version",), 3.0), EncodingError),
+        ("document", _set(("version",), True), EncodingError),
+        ("document", _set(("attributes", "service"), 1.5), EncodingError),
+        ("document", _set(("attributes", "service"), float("inf")), EncodingError),
+        ("document", _set(("attributes", "service"), None), EncodingError),
+        ("document", _set(_GROUPS + (0, "group_id"), 0.0), InvalidGroupConfig),
+        ("document", _set(_GROUPS + (0, "authz_config", "weights"), [2.0, 1]), InvalidGroupConfig),
+        ("document", _set(_GROUPS + (0, "coord_config", "threshold"), True), InvalidGroupConfig),
+        ("document", _set(_GROUPS + (1, "coord_config", "quorum"), 2.0), InvalidGroupConfig),
+        ("document", _set(_GROUPS + (2, "coord_config", "n"), 1.0), InvalidGroupConfig),
+        ("document", _set(_GROUPS + (2, "coord_config", "m"), "2"), InvalidGroupConfig),
+        ("document", _set(_GROUPS + (2, "time_limit"), 7.0), InvalidGroupConfig),
+        ("document", _set(_GROUPS + (3, "authz_config", "required_claims"), {"role": 1}), EncodingError),
+        ("proposal", _set(("proposal_id",), 4.0), EncodingError),
+        ("proposal", _set(("base_version",), True), EncodingError),
+        ("proposal", _set(("originating_group",), "1"), EncodingError),
+        ("proposal", _set(("created_at",), 9.0), EncodingError),
+        ("proposal", _set(("deadline",), 15.0), EncodingError),
+        ("proposal", _set(_CHANGE + ("new_attributes",), {"a": 1}), EncodingError),
+        ("proposal", _set(_CHANGE + ("group_ops", 0, "group_id"), False), InvalidChangeSet),
+        ("proposal", _set(_CHANGE + ("group_ops", 1, "group_id"), 1.0), InvalidChangeSet),
+        ("event", _set(("sequence",), 7.0), EncodingError),
+        ("event", _set(("sequence",), True), EncodingError),
+        ("event", _set(("tick",), False), EncodingError),
+        ("event", _set(("extra",), 7), EncodingError),
+        ("event", _set(("payload",), [["proposal_id", "2"]]), EncodingError),
+        ("event", _set(("kind",), ["resolved"]), EncodingError),
+    ],
+)
+def test_decoders_refuse_values_of_the_wrong_json_type(decoded, edit, error):
+    decode, data = _sample_json()[decoded]
+    decode(data)  # the unedited value decodes
+    edit(data)
+    with pytest.raises(error):
+        decode(data)
+
+
+@pytest.mark.parametrize("data", [[], "event", {"sequence": 7, "tick": 3, "kind": "resolved"}])
+def test_event_decoder_refuses_other_shapes(data):
+    with pytest.raises(EncodingError, match="exactly the fields"):
+        model.event_from_json(data)
+
+
+def test_anchor_refuses_attributes_that_are_not_text():
+    registry, did = anchored([acl_group([pair("a")])])
+    with pytest.raises(EncodingError, match="attributes must map text to text"):
+        registry.anchor("bb", [], {"service": 1.5}, (acl_group([pair("a")]),))
+    assert "bb" not in registry.state.documents
+    assert len(registry.state.event_log) == 1

@@ -368,6 +368,28 @@ def _stray_scheduled(events):
     return stray
 
 
+def _non_text_attribute(events):
+    event = _nth(events, "anchored")
+    document = json.loads(event["payload"]["document"])
+    document["attributes"] = {"service": 1.5}
+    event["payload"]["document"] = json.dumps(document, separators=(",", ":"))
+    return event
+
+
+def _edited_line(scenario, line_number, edit):
+    """``scenario``'s golden log with the object on line ``line_number``
+    changed in place by ``edit``; the decoder must name that line."""
+    lines = (GOLDEN / scenario / "events.jsonl").read_text().splitlines(keepends=True)
+    event = json.loads(lines[line_number - 1])
+    edit(event)
+    lines[line_number - 1] = json.dumps(event, separators=(",", ":")) + "\n"
+    return "".join(lines), f"line {line_number}:"
+
+
+def _payload_as_pairs(event):
+    event["payload"] = [[key, value] for key, value in event["payload"].items()]
+
+
 def _anchored_at_version_two(events):
     event = _nth(events, "anchored")
     document = json.loads(event["payload"]["document"])
@@ -422,6 +444,13 @@ MALFORMED_LOGS = {
     "submission-while-active": _forged_golden("privilege_override", _submission_while_active),
     "anchored-at-version-two": _forged_golden("key_rotation_2of3", _anchored_at_version_two),
     "stray-scheduled": _forged_golden("expiry_timeout", _stray_scheduled),
+    "non-text-attribute": _forged_golden("key_rotation_2of3", _non_text_attribute),
+    # an event line of the wrong shape, or with fields of the wrong JSON type
+    "float-sequence": _edited_line("key_rotation_2of3", 1, lambda event: event.update(sequence=1.0)),
+    "boolean-sequence": _edited_line("key_rotation_2of3", 1, lambda event: event.update(sequence=True)),
+    "boolean-tick": _edited_line("key_rotation_2of3", 1, lambda event: event.update(tick=False)),
+    "extra-event-field": _edited_line("key_rotation_2of3", 1, lambda event: event.update(extra=7)),
+    "payload-as-pairs": _edited_line("key_rotation_2of3", 2, _payload_as_pairs),
 }
 
 
@@ -458,6 +487,27 @@ class TestCli:
         assert result.exit_code == 2, result.output
         assert isinstance(result.exception, SystemExit)
         assert "action 2" in result.output and "must be an integer" in result.output
+
+    @pytest.mark.parametrize(
+        "field, edited, cause",
+        [
+            ('"service": "messaging"', '"service": 1e400', "encoding-error: attributes must map text to text"),
+            ('"n": 2', '"n": 2.0', "invalid-group-config: n must be an integer"),
+        ],
+        ids=["infinite-attribute", "float-threshold"],
+    )
+    def test_run_field_of_the_wrong_json_type_exit_two(self, tmp_path, field, edited, cause):
+        """A value of the wrong JSON type is refused before anything is
+        written, never carried into the artifacts."""
+        text = (SCENARIOS / "key_rotation_2of3.json").read_text()
+        assert text.count(field) == 1
+        path, out = tmp_path / "scenario.json", tmp_path / "out"
+        path.write_text(text.replace(field, edited))
+        result = self.runner.invoke(main, ["run", str(path), "--out", str(out)])
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert f"action 0 (anchor): {cause}" in result.output
+        assert not out.exists()
 
     def test_run_assertion_failure_exit_one(self, tmp_path):
         actions = [_anchor(), {"action": "assert_state", "did": "aa", "version": 5}]
