@@ -134,7 +134,7 @@ def bench(groups, members, authz, coord, execution, time_, schedule, out):
     if schedule is not None:
         try:
             cost_schedule = CostSchedule.from_json_file(schedule)
-        except (GovernanceError, OSError, ValueError) as exc:
+        except (GovernanceError, OSError, ValueError, RecursionError) as exc:
             _fail(f"--schedule: {exc}", 2)
     try:
         reports = sweep(grid, schedule=cost_schedule)

@@ -1,22 +1,12 @@
-"""Coordination strategies: decision tallying, early termination, and the
-resolution formulas.
-
-All three strategies share one mutable :class:`Tally`. ``evaluate`` is the
-pure verdict function; ``resolve`` is evaluate-plus-finalize. Early
-termination (per accepted on-chain decision) answers "is the outcome
-already mathematically decided?":
-
-- n-of-m approves at n approvals and rejects once approval is impossible
-  (rejections > m - n); m additionally caps how many decisions count.
-- weighted approves once the approve-weight sum reaches the threshold;
-  rejection is never early because the electorate is unknown.
-- turnout-sensitive never terminates early: its threshold depends on the
-  final turnout.
+"""Coordination: decisions counted into one mutable :class:`Tally`, off-chain
+batches, and resolution. Each coordination kind is a config class in
+:mod:`didgov.model` holding its verdict formula, early outcome, cap and
+resolution charge. ``evaluate`` is the pure verdict function; ``resolve``
+is evaluate-plus-finalize.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional, Sequence
@@ -31,17 +21,7 @@ from .errors import (
     TallyFull,
 )
 from .metering import CostMeter, charge
-from .model import (
-    CoordConfig,
-    Decision,
-    ExecutionMode,
-    GovernanceGroup,
-    NOfMConfig,
-    TurnoutConfig,
-    UpdateProposal,
-    Verdict,
-    WeightedConfig,
-)
+from .model import CoordConfig, Decision, ExecutionMode, GovernanceGroup, UpdateProposal, Verdict
 
 TallyEntry = tuple[bytes, Verdict, int]  # (controller_key, verdict, effective_weight)
 
@@ -114,31 +94,7 @@ def init_process(
 
 def evaluate(config: CoordConfig, accepted: Sequence[TallyEntry]) -> Verdict:
     """The pure resolution formula over a (possibly partial) tally."""
-    approvals = sum(1 for _, verdict, _ in accepted if verdict is Verdict.APPROVE)
-    if isinstance(config, NOfMConfig):
-        return Verdict.APPROVE if approvals >= config.n else Verdict.REJECT
-    if isinstance(config, WeightedConfig):
-        approve_weight = sum(w for _, verdict, w in accepted if verdict is Verdict.APPROVE)
-        return Verdict.APPROVE if approve_weight >= config.threshold else Verdict.REJECT
-    assert isinstance(config, TurnoutConfig)
-    submitted = len(accepted)
-    if submitted < config.quorum:
-        return Verdict.REJECT
-    needed = math.ceil(config.ratio * submitted)  # exact: ratio is a Fraction
-    return Verdict.APPROVE if approvals >= needed else Verdict.REJECT
-
-
-def early_outcome(config: CoordConfig, tally: Tally) -> Optional[Verdict]:
-    """The verdict a tally has already settled on, or None if it is open."""
-    if isinstance(config, NOfMConfig):
-        if tally.approvals >= config.n:
-            return Verdict.APPROVE
-        if tally.rejections > config.m - config.n:
-            return Verdict.REJECT
-        return None
-    if isinstance(config, WeightedConfig):
-        return Verdict.APPROVE if tally.approve_weight >= config.threshold else None
-    return None
+    return config.verdict(accepted)
 
 
 def submit_decision(
@@ -155,11 +111,7 @@ def submit_decision(
     """
     entry = (decision.controller_key, decision.verdict, outcome.effective_weight)
     append_entry(config, tally, entry, meter)
-    if isinstance(config, (NOfMConfig, WeightedConfig)):
-        # iterative early-termination pass over the tally after each vote
-        charge(meter, "iteration_step", len(tally.accepted))
-        return early_outcome(config, tally)
-    return None
+    return config.early_outcome(tally, meter)
 
 
 def append_entry(
@@ -174,8 +126,8 @@ def append_entry(
         raise TallyFinalized(f"tally for proposal {tally.proposal_id} is finalized")
     if tally.has_decided(entry[0]):
         raise DuplicateDecision("controller already has a counted decision")
-    if isinstance(config, NOfMConfig) and len(tally.accepted) >= config.m:
-        raise TallyFull(f"turnout threshold m={config.m} reached")
+    if config.cap is not None and len(tally.accepted) >= config.cap:
+        raise TallyFull(f"turnout threshold m={config.cap} reached")
     key, verdict, weight = entry
     tally.accepted.append(entry)
     tally.decided.add(key)
@@ -236,11 +188,7 @@ def resolve(
     """Finalize the tally and return its verdict."""
     if tally.finalized:
         raise AlreadyFinalized(f"proposal {tally.proposal_id} was already resolved")
-    if isinstance(config, TurnoutConfig):
-        # turnout recount plus threshold scaling: the costliest resolution
-        charge(meter, "iteration_step", 2 * len(tally.accepted) + 2)
-    else:
-        charge(meter, "iteration_step", len(tally.accepted))
+    charge(meter, "iteration_step", config.resolution_steps(len(tally.accepted)))
     charge(meter, "storage_write_update", 1)  # finalization flag
     verdict = evaluate(config, tally.accepted)
     tally.finalized = True

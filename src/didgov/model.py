@@ -1,5 +1,5 @@
 """Domain types shared by every module: identifiers, documents, governance
-groups, change sets, proposals, decisions, and audit events.
+groups and their kinds, change sets, proposals, decisions, and audit events.
 
 All types are value records. The registry owns the only mutable state
 (proposal status/deadline are set as the lifecycle advances); everything
@@ -11,14 +11,23 @@ in :mod:`didgov.encoding`.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
+import math
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 from enum import Enum, IntEnum
 from fractions import Fraction
-from typing import Optional, Union
+from typing import TYPE_CHECKING, Optional, Union
 
-from .crypto import CredentialPresentation
-from .errors import EncodingError, GovernanceError, InvalidChangeSet, InvalidGroupConfig, UnknownGroup
+from .authz import AuthzOutcome, AuthzRequest, Nonce, NonceLedger, deny
+from .crypto import CredentialPresentation, TokenPresentation, VcPresentation
+from .errors import (
+    EncodingError, GovernanceError, InvalidChangeSet, InvalidGroupConfig, MalformedCredential,
+    ReplayedNonce, Unauthorized, UnknownGroup, UntrustedIssuer,
+)
+from .metering import CostMeter, charge
+
+if TYPE_CHECKING:
+    from .coord import Tally, TallyEntry
 
 _HEX_DIGITS = frozenset("0123456789abcdef")
 
@@ -116,12 +125,52 @@ def text_map(value, what: str) -> dict[str, str]:
     return mapping
 
 
-# --- authorization configs ---------------------------------------------------
+# --- governance kinds --------------------------------------------------------
+# Each config class is the one definition of its kind: ``kind``, the JSON
+# codec and the behaviour the engine calls instead of branching on a kind.
+
+# Reserved claim key carrying the vote weight for VC-authorized groups.
+WEIGHT_CLAIM = "weight"
+
+
+def _keys_from_hex(data) -> tuple[bytes, ...]:
+    return tuple(bytes.fromhex(key) for key in data)
+
+
+def _issuer_trusted(issuers: tuple[bytes, ...], issuer_key: bytes, meter: Optional[CostMeter]) -> bool:
+    # Metered linear scan, same as the ACL path; with the usual handful of
+    # issuers this stays flat while ACL membership grows with the group.
+    for examined, trusted in enumerate(issuers, start=1):
+        if trusted == issuer_key:
+            charge(meter, "iteration_step", examined)
+            return True
+    charge(meter, "iteration_step", len(issuers))
+    return False
+
+
+class _Authorization:
+    """Shared by the authorization kinds, each of which has ``storage_slots``
+    (written on anchoring) and ``authorize``. Replay checks what a log shows
+    of an authorization; by default it carries no nonce and weight 1."""
+
+    def check_logged_nonce(self, nonce: Nonce, ledger: NonceLedger, what: str) -> None:
+        """A logged ``what`` (decision or proposal) carries the nonce this kind burns."""
+        if nonce is not None:
+            raise Unauthorized(f"only token {what}s carry a nonce")
+
+    def check_logged_weight(self, controller: bytes, weight: int) -> None:
+        """A logged decision by ``controller`` has the weight this kind gives it."""
+        if weight != 1:
+            raise Unauthorized(f"logged weight {weight}, authorization gives 1")
+
 
 @dataclass(frozen=True)
-class AclConfig:
-    """Static member list; optional parallel per-member weights."""
+class AclConfig(_Authorization):
+    """A static member list with optional parallel per-member weights: a
+    member is authorized at its weight (1 when unweighted), charged as the
+    on-chain linear scan that finds it."""
 
+    kind = AuthzKind.ACL
     members: tuple[bytes, ...]
     weights: Optional[tuple[int, ...]] = None
     # member -> position in ``members``, built once so a lookup does not scan
@@ -144,9 +193,48 @@ class AclConfig:
             if any(w < 1 for w in self.weights):
                 raise InvalidGroupConfig("acl weights must be positive")
 
+    def to_json(self) -> dict:
+        weights = list(self.weights) if self.weights is not None else None
+        return {"members": [m.hex() for m in self.members], "weights": weights}
+
+    @classmethod
+    def from_json(cls, data: Mapping) -> "AclConfig":
+        weights = data.get("weights")
+        return cls(members=_keys_from_hex(data["members"]), weights=None if weights is None else tuple(weights))
+
+    @property
+    def storage_slots(self) -> int:
+        return len(self.members) + (len(self.weights) if self.weights is not None else 0)
+
+    def _weight_at(self, index: int) -> int:
+        return self.weights[index] if self.weights is not None else 1
+
+    def authorize(self, request: AuthzRequest, ledger: NonceLedger, meter: Optional[CostMeter]) -> AuthzOutcome:
+        if request.credential is not None:
+            return deny(MalformedCredential, "acl group takes no credential")
+        # Charged as the on-chain linear scan it models; computed by lookup.
+        index = self.index.get(request.controller_key)
+        if index is None:
+            charge(meter, "iteration_step", len(self.members))
+            return deny(Unauthorized, "controller is not an acl member")
+        charge(meter, "iteration_step", index + 1)
+        return AuthzOutcome(granted=True, effective_weight=self._weight_at(index))
+
+    def check_logged_weight(self, controller: bytes, weight: int) -> None:
+        index = self.index.get(controller)
+        if index is None:
+            raise Unauthorized("controller is not an acl member")
+        if weight != self._weight_at(index):
+            raise Unauthorized(f"logged weight {weight}, authorization gives {self._weight_at(index)}")
+
 
 @dataclass(frozen=True)
-class TokenConfig:
+class TokenConfig(_Authorization):
+    """Bearer tokens from trusted issuers, each authorizing at weight 1. A
+    granted token's (issuer, nonce) pair is burned when its transaction
+    commits, so a transaction that fails after authorization cannot burn it."""
+
+    kind = AuthzKind.TOKEN
     trusted_issuers: tuple[bytes, ...]
 
     def __post_init__(self) -> None:
@@ -154,9 +242,48 @@ class TokenConfig:
         if not self.trusted_issuers:
             raise InvalidGroupConfig("token trusted_issuers must be non-empty")
 
+    def to_json(self) -> dict:
+        return {"trusted_issuers": [k.hex() for k in self.trusted_issuers]}
+
+    @classmethod
+    def from_json(cls, data: Mapping) -> "TokenConfig":
+        return cls(trusted_issuers=_keys_from_hex(data["trusted_issuers"]))
+
+    @property
+    def storage_slots(self) -> int:
+        return len(self.trusted_issuers)
+
+    def authorize(self, request: AuthzRequest, ledger: NonceLedger, meter: Optional[CostMeter]) -> AuthzOutcome:
+        if not isinstance(request.credential, TokenPresentation):
+            return deny(MalformedCredential, "token group requires a bearer token")
+        token = request.credential.token
+        if not _issuer_trusted(self.trusted_issuers, token.issuer_key, meter):
+            return deny(UntrustedIssuer, "token issuer is not trusted")
+        charge(meter, "sig_verify", 1)
+        if not token.verify_issuer():
+            return deny(Unauthorized, "token issuer signature invalid")
+        if ledger.is_consumed(token.issuer_key, token.nonce):
+            return deny(ReplayedNonce, "token nonce already consumed")
+        return AuthzOutcome(granted=True, consume_nonce=(token.issuer_key, token.nonce))
+
+    def check_logged_nonce(self, nonce: Nonce, ledger: NonceLedger, what: str) -> None:
+        if nonce is None:
+            raise Unauthorized(f"token {what} carries no nonce")
+        if nonce[0] not in self.trusted_issuers:
+            raise UntrustedIssuer("nonce issuer is not trusted")
+        if ledger.is_consumed(*nonce):
+            raise ReplayedNonce("nonce already consumed")
+
 
 @dataclass(frozen=True)
-class VcConfig:
+class VcConfig(_Authorization):
+    """Verifiable credentials from trusted issuers, presented by their
+    holder, carrying every required claim exactly. A credential authorizes
+    at the weight its ``weight`` claim gives (1 when absent or not a
+    positive integer). The credential is not logged, so replay can check
+    only that a logged weight is at least 1."""
+
+    kind = AuthzKind.VC
     trusted_issuers: tuple[bytes, ...]
     required_claims: Mapping[str, str] = field(default_factory=dict)
 
@@ -166,16 +293,84 @@ class VcConfig:
         if not self.trusted_issuers:
             raise InvalidGroupConfig("vc trusted_issuers must be non-empty")
 
+    def to_json(self) -> dict:
+        return {
+            "trusted_issuers": [k.hex() for k in self.trusted_issuers],
+            "required_claims": dict(self.required_claims),
+        }
+
+    @classmethod
+    def from_json(cls, data: Mapping) -> "VcConfig":
+        issuers = _keys_from_hex(data["trusted_issuers"])
+        return cls(trusted_issuers=issuers, required_claims=data.get("required_claims", {}))
+
+    @property
+    def storage_slots(self) -> int:
+        return len(self.trusted_issuers) + 1  # the issuers and the required-claims table
+
+    def authorize(self, request: AuthzRequest, ledger: NonceLedger, meter: Optional[CostMeter]) -> AuthzOutcome:
+        if not isinstance(request.credential, VcPresentation):
+            return deny(MalformedCredential, "vc group requires a credential presentation")
+        vc = request.credential.credential
+        if not _issuer_trusted(self.trusted_issuers, vc.issuer_key, meter):
+            return deny(UntrustedIssuer, "credential issuer is not trusted")
+        charge(meter, "sig_verify", 1)
+        if not vc.verify_issuer():
+            return deny(Unauthorized, "credential issuer signature invalid")
+        # The holder proof is the extra signature check credential flows pay
+        # over bearer tokens.
+        charge(meter, "sig_verify", 1)
+        if not request.credential.verify_holder(request.did, request.presentation_context()):
+            return deny(Unauthorized, "holder proof-of-possession invalid")
+        if vc.holder_key != request.controller_key:
+            return deny(Unauthorized, "credential bound to a different holder")
+        for key, value in self.required_claims.items():
+            charge(meter, "iteration_step", 1)
+            if vc.claims.get(key) != value:
+                return deny(Unauthorized, f"claim {key!r} missing or not an exact match")
+        try:
+            weight = int(vc.claims.get(WEIGHT_CLAIM, "1"))
+        except ValueError:
+            weight = 1
+        return AuthzOutcome(granted=True, effective_weight=max(weight, 1))
+
+    def check_logged_weight(self, controller: bytes, weight: int) -> None:
+        if weight < 1:
+            raise Unauthorized(f"logged weight {weight} is below 1")
+
 
 AuthzConfig = Union[AclConfig, TokenConfig, VcConfig]
+_AUTHZ_CONFIGS = {config.kind: config for config in (AclConfig, TokenConfig, VcConfig)}
 
 
-# --- coordination configs ----------------------------------------------------
+def _approvals(accepted: Sequence[TallyEntry]) -> int:
+    return sum(1 for _, verdict, _ in accepted if verdict is Verdict.APPROVE)
+
+
+class _Coordination:
+    """Shared by the coordination kinds, each of which has ``verdict``, its
+    resolution formula. By default a kind counts every decision (no ``cap``),
+    never settles early and resolves in one scan of the tally."""
+
+    cap: Optional[int] = None
+
+    def early_outcome(self, tally: Tally, meter: Optional[CostMeter] = None) -> Optional[Verdict]:
+        """The verdict a tally has settled on after an on-chain vote, or
+        None while it is open; charges the pass that decides it."""
+        return None
+
+    def resolution_steps(self, submitted: int) -> int:
+        """Iteration steps charged to resolve a tally of ``submitted`` decisions."""
+        return submitted
+
 
 @dataclass(frozen=True)
-class NOfMConfig:
-    """Approval needs n approvals; m caps how many decisions are counted."""
+class NOfMConfig(_Coordination):
+    """Approval needs n approvals; m caps how many decisions are counted.
+    Settles at n approvals, or once approval is impossible (more than
+    m - n rejections)."""
 
+    kind = CoordKind.NOFM
     n: int
     m: int
 
@@ -185,11 +380,36 @@ class NOfMConfig:
         if self.n < 1 or self.m < self.n:
             raise InvalidGroupConfig(f"need 1 <= n <= m, got n={self.n} m={self.m}")
 
+    def to_json(self) -> dict:
+        return {"n": self.n, "m": self.m}
+
+    @classmethod
+    def from_json(cls, data: Mapping) -> "NOfMConfig":
+        return cls(n=data["n"], m=data["m"])
+
+    @property
+    def cap(self) -> int:
+        return self.m
+
+    def verdict(self, accepted: Sequence[TallyEntry]) -> Verdict:
+        return Verdict.APPROVE if _approvals(accepted) >= self.n else Verdict.REJECT
+
+    def early_outcome(self, tally: Tally, meter: Optional[CostMeter] = None) -> Optional[Verdict]:
+        charge(meter, "iteration_step", len(tally.accepted))  # early-termination pass over the tally
+        if tally.approvals >= self.n:
+            return Verdict.APPROVE
+        if tally.rejections > self.m - self.n:
+            return Verdict.REJECT
+        return None
+
 
 @dataclass(frozen=True)
-class TurnoutConfig:
-    """Approval threshold scales with turnout: ceil(ratio * submitted)."""
+class TurnoutConfig(_Coordination):
+    """Approval threshold scales with turnout: ceil(ratio * submitted)
+    approvals, once ``quorum`` decisions are in. It depends on the final
+    turnout, so it never settles early."""
 
+    kind = CoordKind.TURNOUT_SENSITIVE
     quorum: int
     ratio: Fraction
 
@@ -201,9 +421,31 @@ class TurnoutConfig:
         if not (0 < self.ratio <= 1):
             raise InvalidGroupConfig(f"ratio must be in (0, 1], got {self.ratio}")
 
+    def to_json(self) -> dict:
+        return {"quorum": self.quorum, "ratio": ratio_to_text(self.ratio)}
+
+    @classmethod
+    def from_json(cls, data: Mapping) -> "TurnoutConfig":
+        return cls(quorum=data["quorum"], ratio=ratio_from_text(data["ratio"]))
+
+    def verdict(self, accepted: Sequence[TallyEntry]) -> Verdict:
+        submitted = len(accepted)
+        if submitted < self.quorum:
+            return Verdict.REJECT
+        needed = math.ceil(self.ratio * submitted)  # exact: ratio is a Fraction
+        return Verdict.APPROVE if _approvals(accepted) >= needed else Verdict.REJECT
+
+    def resolution_steps(self, submitted: int) -> int:
+        return 2 * submitted + 2  # turnout recount plus threshold scaling: the costliest resolution
+
 
 @dataclass(frozen=True)
-class WeightedConfig:
+class WeightedConfig(_Coordination):
+    """Approval needs the approve weights to sum to ``threshold``. Settles
+    once they do; rejection is never early because the electorate is
+    unknown."""
+
+    kind = CoordKind.WEIGHTED
     threshold: int
 
     def __post_init__(self) -> None:
@@ -211,26 +453,32 @@ class WeightedConfig:
         if self.threshold < 1:
             raise InvalidGroupConfig("threshold must be >= 1")
 
+    def to_json(self) -> dict:
+        return {"threshold": self.threshold}
+
+    @classmethod
+    def from_json(cls, data: Mapping) -> "WeightedConfig":
+        return cls(threshold=data["threshold"])
+
+    def verdict(self, accepted: Sequence[TallyEntry]) -> Verdict:
+        approve_weight = sum(w for _, verdict, w in accepted if verdict is Verdict.APPROVE)
+        return Verdict.APPROVE if approve_weight >= self.threshold else Verdict.REJECT
+
+    def early_outcome(self, tally: Tally, meter: Optional[CostMeter] = None) -> Optional[Verdict]:
+        charge(meter, "iteration_step", len(tally.accepted))  # early-termination pass over the tally
+        return Verdict.APPROVE if tally.approve_weight >= self.threshold else None
+
 
 CoordConfig = Union[NOfMConfig, TurnoutConfig, WeightedConfig]
-
-_AUTHZ_KIND_BY_TYPE = {AclConfig: AuthzKind.ACL, TokenConfig: AuthzKind.TOKEN, VcConfig: AuthzKind.VC}
-_COORD_KIND_BY_TYPE = {
-    NOfMConfig: CoordKind.NOFM,
-    TurnoutConfig: CoordKind.TURNOUT_SENSITIVE,
-    WeightedConfig: CoordKind.WEIGHTED,
-}
+_COORD_CONFIGS = {config.kind: config for config in (NOfMConfig, TurnoutConfig, WeightedConfig)}
 
 
 # --- governance group --------------------------------------------------------
 
 @dataclass(frozen=True)
 class GovernanceGroup:
-    """One governance rule bundle embedded in a document.
-
-    The kind discriminators are derived from the config types, so a group
-    can never carry a config that disagrees with its declared kind.
-    """
+    """One governance rule bundle embedded in a document. Its kinds are its
+    configs' classes, so it cannot declare a kind its configs disagree with."""
 
     group_id: int
     edit_right: EditRightLevel
@@ -243,22 +491,14 @@ class GovernanceGroup:
         _require_int(self.group_id, "group_id", InvalidGroupConfig)
         if self.group_id < 0:
             raise InvalidGroupConfig("group_id must be unsigned")
-        if type(self.authz_config) not in _AUTHZ_KIND_BY_TYPE:
+        if type(self.authz_config) not in _AUTHZ_CONFIGS.values():
             raise InvalidGroupConfig(f"unknown authz config {type(self.authz_config).__name__}")
-        if type(self.coord_config) not in _COORD_KIND_BY_TYPE:
+        if type(self.coord_config) not in _COORD_CONFIGS.values():
             raise InvalidGroupConfig(f"unknown coord config {type(self.coord_config).__name__}")
         if self.time_limit is not None:
             _require_int(self.time_limit, "time_limit", InvalidGroupConfig)
             if self.time_limit <= 0:
                 raise InvalidGroupConfig("time_limit must be > 0 when present")
-
-    @property
-    def authz_kind(self) -> AuthzKind:
-        return _AUTHZ_KIND_BY_TYPE[type(self.authz_config)]
-
-    @property
-    def coord_kind(self) -> CoordKind:
-        return _COORD_KIND_BY_TYPE[type(self.coord_config)]
 
 
 # --- document ----------------------------------------------------------------
@@ -441,70 +681,27 @@ def ratio_from_text(text: str) -> Fraction:
 
 # --- JSON projection ---------------------------------------------------------
 
-def authz_config_to_json(config: AuthzConfig) -> dict:
-    if isinstance(config, AclConfig):
-        return {
-            "members": [m.hex() for m in config.members],
-            "weights": list(config.weights) if config.weights is not None else None,
-        }
-    if isinstance(config, TokenConfig):
-        return {"trusted_issuers": [k.hex() for k in config.trusted_issuers]}
-    return {
-        "trusted_issuers": [k.hex() for k in config.trusted_issuers],
-        "required_claims": dict(config.required_claims),
-    }
-
-
-def authz_config_from_json(kind: AuthzKind, data: Mapping) -> AuthzConfig:
-    if kind is AuthzKind.ACL:
-        weights = data.get("weights")
-        return AclConfig(
-            members=tuple(bytes.fromhex(m) for m in data["members"]),
-            weights=tuple(weights) if weights is not None else None,
-        )
-    issuers = tuple(bytes.fromhex(k) for k in data["trusted_issuers"])
-    if kind is AuthzKind.TOKEN:
-        return TokenConfig(trusted_issuers=issuers)
-    return VcConfig(trusted_issuers=issuers, required_claims=data.get("required_claims", {}))
-
-
-def coord_config_to_json(config: CoordConfig) -> dict:
-    if isinstance(config, NOfMConfig):
-        return {"n": config.n, "m": config.m}
-    if isinstance(config, TurnoutConfig):
-        return {"quorum": config.quorum, "ratio": ratio_to_text(config.ratio)}
-    return {"threshold": config.threshold}
-
-
-def coord_config_from_json(kind: CoordKind, data: Mapping) -> CoordConfig:
-    if kind is CoordKind.NOFM:
-        return NOfMConfig(n=data["n"], m=data["m"])
-    if kind is CoordKind.TURNOUT_SENSITIVE:
-        return TurnoutConfig(quorum=data["quorum"], ratio=ratio_from_text(data["ratio"]))
-    return WeightedConfig(threshold=data["threshold"])
-
-
 def group_to_json(group: GovernanceGroup) -> dict:
     return {
         "group_id": group.group_id,
         "edit_right": group.edit_right.json_name(),
-        "authz_kind": group.authz_kind.value,
-        "authz_config": authz_config_to_json(group.authz_config),
-        "coord_kind": group.coord_kind.value,
-        "coord_config": coord_config_to_json(group.coord_config),
+        "authz_kind": group.authz_config.kind.value,
+        "authz_config": group.authz_config.to_json(),
+        "coord_kind": group.coord_config.kind.value,
+        "coord_config": group.coord_config.to_json(),
         "execution": group.execution.value,
         "time_limit": group.time_limit,
     }
 
 
 def group_from_json(data: Mapping) -> GovernanceGroup:
-    authz_kind = _enum_from_value(AuthzKind, data["authz_kind"])
-    coord_kind = _enum_from_value(CoordKind, data["coord_kind"])
+    authz = _AUTHZ_CONFIGS[_enum_from_value(AuthzKind, data["authz_kind"])]
+    coord = _COORD_CONFIGS[_enum_from_value(CoordKind, data["coord_kind"])]
     return GovernanceGroup(
         group_id=data["group_id"],
         edit_right=EditRightLevel.from_json_name(data["edit_right"]),
-        authz_config=authz_config_from_json(authz_kind, data["authz_config"]),
-        coord_config=coord_config_from_json(coord_kind, data["coord_config"]),
+        authz_config=authz.from_json(data["authz_config"]),
+        coord_config=coord.from_json(data["coord_config"]),
         execution=_enum_from_value(ExecutionMode, data.get("execution", "onchain")),
         time_limit=data.get("time_limit"),
     )
@@ -524,7 +721,7 @@ def document_from_json(data: Mapping) -> DidDocument:
     return DidDocument(
         did=Did(data["did"]),
         version=data["version"],
-        public_keys=tuple(bytes.fromhex(k) for k in data["public_keys"]),
+        public_keys=_keys_from_hex(data["public_keys"]),
         attributes=data["attributes"],
         groups=tuple(group_from_json(g) for g in data["groups"]),
     )
@@ -568,7 +765,7 @@ def change_set_from_json(data: Mapping) -> ChangeSet:
     new_attributes = data.get("new_attributes")
     return ChangeSet(
         new_public_keys=(
-            tuple(bytes.fromhex(k) for k in new_public_keys) if new_public_keys is not None else None
+            _keys_from_hex(new_public_keys) if new_public_keys is not None else None
         ),
         new_attributes=new_attributes,
         group_ops=tuple(group_op_from_json(op) for op in data.get("group_ops", ())),

@@ -35,7 +35,7 @@ from json.scanner import c_make_scanner
 from typing import Optional, Sequence
 
 from . import authz, coord, crypto, encoding, model
-from .authz import AuthzOutcome, AuthzRequest, NonceLedger
+from .authz import AuthzOutcome, AuthzRequest, Nonce, NonceLedger
 from .coord import BatchResult, DecisionBatch, ResolveReason, Tally
 from .errors import (
     AlreadyAnchored,
@@ -46,10 +46,8 @@ from .errors import (
     GovernanceError,
     NoActiveProposal,
     NotAnchored,
-    ReplayedNonce,
     Unauthorized,
     UnknownProposal,
-    UntrustedIssuer,
     VerificationError,
     WrongExecutionMode,
     EditRightViolation,
@@ -57,7 +55,6 @@ from .errors import (
 )
 from .metering import CostMeter, CostReport, CostSchedule, charge
 from .model import (
-    AclConfig,
     AddGroup,
     ChangeSet,
     Decision,
@@ -70,14 +67,10 @@ from .model import (
     GovernanceGroup,
     ProposalStatus,
     ReplaceGroup,
-    TokenConfig,
     UpdateProposal,
     Verdict,
 )
 from .scheduler import DeadlineQueue, ScheduleRequest, SimClock
-
-Nonce = Optional[tuple[bytes, bytes]]  # (issuer key, nonce) a token burns
-
 
 if c_make_encoder is None or c_make_scanner is None:
     raise ImportError("didgov requires CPython's _json accelerator (c_make_encoder and c_make_scanner)")
@@ -248,7 +241,7 @@ def _decision(
     accepted.update(_nonce_fields(nonce))
     emit(state, EventKind.DECISION_ACCEPTED, accepted, meter)
     tally = state.tallies[proposal.proposal_id]
-    if group.execution is ExecutionMode.ON_CHAIN and coord.early_outcome(group.coord_config, tally) is not None:
+    if group.execution is ExecutionMode.ON_CHAIN and group.coord_config.early_outcome(tally) is not None:
         return _resolve(state, proposal, ResolveReason.DECISIVE, meter, emit)
     return None
 
@@ -382,16 +375,7 @@ class Registry:
         for group in doc.groups:
             charge(meter, "iteration_step", 1)
             charge(meter, "storage_write_new", 1)  # group container
-            config = group.authz_config
-            if isinstance(config, AclConfig):
-                charge(meter, "storage_write_new", len(config.members))
-                if config.weights is not None:
-                    charge(meter, "storage_write_new", len(config.weights))
-            elif isinstance(config, TokenConfig):
-                charge(meter, "storage_write_new", len(config.trusted_issuers))
-            else:
-                charge(meter, "storage_write_new", len(config.trusted_issuers))
-                charge(meter, "storage_write_new", 1)  # required-claims table
+            charge(meter, "storage_write_new", group.authz_config.storage_slots)
             charge(meter, "storage_write_new", 1)  # coordination parameters
             if group.time_limit is not None:
                 charge(meter, "storage_write_new", 1)  # time settings
@@ -464,7 +448,7 @@ class Registry:
         )
         try:
             if not crypto.verify(decision.controller_key, payload, decision.signature):
-                return AuthzOutcome(granted=False, refusal=(Unauthorized, "decision signature invalid"))
+                return authz.deny(Unauthorized, "decision signature invalid")
             request = AuthzRequest(
                 did=proposal.did,
                 controller_key=decision.controller_key,
@@ -473,7 +457,7 @@ class Registry:
             )
             return authz.authorize(group.authz_config, request, self.state.nonce_ledger, meter)
         except VerificationError as exc:
-            return AuthzOutcome(granted=False, refusal=(type(exc), str(exc)))
+            return authz.deny(type(exc), str(exc))
 
     def decide(self, decision: Decision) -> Optional[Verdict]:
         """Submit one on-chain decision; returns the verdict if it resolved
@@ -653,7 +637,7 @@ def event_log_to_jsonl(events: Sequence[GovernanceEvent]) -> str:
 
 # What a hostile log can make decoding or folding raise; each is reported
 # as an EncodingError.
-_MALFORMED = (GovernanceError, LookupError, ValueError, TypeError, AttributeError)
+_MALFORMED = (GovernanceError, LookupError, ValueError, TypeError, AttributeError, RecursionError)
 
 
 _scan = c_make_scanner(JSONDecoder())
@@ -699,49 +683,6 @@ def _decode_nonce(payload) -> Nonce:
     return bytes.fromhex(payload["nonce_issuer"]), bytes.fromhex(payload["nonce"])
 
 
-def _check_logged_nonce(state: RegistryState, config: model.AuthzConfig, nonce: Nonce, what: str) -> None:
-    """A token group's ``what`` (decision or proposal) burns a nonce, not
-    yet consumed, from an issuer the group trusts; no other group's
-    carries one."""
-    if isinstance(config, TokenConfig):
-        if nonce is None:
-            raise Unauthorized(f"token {what} carries no nonce")
-        if nonce[0] not in config.trusted_issuers:
-            raise UntrustedIssuer("nonce issuer is not trusted")
-        if state.nonce_ledger.is_consumed(*nonce):
-            raise ReplayedNonce("nonce already consumed")
-    elif nonce is not None:
-        raise Unauthorized(f"only token {what}s carry a nonce")
-
-
-def _check_logged_decision(
-    state: RegistryState, config: model.AuthzConfig, controller: bytes, weight: int, nonce: Nonce
-) -> None:
-    """Re-check the authorization a ``decision_accepted`` event records,
-    as far as the log shows it.
-
-    Token: the nonce passes :func:`_check_logged_nonce` and the weight is
-    1. ACL: the controller is a member and the weight is its configured
-    one. VC: the weight is at least 1; the credential is not logged, so
-    its issuer, holder and claims cannot be re-checked. No event logs a
-    signature, so none is verified here.
-    """
-    _check_logged_nonce(state, config, nonce, "decision")
-    if isinstance(config, TokenConfig):
-        expected = 1
-    elif isinstance(config, AclConfig):
-        index = config.index.get(controller)
-        if index is None:
-            raise Unauthorized("controller is not an acl member")
-        expected = config.weights[index] if config.weights is not None else 1
-    else:  # vc: the weight came from a claim that is not logged
-        if weight < 1:
-            raise Unauthorized(f"logged weight {weight} is below 1")
-        return
-    if weight != expected:
-        raise Unauthorized(f"logged weight {weight}, authorization gives {expected}")
-
-
 def _submission_after(events: Sequence[GovernanceEvent], at: int) -> Mapping[str, str]:
     """The payload of the submission an override at ``events[at]`` makes
     room for: the event logged next."""
@@ -773,12 +714,12 @@ def replay_events(events: Sequence[GovernanceEvent]) -> RegistryState:
     the body's inputs from the transaction's first event: an anchored
     document, a proposal (from the submission an override makes room
     for), a decision, a manual resolution or a clock advance; a
-    ``scheduled`` event never begins a transaction. A decision, and a
-    token group's proposal, is first checked against its group's
-    authorization config as far as the log shows it (see
-    :func:`_check_logged_decision`). Every event the body derives must be
-    the next one logged, equal in sequence, tick, kind and payload. A log
-    that does not decode, fold or pass these checks raises
+    ``scheduled`` event never begins a transaction. A decision's nonce and
+    weight, and a proposal's nonce, are first checked against the group's
+    authorization config as far as the log shows them: no event logs a
+    signature, a credential or a proposer. Every event the body derives
+    must be the next one logged, equal in sequence, tick, kind and payload.
+    A log that does not decode, fold or pass these checks raises
     ``EncodingError`` naming the event's sequence number.
     """
     state = RegistryState()
@@ -814,7 +755,7 @@ def replay_events(events: Sequence[GovernanceEvent]) -> RegistryState:
                 nonce = _decode_nonce(payload)
                 doc = state.documents[logged.did]
                 group = doc.group(logged.originating_group)
-                _check_logged_nonce(state, group.authz_config, nonce, "proposal")  # the proposer is not logged
+                group.authz_config.check_logged_nonce(nonce, state.nonce_ledger, "proposal")
                 _propose(state, doc, group, logged.change_set, nonce, None, emit)
             elif event.kind is EventKind.DECISION_ACCEPTED:
                 proposal = state.proposals[int(payload["proposal_id"])]
@@ -825,7 +766,8 @@ def replay_events(events: Sequence[GovernanceEvent]) -> RegistryState:
                     int(payload["weight"]),
                 )
                 nonce = _decode_nonce(payload)
-                _check_logged_decision(state, group.authz_config, entry[0], entry[2], nonce)
+                group.authz_config.check_logged_nonce(nonce, state.nonce_ledger, "decision")
+                group.authz_config.check_logged_weight(entry[0], entry[2])
                 coord.append_entry(group.coord_config, state.tallies[proposal.proposal_id], entry)
                 _decision(state, proposal, group, entry, nonce, None, emit)
             elif event.kind is EventKind.RESOLVED:

@@ -120,6 +120,8 @@ def load_scenario(path) -> Scenario:
         raise ScenarioParseError(
             f"{path.name}: invalid JSON: {exc.msg}", line=exc.lineno, column=exc.colno
         ) from exc
+    except RecursionError as exc:
+        raise ScenarioParseError(f"{path.name}: invalid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ScenarioParseError(f"{path.name}: top level must be an object")
     name = data.get("name", path.stem)

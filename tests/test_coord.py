@@ -424,4 +424,4 @@ def test_running_tally_matches_rescan(config, entries):
         assert tally.approve_weight == sum(w for _, v, w in accepted if v is Verdict.APPROVE)
         for key in _KEYS:
             assert tally.has_decided(key) == _scan_has_decided(accepted, key)
-        assert coord.early_outcome(config, tally) == _scan_early_outcome(config, accepted)
+        assert config.early_outcome(tally) == _scan_early_outcome(config, accepted)

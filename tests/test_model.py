@@ -106,8 +106,10 @@ class TestConfigs:
 
 def test_group_kinds_derived_from_config_types():
     group = acl_group([pair("a")])
-    assert group.authz_kind is model.AuthzKind.ACL
-    assert group.coord_kind is model.CoordKind.NOFM
+    assert group.authz_config.kind is model.AuthzKind.ACL
+    assert group.coord_config.kind is model.CoordKind.NOFM
+    data = model.group_to_json(group)
+    assert (data["authz_kind"], data["coord_kind"]) == ("acl", "nofm")
 
 
 def test_group_rejects_negative_id_and_zero_time_limit():

@@ -398,6 +398,9 @@ def _anchored_at_version_two(events):
     return event
 
 
+# JSON text nesting arrays deeper than any decoder recursion limit
+DEEP_JSON = "[" * 100_000 + "]" * 100_000
+
 # logs that decode or fold badly, each for a different reason, with the
 # place the error message must name
 MALFORMED_LOGS = {
@@ -451,6 +454,9 @@ MALFORMED_LOGS = {
     "boolean-tick": _edited_line("key_rotation_2of3", 1, lambda event: event.update(tick=False)),
     "extra-event-field": _edited_line("key_rotation_2of3", 1, lambda event: event.update(extra=7)),
     "payload-as-pairs": _edited_line("key_rotation_2of3", 2, _payload_as_pairs),
+    # nesting deeper than the decoder's recursion limit
+    "deeply-nested-line": (DEEP_JSON + "\n", "line 1"),
+    "deeply-nested-document": (_event_line("anchored", {"did": "aa", "document": DEEP_JSON}), "event 1"),
 }
 
 
@@ -571,6 +577,17 @@ class TestCli:
         schedule.write_text('{"quantum_flux": 7}')
         result = self.runner.invoke(main, ["bench", "--schedule", str(schedule)])
         assert result.exit_code == 2
+
+    @pytest.mark.parametrize("command", ["run", "bench --schedule"])
+    def test_deeply_nested_input_file_exit_two(self, tmp_path, command):
+        path = tmp_path / "deep.json"
+        path.write_text(DEEP_JSON)
+        args = command.split() + [str(path), "--out", str(tmp_path / "out")]
+        result = self.runner.invoke(main, args)
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert "recursion" in result.output and len(result.output.splitlines()) == 1
+        assert not (tmp_path / "out").exists()
 
     def test_bench_offchain_rows_present(self, tmp_path):
         out = tmp_path / "c.csv"
