@@ -100,8 +100,9 @@ def evaluate(config: CoordConfig, accepted: Sequence[TallyEntry]) -> Verdict:
 def submit_decision(
     config: CoordConfig,
     tally: Tally,
-    decision: Decision,
-    outcome: AuthzOutcome,
+    controller: bytes,
+    verdict: Verdict,
+    weight: int,
     meter: Optional[CostMeter] = None,
 ) -> Optional[Verdict]:
     """Count one on-chain decision; returns the verdict if it was decisive.
@@ -109,8 +110,7 @@ def submit_decision(
     All failure checks precede the append, so a raising call leaves the
     tally untouched.
     """
-    entry = (decision.controller_key, decision.verdict, outcome.effective_weight)
-    append_entry(config, tally, entry, meter)
+    append_entry(config, tally, (controller, verdict, weight), meter)
     return config.early_outcome(tally, meter)
 
 
@@ -120,8 +120,8 @@ def append_entry(
     entry: TallyEntry,
     meter: Optional[CostMeter] = None,
 ) -> None:
-    """Count one decision: the only way an entry enters a tally, shared by
-    live submission and by replay. Checks precede the append."""
+    """Count one decision: the only way an entry enters a tally, through
+    :func:`submit_decision` or :func:`submit_batch`. Checks precede it."""
     if tally.finalized:
         raise TallyFinalized(f"tally for proposal {tally.proposal_id} is finalized")
     if tally.has_decided(entry[0]):
@@ -142,25 +142,25 @@ def append_entry(
 def submit_batch(
     config: CoordConfig,
     tally: Tally,
-    batch: DecisionBatch,
+    ballots: Sequence[tuple[bytes, Verdict]],
     outcomes: Sequence[AuthzOutcome],
     meter: Optional[CostMeter] = None,
 ) -> BatchResult:
     """Count an off-chain aggregate in one pass, skipping invalid entries.
 
-    ``outcomes`` parallels ``batch.decisions``: each entry's signature and
-    authorization check. An entry is skipped under the code of what refused
-    it: its check, a token nonce an earlier entry of the batch presented
-    (reserved before the append, so even an entry the append refuses holds
-    it), or :func:`append_entry`. No early termination happens mid-batch;
-    the verdict is computed at resolve time.
+    ``outcomes`` parallels ``ballots`` (controller, verdict): each entry's
+    signature and authorization check, with its weight. An entry is skipped
+    under the code of what refused it: its check, a token nonce an earlier
+    entry of the batch presented (reserved before the append, so even an
+    entry the append refuses holds it), or :func:`append_entry`. No early
+    termination happens mid-batch; the verdict is computed at resolve time.
     """
     if tally.accepted:
         raise DuplicateBatch("an aggregate was already submitted for this proposal")
     tallied: list[int] = []
     skipped: list[tuple[int, str]] = []
     presented: set[tuple[bytes, bytes]] = set()
-    for index, (decision, outcome) in enumerate(zip(batch.decisions, outcomes)):
+    for index, ((controller, verdict), outcome) in enumerate(zip(ballots, outcomes)):
         if not outcome.granted:
             skipped.append((index, outcome.denial.code))
             continue
@@ -170,9 +170,8 @@ def submit_batch(
                 skipped.append((index, ReplayedNonce.code))
                 continue
             presented.add(nonce)
-        entry = (decision.controller_key, decision.verdict, outcome.effective_weight)
         try:
-            append_entry(config, tally, entry, meter)
+            append_entry(config, tally, (controller, verdict, outcome.effective_weight), meter)
         except (DuplicateDecision, TallyFull) as exc:
             skipped.append((index, exc.code))
             continue

@@ -38,7 +38,7 @@ class Did(str):
 
     def __new__(cls, value: str) -> "Did":
         if not value or not set(value) <= _HEX_DIGITS:
-            raise ValueError(f"did must be non-empty lowercase hex, got {value!r}")
+            raise EncodingError(f"did must be non-empty lowercase hex, got {value!r}")
         return super().__new__(cls, value)
 
 
@@ -280,8 +280,8 @@ class VcConfig(_Authorization):
     """Verifiable credentials from trusted issuers, presented by their
     holder, carrying every required claim exactly. A credential authorizes
     at the weight its ``weight`` claim gives (1 when absent or not a
-    positive integer). The credential is not logged, so replay can check
-    only that a logged weight is at least 1."""
+    positive integer in ASCII decimal digits). The credential is not
+    logged, so replay can check only that a logged weight is at least 1."""
 
     kind = AuthzKind.VC
     trusted_issuers: tuple[bytes, ...]
@@ -328,9 +328,10 @@ class VcConfig(_Authorization):
             charge(meter, "iteration_step", 1)
             if vc.claims.get(key) != value:
                 return deny(Unauthorized, f"claim {key!r} missing or not an exact match")
+        claim = vc.claims.get(WEIGHT_CLAIM, "1")
         try:
-            weight = int(vc.claims.get(WEIGHT_CLAIM, "1"))
-        except ValueError:
+            weight = int(claim) if claim.isascii() and claim.isdigit() else 1
+        except ValueError:  # more digits than int() converts
             weight = 1
         return AuthzOutcome(granted=True, effective_weight=max(weight, 1))
 

@@ -6,15 +6,15 @@ when it changes state, and freezes its cost meter into a report on
 commit. A raised error therefore leaves state, event log, and committed
 reports exactly as they were.
 
-The event log is the source of truth. Each transaction has one body, the
-only writer of registry state and the one place that derives, in order,
-the events the transaction logs. A live transaction authorizes its caller
-and runs the body, which logs what it derives. :func:`replay_events`
-re-checks the authorization a log records, runs the same body on the
-inputs the log records and requires every event the body derives to be
-the next one logged, so a replayed log reproduces the live registry
-byte-for-byte (see :func:`snapshot_json`). Tallies change only through
-:mod:`didgov.coord`.
+The event log is the source of truth. Each transaction has one function,
+the only writer of registry state: its lookups and refusals, its charges,
+then its body, which derives in order the events it logs. The live
+registry runs it with a fresh meter and an ``emit`` that logs each event.
+:func:`replay_events` runs the same function with no meter, an
+``authorize`` that re-checks what the log records of the caller, and an
+``emit`` that requires each derived event to be the next one logged, so a
+replayed log reproduces the live registry byte-for-byte (see
+:func:`snapshot_json`). Tallies change only through :mod:`didgov.coord`.
 
 An audit decodes, folds, then snapshots. :func:`event_log_from_jsonl`
 reads each line with CPython's C JSON scanner and accepts only a line that
@@ -107,13 +107,17 @@ class RegistryState:
     next_proposal_id: int = 1
 
 
-# --- transactions: one body each, run by the live registry and by replay ------
-# A body holds all of a transaction's work after authorization: its checks,
-# its state writes and, in order, each event it derives. It hands every event
-# to ``emit``: live, :func:`_log_event` appends and meters it; replay requires
-# the next logged event to equal it (see :func:`replay_events`).
+# --- transactions: one function each, run by the live registry and by replay --
+# A transaction function holds all of a transaction's work, in order: its
+# lookups and refusals, charges, authorization, state writes and each event
+# it derives. Live and replay differ in two arguments. ``emit``: live,
+# :func:`_log_event` appends and meters an event; replay requires the next
+# logged event to equal it. ``authorize`` (``proposal`` is None for a
+# proposer): live, :func:`_granted` or :func:`_signed`; replay, :func:`_logged`.
 
 Emit = Callable[[RegistryState, EventKind, dict[str, str], Optional[CostMeter]], None]
+Authorize = Callable[[GovernanceGroup, Optional[UpdateProposal], NonceLedger, Optional[CostMeter]], AuthzOutcome]
+Vote = tuple[bytes, Verdict, Authorize]  # controller key, verdict, and the check that admits it
 
 
 def _log_event(
@@ -141,38 +145,61 @@ def _nonce_fields(nonce: Nonce) -> dict[str, str]:
     return {} if nonce is None else {"nonce_issuer": nonce[0].hex(), "nonce": nonce[1].hex()}
 
 
+def _group_of(state: RegistryState, proposal: UpdateProposal) -> GovernanceGroup:
+    return state.documents[proposal.did].group(proposal.originating_group)
+
+
 def _anchor(
     state: RegistryState, doc: DidDocument, document: str, meter: Optional[CostMeter], emit: Emit
 ) -> None:
-    """Install a new document, at version 1. ``document`` is its JSON text,
-    the event's record of it."""
+    """Install a new document, at version 1, and charge its storage.
+    ``document`` is its JSON text, the event's record of it."""
     if doc.did in state.documents:
         raise AlreadyAnchored(f"did {doc.did} is already anchored")
     if doc.version != 1:
         raise ValueError(f"a new document is at version 1, not {doc.version}")
+    charge(meter, "base_tx", 1)
+    charge(meter, "storage_write_new", 1)  # registry mapping entry + document head
+    for group in doc.groups:
+        charge(meter, "iteration_step", 1)
+        charge(meter, "storage_write_new", 1)  # group container
+        charge(meter, "storage_write_new", group.authz_config.storage_slots)
+        charge(meter, "storage_write_new", 1)  # coordination parameters
+        if group.time_limit is not None:
+            charge(meter, "storage_write_new", 1)  # time settings
     state.documents[doc.did] = doc
     emit(state, EventKind.ANCHORED, {"did": str(doc.did), "document": document}, meter)
 
 
 def _propose(
     state: RegistryState,
-    doc: DidDocument,
-    group: GovernanceGroup,
+    did: Did,
+    originating_group: int,
     change_set: ChangeSet,
-    nonce: Nonce,
+    authorize: Authorize,
     meter: Optional[CostMeter],
     emit: Emit,
 ) -> UpdateProposal:
-    """Admit ``group``'s change set to ``doc``: override the DID's active
-    proposal, if any, then open proposal ``next_proposal_id`` (Active,
-    against the document's current version, created now, with a fresh
-    tally) and schedule its deadline if the group has a time limit.
+    """Admit a change set from a group of an anchored document: override the
+    DID's active proposal, if any, then open proposal ``next_proposal_id``
+    (Active, against the document's current version, created now, with a
+    fresh tally) and schedule its deadline if the group has a time limit.
 
     The group submits only a change set its edit right permits and that
     applies to the document as it stands (a dry run), so resolving the
     proposal cannot fail; and it overrides an active proposal only with
     strictly higher edit right than that proposal's group.
     """
+    doc = state.documents.get(did)
+    if doc is None:
+        raise NotAnchored(f"did {did} is not anchored")
+    group = doc.group(originating_group)
+    charge(meter, "base_tx", 1)
+    # the router fetches the governance configurations from the document
+    charge(meter, "iteration_step", len(doc.groups))
+    outcome = authorize(group, None, state.nonce_ledger, meter)
+    if not outcome.granted:
+        raise outcome.denial
     if not allowed_changes(group.edit_right, group.group_id, change_set):
         raise EditRightViolation(
             f"{group.edit_right.json_name()} group {group.group_id} cannot make this change"
@@ -205,9 +232,9 @@ def _propose(
     state.proposals[proposal.proposal_id] = proposal
     state.active_proposals[doc.did] = proposal
     state.next_proposal_id = proposal.proposal_id + 1
-    _consume(state, nonce)
+    _consume(state, outcome.consume_nonce)
     submitted = {"proposal": _compact(model.proposal_to_json(proposal))}
-    submitted.update(_nonce_fields(nonce))
+    submitted.update(_nonce_fields(outcome.consume_nonce))
     emit(state, EventKind.PROPOSAL_SUBMITTED, submitted, meter)
     if group.time_limit is not None:
         request = ScheduleRequest(proposal.proposal_id, proposal.created_at + group.time_limit)
@@ -218,32 +245,86 @@ def _propose(
     return proposal
 
 
+def _decide(
+    state: RegistryState, proposal_id: int, vote: Vote, meter: Optional[CostMeter], emit: Emit
+) -> Optional[Verdict]:
+    """Count one on-chain decision on an active proposal (its deadline lies
+    ahead: the clock advance that reaches it expires it). A decision that
+    settles the tally resolves the proposal at once: returns the verdict if
+    it did, else None."""
+    proposal = state.proposals.get(proposal_id)
+    if proposal is None or proposal.status is not ProposalStatus.ACTIVE:
+        raise NoActiveProposal(f"proposal {proposal_id} is not active")
+    group = _group_of(state, proposal)
+    charge(meter, "base_tx", 1)
+    if group.execution is not ExecutionMode.ON_CHAIN:
+        raise WrongExecutionMode("single decisions are only possible for on-chain coordination")
+    controller, verdict, authorize = vote
+    outcome = authorize(group, proposal, state.nonce_ledger, meter)
+    if not outcome.granted:
+        raise outcome.denial
+    weight, tally = outcome.effective_weight, state.tallies[proposal_id]
+    # submit_decision validates (duplicate/full/finalized) before appending
+    settled = coord.submit_decision(group.coord_config, tally, controller, verdict, weight, meter)
+    _decision(state, proposal, controller, verdict, outcome, meter, emit)
+    return None if settled is None else _resolve(state, proposal, ResolveReason.DECISIVE, meter, emit)
+
+
+def _decide_batch(
+    state: RegistryState, proposal_id: int, votes: Sequence[Vote], meter: Optional[CostMeter], emit: Emit
+) -> BatchResult:
+    """Count an off-chain aggregate on an active proposal as one transaction.
+    Invalid entries (bad or malformed signature, denied authorization, a
+    token nonce used twice in the batch, duplicate controller, turnout cap)
+    are skipped and reported by :func:`coord.submit_batch`, not fatal."""
+    if not votes:
+        raise EmptyBatch("batch holds no decisions")
+    proposal = state.proposals.get(proposal_id)
+    if proposal is None or proposal.status is not ProposalStatus.ACTIVE:
+        raise NoActiveProposal(f"proposal {proposal_id} is not active")
+    group = _group_of(state, proposal)
+    charge(meter, "base_tx", 1)  # an off-chain aggregate rides one transaction too
+    if group.execution is not ExecutionMode.OFF_CHAIN:
+        raise WrongExecutionMode("aggregates are only possible for off-chain coordination")
+    outcomes = [authorize(group, proposal, state.nonce_ledger, meter) for _, _, authorize in votes]
+    ballots = [(controller, verdict) for controller, verdict, _ in votes]
+    result = coord.submit_batch(group.coord_config, state.tallies[proposal_id], ballots, outcomes, meter)
+    for index in result.tallied:
+        controller, verdict, _ = votes[index]
+        _decision(state, proposal, controller, verdict, outcomes[index], meter, emit)
+    return result
+
+
 def _decision(
     state: RegistryState,
     proposal: UpdateProposal,
-    group: GovernanceGroup,
-    entry: coord.TallyEntry,
-    nonce: Nonce,
+    controller: bytes,
+    verdict: Verdict,
+    outcome: AuthzOutcome,
     meter: Optional[CostMeter],
     emit: Emit,
-) -> Optional[Verdict]:
-    """Log a decision coord has just counted and burn its token nonce. A
-    decision that settles an on-chain tally resolves the proposal at once;
-    returns the verdict if it did."""
-    _consume(state, nonce)
-    controller, verdict, weight = entry
+) -> None:
+    """Log a decision coord has just counted and burn its token nonce."""
+    _consume(state, outcome.consume_nonce)
     accepted = {
         "proposal_id": str(proposal.proposal_id),
         "controller": controller.hex(),
         "verdict": verdict.value,
-        "weight": str(weight),
+        "weight": str(outcome.effective_weight),
     }
-    accepted.update(_nonce_fields(nonce))
+    accepted.update(_nonce_fields(outcome.consume_nonce))
     emit(state, EventKind.DECISION_ACCEPTED, accepted, meter)
-    tally = state.tallies[proposal.proposal_id]
-    if group.execution is ExecutionMode.ON_CHAIN and group.coord_config.early_outcome(tally) is not None:
-        return _resolve(state, proposal, ResolveReason.DECISIVE, meter, emit)
-    return None
+
+
+def _resolve_manual(state: RegistryState, proposal_id: int, meter: Optional[CostMeter], emit: Emit) -> Verdict:
+    """Resolve an active proposal now, on the tally it has."""
+    proposal = state.proposals.get(proposal_id)
+    if proposal is None:
+        raise UnknownProposal(f"no proposal {proposal_id}")
+    if proposal.status is not ProposalStatus.ACTIVE:
+        raise AlreadyFinalized(f"proposal {proposal_id} is {proposal.status.value}")
+    charge(meter, "base_tx", 1)
+    return _resolve(state, proposal, ResolveReason.MANUAL, meter, emit)
 
 
 def _resolve(
@@ -284,11 +365,14 @@ def _resolve(
 
 
 def _advance_clock(state: RegistryState, to: int, meter: Optional[CostMeter], emit: Emit) -> list[int]:
-    """Move the clock strictly forward and expire each proposal whose
-    deadline came due and that is still active, in firing order; returns
-    their ids. Queue entries of proposals resolved earlier are dropped."""
-    if to <= state.clock.now:
+    """Move the clock forward and expire each proposal whose deadline came
+    due and that is still active, in firing order; returns their ids. Queue
+    entries of proposals resolved earlier are dropped."""
+    if to < state.clock.now:
         raise ClockRegression(f"clock must move forward from {state.clock.now}, not to {to}")
+    charge(meter, "base_tx", 1)
+    if to == state.clock.now:
+        return []  # a quiet transaction (see Registry.advance_clock)
     state.clock.advance(to)
     emit(state, EventKind.CLOCK_ADVANCED, {"to": str(to)}, meter)
     expired: list[int] = []
@@ -298,6 +382,37 @@ def _advance_clock(state: RegistryState, to: int, meter: Optional[CostMeter], em
             _resolve(state, proposal, ResolveReason.EXPIRED, meter, emit)
             expired.append(proposal_id)
     return expired
+
+
+def _granted(request: AuthzRequest) -> Authorize:
+    """Live ``authorize`` of a proposer: the group's authorization of ``request``."""
+    return lambda group, proposal, ledger, meter: authz.authorize(group.authz_config, request, ledger, meter)
+
+
+def _signed(decision: Decision) -> Vote:
+    """Live vote of ``decision``: its ``authorize`` checks the signature, then
+    runs the group's authorization. Every refusal, wrong-length key or
+    signature bytes included, is a denied outcome rather than an exception."""
+
+    def authorize(group, proposal, ledger, meter) -> AuthzOutcome:
+        charge(meter, "sig_verify", 1)
+        payload = encoding.decision_payload(
+            str(proposal.did), proposal.proposal_id, proposal.base_version, decision.verdict.value
+        )
+        try:
+            if not crypto.verify(decision.controller_key, payload, decision.signature):
+                return authz.deny(Unauthorized, "decision signature invalid")
+            request = AuthzRequest(
+                did=proposal.did,
+                controller_key=decision.controller_key,
+                proposal_id=proposal.proposal_id,
+                credential=decision.credential,
+            )
+            return authz.authorize(group.authz_config, request, ledger, meter)
+        except VerificationError as exc:
+            return authz.deny(type(exc), str(exc))
+
+    return decision.controller_key, decision.verdict, authorize
 
 
 def allowed_changes(edit_right: EditRightLevel, originating_group: int, change_set: ChangeSet) -> bool:
@@ -342,22 +457,20 @@ def build_decision(
 
 
 class Registry:
-    """In-process registry; owns all mutable governance state."""
+    """In-process registry; owns all mutable governance state. Each public
+    method is one transaction: a fresh meter, the transaction's function
+    run with :func:`_log_event`, and the meter's report committed."""
 
     def __init__(self, schedule: Optional[CostSchedule] = None) -> None:
         self.state = RegistryState()
         self.schedule = schedule if schedule is not None else CostSchedule()
         self.reports: list[CostReport] = []
 
-    # -- transaction plumbing -------------------------------------------------
-
-    def _meter(self) -> CostMeter:
-        return CostMeter(self.schedule)
-
-    def _commit(self, meter: CostMeter, label: str) -> None:
+    def _run(self, label: str, transaction: Callable, *args):
+        meter = CostMeter(self.schedule)
+        result = transaction(self.state, *args, meter, _log_event)
         self.reports.append(meter.report(label))
-
-    # -- anchoring ------------------------------------------------------------
+        return result
 
     def anchor(
         self,
@@ -369,21 +482,8 @@ class Registry:
         doc = DidDocument(
             did=Did(did), version=1, public_keys=tuple(public_keys), attributes=attributes, groups=tuple(groups)
         )
-        meter = self._meter()
-        charge(meter, "base_tx", 1)
-        charge(meter, "storage_write_new", 1)  # registry mapping entry + document head
-        for group in doc.groups:
-            charge(meter, "iteration_step", 1)
-            charge(meter, "storage_write_new", 1)  # group container
-            charge(meter, "storage_write_new", group.authz_config.storage_slots)
-            charge(meter, "storage_write_new", 1)  # coordination parameters
-            if group.time_limit is not None:
-                charge(meter, "storage_write_new", 1)  # time settings
-        _anchor(self.state, doc, _compact(model.document_to_json(doc)), meter, _log_event)
-        self._commit(meter, "anchor")
+        self._run("anchor", _anchor, doc, _compact(model.document_to_json(doc)))
         return doc
-
-    # -- proposals ------------------------------------------------------------
 
     def propose(
         self,
@@ -393,139 +493,30 @@ class Registry:
         controller_key: bytes,
         credential=None,
     ) -> int:
-        state = self.state
-        key = Did(did)
-        doc = state.documents.get(key)
-        if doc is None:
-            raise NotAnchored(f"did {key} is not anchored")
-        group = doc.group(originating_group)
-        meter = self._meter()
-        charge(meter, "base_tx", 1)
-        # the router fetches the governance configurations from the document
-        charge(meter, "iteration_step", len(doc.groups))
-        request = AuthzRequest(did=key, controller_key=controller_key, credential=credential)
-        outcome = authz.authorize(group.authz_config, request, state.nonce_ledger, meter)
-        if not outcome.granted:
-            raise outcome.denial
-        proposal = _propose(state, doc, group, change_set, outcome.consume_nonce, meter, _log_event)
-        self._commit(meter, "propose")
+        request = AuthzRequest(did=Did(did), controller_key=controller_key, credential=credential)
+        proposal = self._run("propose", _propose, request.did, originating_group, change_set, _granted(request))
         return proposal.proposal_id
-
-    # -- decisions ------------------------------------------------------------
-
-    def _open_decisions(
-        self, proposal_id: int, mode: ExecutionMode
-    ) -> tuple[UpdateProposal, GovernanceGroup, CostMeter]:
-        """Checks shared by ``decide`` and ``decide_batch``: the proposal is
-        active and its group uses ``mode``. An active proposal's deadline
-        lies ahead: the clock advance that reaches it expires the proposal."""
-        state = self.state
-        proposal = state.proposals.get(proposal_id)
-        if proposal is None or proposal.status is not ProposalStatus.ACTIVE:
-            raise NoActiveProposal(f"proposal {proposal_id} is not active")
-        group = state.documents[proposal.did].group(proposal.originating_group)
-        meter = self._meter()
-        charge(meter, "base_tx", 1)  # an off-chain aggregate rides one transaction too
-        if group.execution is not mode:
-            if mode is ExecutionMode.ON_CHAIN:
-                raise WrongExecutionMode("single decisions are only possible for on-chain coordination")
-            raise WrongExecutionMode("aggregates are only possible for off-chain coordination")
-        return proposal, group, meter
-
-    def _check_decision(
-        self,
-        proposal: UpdateProposal,
-        group: GovernanceGroup,
-        decision: Decision,
-        meter: CostMeter,
-    ) -> AuthzOutcome:
-        """Signature plus authorization for one decision. Every refusal,
-        including key or signature bytes of the wrong length, comes back as
-        a denied outcome rather than an exception."""
-        charge(meter, "sig_verify", 1)
-        payload = encoding.decision_payload(
-            str(proposal.did), proposal.proposal_id, proposal.base_version, decision.verdict.value
-        )
-        try:
-            if not crypto.verify(decision.controller_key, payload, decision.signature):
-                return authz.deny(Unauthorized, "decision signature invalid")
-            request = AuthzRequest(
-                did=proposal.did,
-                controller_key=decision.controller_key,
-                proposal_id=proposal.proposal_id,
-                credential=decision.credential,
-            )
-            return authz.authorize(group.authz_config, request, self.state.nonce_ledger, meter)
-        except VerificationError as exc:
-            return authz.deny(type(exc), str(exc))
 
     def decide(self, decision: Decision) -> Optional[Verdict]:
         """Submit one on-chain decision; returns the verdict if it resolved
         the proposal (decisive vote), else None."""
-        proposal, group, meter = self._open_decisions(decision.proposal_id, ExecutionMode.ON_CHAIN)
-        outcome = self._check_decision(proposal, group, decision, meter)
-        if not outcome.granted:
-            raise outcome.denial
-        tally = self.state.tallies[proposal.proposal_id]
-        # submit_decision validates (duplicate/full/finalized) before appending
-        coord.submit_decision(group.coord_config, tally, decision, outcome, meter)
-        entry = (decision.controller_key, decision.verdict, outcome.effective_weight)
-        result = _decision(self.state, proposal, group, entry, outcome.consume_nonce, meter, _log_event)
-        self._commit(meter, "decide")
-        return result
+        return self._run("decide", _decide, decision.proposal_id, _signed(decision))
 
     def decide_batch(self, batch: DecisionBatch) -> BatchResult:
-        """Submit an off-chain aggregate as one transaction.
-
-        Invalid entries (bad or malformed signature, denied authorization,
-        a token nonce used twice in the batch, duplicate controller, turnout
-        cap) are skipped and reported by :func:`coord.submit_batch`, not
-        fatal.
-        """
-        if not batch.decisions:
-            raise EmptyBatch("batch holds no decisions")
-        proposal, group, meter = self._open_decisions(batch.proposal_id, ExecutionMode.OFF_CHAIN)
-        outcomes = [self._check_decision(proposal, group, decision, meter) for decision in batch.decisions]
-        tally = self.state.tallies[proposal.proposal_id]
-        result = coord.submit_batch(group.coord_config, tally, batch, outcomes, meter)
-        for index in result.tallied:
-            decision, outcome = batch.decisions[index], outcomes[index]
-            entry = (decision.controller_key, decision.verdict, outcome.effective_weight)
-            _decision(self.state, proposal, group, entry, outcome.consume_nonce, meter, _log_event)
-        self._commit(meter, "decide_batch")
-        return result
-
-    # -- resolution -----------------------------------------------------------
+        """Submit an off-chain aggregate as one transaction; invalid entries
+        are skipped and reported, not fatal (see :func:`_decide_batch`)."""
+        votes = [_signed(decision) for decision in batch.decisions]
+        return self._run("decide_batch", _decide_batch, batch.proposal_id, votes)
 
     def resolve_manual(self, proposal_id: int) -> Verdict:
-        state = self.state
-        proposal = state.proposals.get(proposal_id)
-        if proposal is None:
-            raise UnknownProposal(f"no proposal {proposal_id}")
-        if proposal.status is not ProposalStatus.ACTIVE:
-            raise AlreadyFinalized(f"proposal {proposal_id} is {proposal.status.value}")
-        meter = self._meter()
-        charge(meter, "base_tx", 1)
-        verdict = _resolve(state, proposal, ResolveReason.MANUAL, meter, _log_event)
-        self._commit(meter, "resolve")
-        return verdict
-
-    # -- time -----------------------------------------------------------------
+        return self._run("resolve", _resolve_manual, proposal_id)
 
     def advance_clock(self, to: int) -> list[int]:
-        """Move the simulated clock; fire expiry resolutions that came due.
-
-        Returns the proposal ids resolved by expiry, in firing order.
-        Queue entries for proposals that resolved decisively earlier are
-        discarded silently here. Advancing to the current tick is a quiet
-        transaction: it is metered but changes nothing and logs no event.
-        """
-        state = self.state
-        meter = self._meter()
-        charge(meter, "base_tx", 1)
-        resolved = [] if to == state.clock.now else _advance_clock(state, to, meter, _log_event)
-        self._commit(meter, "advance_clock")
-        return resolved
+        """Move the simulated clock; fire expiry resolutions that came due
+        (see :func:`_advance_clock`). Returns the proposal ids resolved by
+        expiry, in firing order. Advancing to the current tick is a quiet
+        transaction: it is metered but changes nothing and logs no event."""
+        return self._run("advance_clock", _advance_clock, to)
 
     # -- snapshots ------------------------------------------------------------
 
@@ -683,6 +674,37 @@ def _decode_nonce(payload) -> Nonce:
     return bytes.fromhex(payload["nonce_issuer"]), bytes.fromhex(payload["nonce"])
 
 
+def _logged(nonce: Nonce, controller: bytes = b"", weight: int = 1) -> Authorize:
+    """Replay's ``authorize``: grant a logged nonce, and a logged decision's
+    weight, once the group's authorization config passes them as far as the
+    log shows them; no event logs a signature, a credential or a proposer."""
+
+    def authorize(group, proposal, ledger, meter) -> AuthzOutcome:
+        config = group.authz_config
+        config.check_logged_nonce(nonce, ledger, "proposal" if proposal is None else "decision")
+        if proposal is not None:
+            config.check_logged_weight(controller, weight)
+        return AuthzOutcome(granted=True, effective_weight=weight, consume_nonce=nonce)
+
+    return authorize
+
+
+def _logged_vote(payload: Mapping[str, str]) -> Vote:
+    controller, weight = bytes.fromhex(payload["controller"]), int(payload["weight"])
+    return controller, Verdict(payload["verdict"]), _logged(_decode_nonce(payload), controller, weight)
+
+
+def _aggregate(events: Sequence[GovernanceEvent], at: int) -> list[Vote]:
+    """The votes of the off-chain aggregate that ``events[at]`` begins: it
+    and each decision on the same proposal logged right after it."""
+    proposal_id, end = events[at].payload["proposal_id"], at + 1
+    while end < len(events) and events[end].kind is EventKind.DECISION_ACCEPTED:
+        if events[end].payload.get("proposal_id") != proposal_id:
+            break
+        end += 1
+    return [_logged_vote(event.payload) for event in events[at:end]]
+
+
 def _submission_after(events: Sequence[GovernanceEvent], at: int) -> Mapping[str, str]:
     """The payload of the submission an override at ``events[at]`` makes
     room for: the event logged next."""
@@ -710,17 +732,17 @@ def _difference(logged: GovernanceEvent, derived: GovernanceEvent) -> str:
 def replay_events(events: Sequence[GovernanceEvent]) -> RegistryState:
     """Fold an audit log over an empty registry (event sourcing).
 
-    Each transaction runs the body the live registry runs. Replay reads
-    the body's inputs from the transaction's first event: an anchored
-    document, a proposal (from the submission an override makes room
-    for), a decision, a manual resolution or a clock advance; a
-    ``scheduled`` event never begins a transaction. A decision's nonce and
-    weight, and a proposal's nonce, are first checked against the group's
-    authorization config as far as the log shows them: no event logs a
-    signature, a credential or a proposer. Every event the body derives
-    must be the next one logged, equal in sequence, tick, kind and payload.
-    A log that does not decode, fold or pass these checks raises
-    ``EncodingError`` naming the event's sequence number.
+    Each transaction runs the function the live registry runs, with
+    :func:`_logged` as ``authorize``. Replay reads its inputs from the
+    transaction's first event: an anchored document, a proposal (from the
+    submission an override makes room for), a decision (with the decisions
+    on the same off-chain proposal logged right after it, as one
+    aggregate), a manual resolution or a clock advance; a ``scheduled``
+    event never begins a transaction. Each transaction must derive at least
+    one event, and every event it derives must be the next one logged,
+    equal in sequence, tick, kind and payload. A log that does not decode,
+    fold or pass these checks raises ``EncodingError`` naming the first
+    logged event the failing transaction did not reproduce.
     """
     state = RegistryState()
 
@@ -752,30 +774,23 @@ def replay_events(events: Sequence[GovernanceEvent]) -> RegistryState:
                 if event.kind is EventKind.PROPOSAL_OVERRIDDEN:
                     payload = _submission_after(events, at)
                 logged = model.proposal_from_json(json.loads(payload["proposal"]))
-                nonce = _decode_nonce(payload)
-                doc = state.documents[logged.did]
-                group = doc.group(logged.originating_group)
-                group.authz_config.check_logged_nonce(nonce, state.nonce_ledger, "proposal")
-                _propose(state, doc, group, logged.change_set, nonce, None, emit)
+                authorize = _logged(_decode_nonce(payload))
+                _propose(state, logged.did, logged.originating_group, logged.change_set, authorize, None, emit)
             elif event.kind is EventKind.DECISION_ACCEPTED:
-                proposal = state.proposals[int(payload["proposal_id"])]
-                group = state.documents[proposal.did].group(proposal.originating_group)
-                entry = (
-                    bytes.fromhex(payload["controller"]),
-                    Verdict(payload["verdict"]),
-                    int(payload["weight"]),
-                )
-                nonce = _decode_nonce(payload)
-                group.authz_config.check_logged_nonce(nonce, state.nonce_ledger, "decision")
-                group.authz_config.check_logged_weight(entry[0], entry[2])
-                coord.append_entry(group.coord_config, state.tallies[proposal.proposal_id], entry)
-                _decision(state, proposal, group, entry, nonce, None, emit)
+                proposal_id = int(payload["proposal_id"])
+                proposal = state.proposals.get(proposal_id)
+                if proposal is not None and _group_of(state, proposal).execution is ExecutionMode.OFF_CHAIN:
+                    _decide_batch(state, proposal_id, _aggregate(events, at), None, emit)
+                else:
+                    _decide(state, proposal_id, _logged_vote(payload), None, emit)
             elif event.kind is EventKind.RESOLVED:
-                _resolve(state, state.proposals[int(payload["proposal_id"])], ResolveReason.MANUAL, None, emit)
+                _resolve_manual(state, int(payload["proposal_id"]), None, emit)
             elif event.kind is EventKind.CLOCK_ADVANCED:
                 _advance_clock(state, int(payload["to"]), None, emit)
             else:
                 raise EncodingError("a scheduled event never begins a transaction")
+            if len(state.event_log) == at:
+                raise EncodingError("its transaction logs no event")
         except _MALFORMED as exc:
             at = len(state.event_log)
             if at == len(events):

@@ -167,7 +167,9 @@ class TestVc:
         assert outcome.effective_weight == 4
 
     def test_malformed_weight_claim_defaults_to_one(self):
-        for raw in ("zero", "-2", "0"):
+        # only ASCII decimal digits are read: no digit separators, spacing
+        # or other scripts' digits
+        for raw in ("zero", "-2", "0", "1_000", " 7 ", "\u0663"):
             presentation = self._presentation(claims={"role": "voter", "weight": raw})
             outcome = authorize(
                 self.config, _request(self.holder, presentation, proposal_id=3), NonceLedger()

@@ -33,6 +33,10 @@ from .util import acl_group, oracle_early_stop, oracle_verdict, pair
 GRANT = AuthzOutcome(granted=True)
 
 
+def _key(tag: str) -> bytes:
+    return pair(tag).public_key
+
+
 def _decision(tag: str, verdict: Verdict, proposal_id: int = 1) -> Decision:
     # coord never checks signatures; the registry does that before calling in
     return Decision(
@@ -73,26 +77,26 @@ class TestNOfM:
 
     def test_early_approve_at_n(self):
         tally = Tally(proposal_id=1)
-        assert coord.submit_decision(self.config, tally, _decision("a", Verdict.APPROVE), GRANT) is None
+        assert coord.submit_decision(self.config, tally, _key("a"), Verdict.APPROVE, 1) is None
         assert (
-            coord.submit_decision(self.config, tally, _decision("b", Verdict.APPROVE), GRANT)
+            coord.submit_decision(self.config, tally, _key("b"), Verdict.APPROVE, 1)
             is Verdict.APPROVE
         )
 
     def test_early_reject_when_approval_impossible(self):
         # m=3, n=2: two rejections leave at most one approval
         tally = Tally(proposal_id=1)
-        assert coord.submit_decision(self.config, tally, _decision("a", Verdict.REJECT), GRANT) is None
+        assert coord.submit_decision(self.config, tally, _key("a"), Verdict.REJECT, 1) is None
         assert (
-            coord.submit_decision(self.config, tally, _decision("b", Verdict.REJECT), GRANT)
+            coord.submit_decision(self.config, tally, _key("b"), Verdict.REJECT, 1)
             is Verdict.REJECT
         )
 
     def test_duplicate_controller_rejected_without_append(self):
         tally = Tally(proposal_id=1)
-        coord.submit_decision(self.config, tally, _decision("a", Verdict.REJECT), GRANT)
+        coord.submit_decision(self.config, tally, _key("a"), Verdict.REJECT, 1)
         with pytest.raises(DuplicateDecision):
-            coord.submit_decision(self.config, tally, _decision("a", Verdict.APPROVE), GRANT)
+            coord.submit_decision(self.config, tally, _key("a"), Verdict.APPROVE, 1)
         assert len(tally.accepted) == 1
 
     def test_tally_cap_via_batch(self):
@@ -100,19 +104,16 @@ class TestNOfM:
         # so the cap is only observable through a batch
         config = NOfMConfig(n=3, m=3)
         tally = Tally(proposal_id=1)
-        batch = DecisionBatch(
-            proposal_id=1,
-            decisions=tuple(
-                _decision(t, v)
-                for t, v in (
-                    ("a", Verdict.REJECT),
-                    ("b", Verdict.APPROVE),
-                    ("c", Verdict.REJECT),
-                    ("d", Verdict.APPROVE),
-                )
-            ),
-        )
-        result = coord.submit_batch(config, tally, batch, [GRANT] * 4)
+        ballots = [
+            (_key(t), v)
+            for t, v in (
+                ("a", Verdict.REJECT),
+                ("b", Verdict.APPROVE),
+                ("c", Verdict.REJECT),
+                ("d", Verdict.APPROVE),
+            )
+        ]
+        result = coord.submit_batch(config, tally, ballots, [GRANT] * 4)
         assert result.tallied == (0, 1, 2)
         assert result.skipped == ((3, "tally-full"),)
 
@@ -122,7 +123,7 @@ class TestNOfM:
         for t, v in (("a", Verdict.REJECT), ("b", Verdict.APPROVE), ("c", Verdict.REJECT)):
             coord.append_entry(config, tally, (pair(t).public_key, v, 1))
         with pytest.raises(TallyFull):
-            coord.submit_decision(config, tally, _decision("d", Verdict.APPROVE), GRANT)
+            coord.submit_decision(config, tally, _key("d"), Verdict.APPROVE, 1)
 
 
 class TestWeighted:
@@ -130,11 +131,9 @@ class TestWeighted:
 
     def test_early_approve_at_threshold(self):
         tally = Tally(proposal_id=1)
-        heavy = AuthzOutcome(granted=True, effective_weight=3)
-        assert coord.submit_decision(self.config, tally, _decision("a", Verdict.APPROVE), heavy) is None
-        light = AuthzOutcome(granted=True, effective_weight=2)
+        assert coord.submit_decision(self.config, tally, _key("a"), Verdict.APPROVE, 3) is None
         assert (
-            coord.submit_decision(self.config, tally, _decision("b", Verdict.APPROVE), light)
+            coord.submit_decision(self.config, tally, _key("b"), Verdict.APPROVE, 2)
             is Verdict.APPROVE
         )
 
@@ -142,13 +141,12 @@ class TestWeighted:
         tally = Tally(proposal_id=1)
         for tag in "abcdefg":
             assert (
-                coord.submit_decision(self.config, tally, _decision(tag, Verdict.REJECT), GRANT) is None
+                coord.submit_decision(self.config, tally, _key(tag), Verdict.REJECT, 1) is None
             )
 
     def test_reject_weight_does_not_count(self):
         tally = Tally(proposal_id=1)
-        heavy_reject = AuthzOutcome(granted=True, effective_weight=100)
-        assert coord.submit_decision(self.config, tally, _decision("a", Verdict.REJECT), heavy_reject) is None
+        assert coord.submit_decision(self.config, tally, _key("a"), Verdict.REJECT, 100) is None
         assert tally.approve_weight == 0
 
 
@@ -159,14 +157,14 @@ class TestTurnoutSensitive:
         tally = Tally(proposal_id=1)
         for tag in "abcdefgh":
             assert (
-                coord.submit_decision(self.config, tally, _decision(tag, Verdict.APPROVE), GRANT)
+                coord.submit_decision(self.config, tally, _key(tag), Verdict.APPROVE, 1)
                 is None
             )
 
     def test_quorum_not_met_rejects(self):
         tally = Tally(proposal_id=1)
-        coord.submit_decision(self.config, tally, _decision("a", Verdict.APPROVE), GRANT)
-        coord.submit_decision(self.config, tally, _decision("b", Verdict.APPROVE), GRANT)
+        coord.submit_decision(self.config, tally, _key("a"), Verdict.APPROVE, 1)
+        coord.submit_decision(self.config, tally, _key("b"), Verdict.APPROVE, 1)
         assert coord.resolve(self.config, tally) is Verdict.REJECT
 
     def test_threshold_scales_with_turnout(self):
@@ -178,7 +176,7 @@ class TestTurnoutSensitive:
             ("c", Verdict.APPROVE),
             ("d", Verdict.REJECT),
         ):
-            coord.submit_decision(self.config, tally, _decision(tag, verdict), GRANT)
+            coord.submit_decision(self.config, tally, _key(tag), verdict, 1)
         assert coord.resolve(self.config, tally) is Verdict.APPROVE
 
     def test_exact_fraction_no_float_drift(self):
@@ -190,17 +188,15 @@ class TestTurnoutSensitive:
             ("b", Verdict.REJECT),
             ("c", Verdict.REJECT),
         ):
-            coord.submit_decision(config, tally, _decision(tag, verdict), GRANT)
+            coord.submit_decision(config, tally, _key(tag), verdict, 1)
         assert coord.resolve(config, tally) is Verdict.APPROVE
 
 
 class TestBatch:
     config = TurnoutConfig(quorum=2, ratio=Fraction(1, 2))
 
-    def _batch(self, entries):
-        return DecisionBatch(
-            proposal_id=1, decisions=tuple(_decision(t, v) for t, v in entries)
-        )
+    def _ballots(self, entries):
+        return [(_key(t), v) for t, v in entries]
 
     def test_mismatched_proposal_id_rejected_at_construction(self):
         with pytest.raises(ValueError):
@@ -208,20 +204,20 @@ class TestBatch:
 
     def test_second_batch_rejected(self):
         tally = Tally(proposal_id=1)
-        batch = self._batch([("a", Verdict.APPROVE), ("b", Verdict.APPROVE)])
-        coord.submit_batch(self.config, tally, batch, [GRANT] * 2)
+        ballots = self._ballots([("a", Verdict.APPROVE), ("b", Verdict.APPROVE)])
+        coord.submit_batch(self.config, tally, ballots, [GRANT] * 2)
         with pytest.raises(DuplicateBatch):
             coord.submit_batch(
-                self.config, tally, self._batch([("c", Verdict.APPROVE)]), [GRANT]
+                self.config, tally, self._ballots([("c", Verdict.APPROVE)]), [GRANT]
             )
 
     def test_invalid_entries_skipped_not_fatal(self):
         tally = Tally(proposal_id=1)
-        batch = self._batch(
+        ballots = self._ballots(
             [("a", Verdict.APPROVE), ("a", Verdict.REJECT), ("b", Verdict.APPROVE), ("z", Verdict.APPROVE)]
         )
         outcomes = [GRANT, GRANT, GRANT, AuthzOutcome(granted=False, refusal=(Unauthorized, "not a member"))]
-        result = coord.submit_batch(self.config, tally, batch, outcomes)
+        result = coord.submit_batch(self.config, tally, ballots, outcomes)
         assert result.tallied == (0, 2)
         assert result.skipped == ((1, "duplicate-decision"), (3, "unauthorized"))
         assert len(tally.accepted) == 2
@@ -230,9 +226,9 @@ class TestBatch:
         # an entry reserves its token nonce before the append, so a later
         # entry presenting it is a replay even when that append refused
         tally = Tally(proposal_id=1)
-        batch = self._batch([("a", Verdict.APPROVE), ("a", Verdict.REJECT), ("b", Verdict.APPROVE)])
+        ballots = self._ballots([("a", Verdict.APPROVE), ("a", Verdict.REJECT), ("b", Verdict.APPROVE)])
         first, second = (AuthzOutcome(granted=True, consume_nonce=(b"i", nonce)) for nonce in (b"n", b"m"))
-        result = coord.submit_batch(self.config, tally, batch, [first, second, second])
+        result = coord.submit_batch(self.config, tally, ballots, [first, second, second])
         assert result.tallied == (0,)
         assert result.skipped == ((1, "duplicate-decision"), (2, "replayed-nonce"))
 
@@ -240,8 +236,8 @@ class TestBatch:
         # even a decisive aggregate leaves resolution to a separate step
         config = NOfMConfig(n=1, m=5)
         tally = Tally(proposal_id=1)
-        batch = self._batch([("a", Verdict.APPROVE), ("b", Verdict.APPROVE)])
-        result = coord.submit_batch(config, tally, batch, [GRANT] * 2)
+        ballots = self._ballots([("a", Verdict.APPROVE), ("b", Verdict.APPROVE)])
+        result = coord.submit_batch(config, tally, ballots, [GRANT] * 2)
         assert result.tallied == (0, 1)
         assert not tally.finalized
 
@@ -250,18 +246,18 @@ class TestResolveAndFreeze:
     def test_resolve_finalizes(self):
         tally = Tally(proposal_id=1)
         config = NOfMConfig(n=1, m=3)
-        coord.submit_decision(config, tally, _decision("a", Verdict.REJECT), GRANT)
+        coord.submit_decision(config, tally, _key("a"), Verdict.REJECT, 1)
         assert coord.resolve(config, tally) is Verdict.REJECT
         assert tally.finalized
         with pytest.raises(AlreadyFinalized):
             coord.resolve(config, tally)
         with pytest.raises(TallyFinalized):
-            coord.submit_decision(config, tally, _decision("b", Verdict.APPROVE), GRANT)
+            coord.submit_decision(config, tally, _key("b"), Verdict.APPROVE, 1)
 
     def test_expiry_resolves_on_partial_tally(self):
         config = NOfMConfig(n=2, m=5)
         tally = Tally(proposal_id=1)
-        coord.submit_decision(config, tally, _decision("a", Verdict.APPROVE), GRANT)
+        coord.submit_decision(config, tally, _key("a"), Verdict.APPROVE, 1)
         assert coord.resolve(config, tally) is Verdict.REJECT
 
     def test_freeze_takes_no_verdict(self):
@@ -275,7 +271,7 @@ class TestResolveAndFreeze:
         def resolve_cost(config):
             tally = Tally(proposal_id=1)
             for tag in "abcd":
-                coord.submit_decision(config, tally, _decision(tag, Verdict.REJECT), GRANT)
+                coord.submit_decision(config, tally, _key(tag), Verdict.REJECT, 1)
             meter = CostMeter()
             coord.resolve(config, tally, meter)
             return meter.total
@@ -297,9 +293,7 @@ def run_sequence(config, entries):
     tally = Tally(proposal_id=1)
     stop = None
     for index, (verdict, weight) in enumerate(entries):
-        outcome = AuthzOutcome(granted=True, effective_weight=weight)
-        decision = _decision(f"seq-{index}", Verdict(verdict))
-        early = coord.submit_decision(config, tally, decision, outcome)
+        early = coord.submit_decision(config, tally, _key(f"seq-{index}"), Verdict(verdict), weight)
         if early is not None:
             stop = (index, early.value)
             break

@@ -32,7 +32,7 @@ from .util import acl_group, anchored, pair
 def test_did_accepts_lowercase_hex_only():
     assert Did("00ff32") == "00ff32"
     for bad in ("", "XYZ", "00FF", "g0"):
-        with pytest.raises(ValueError):
+        with pytest.raises(EncodingError):
             Did(bad)
 
 

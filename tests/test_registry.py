@@ -79,6 +79,17 @@ class TestAnchor:
         assert not registry.state.event_log
         assert not registry.reports
 
+    @pytest.mark.parametrize("call", ["anchor", "propose"])
+    def test_a_did_not_in_lowercase_hex_is_an_encoding_error(self, call):
+        registry, _ = anchored([acl_group([pair("a")])])
+        before = registry.snapshot_json(), len(registry.reports)
+        with pytest.raises(EncodingError, match="lowercase hex"):
+            if call == "anchor":
+                registry.anchor("XYZ", [], {}, (acl_group([pair("a")]),))
+            else:
+                _propose(registry, "XYZ", pair("a"))
+        assert (registry.snapshot_json(), len(registry.reports)) == before
+
 
 class TestAllowedChanges:
     def test_content_open_to_every_level(self):

@@ -368,6 +368,19 @@ def _stray_scheduled(events):
     return stray
 
 
+def _split_aggregate(events):
+    """Log a clock advance to tick 5 inside an off-chain aggregate, after its
+    third decision, so its decisions look like two aggregates on one
+    proposal; the events after it move to tick 5."""
+    fourth = _nth(events, "decision_accepted", 4)
+    at = events.index(fourth)
+    for event in events[at:]:
+        event["tick"] = max(event["tick"], 5)
+    events.insert(at, {"sequence": 0, "tick": 5, "kind": "clock_advanced", "payload": {"to": "5"}})
+    _renumber(events)
+    return fourth
+
+
 def _non_text_attribute(events):
     event = _nth(events, "anchored")
     document = json.loads(event["payload"]["document"])
@@ -412,6 +425,8 @@ MALFORMED_LOGS = {
     ),
     "document-not-json": (_event_line("anchored", {"did": "aa", "document": "{not json"}), "event 1"),
     "non-integer-field": (_event_line("clock_advanced", {"to": "x"}), "event 1"),
+    # a transaction that logs nothing: replay would begin it again forever
+    "clock-advanced-to-now": (_event_line("clock_advanced", {"to": "0"}), "event 1"),
     "payload-not-object": ('{"sequence":1,"tick":0,"kind":"clock_advanced","payload":"xy"}\n', "line 1"),
     "document-missing-version": (
         _event_line("anchored", {"did": "aa", "document": json.dumps({"did": "aa", "public_keys": []})}),
@@ -447,6 +462,7 @@ MALFORMED_LOGS = {
     "submission-while-active": _forged_golden("privilege_override", _submission_while_active),
     "anchored-at-version-two": _forged_golden("key_rotation_2of3", _anchored_at_version_two),
     "stray-scheduled": _forged_golden("expiry_timeout", _stray_scheduled),
+    "split-aggregate": _forged_golden("offchain_batch", _split_aggregate),
     "non-text-attribute": _forged_golden("key_rotation_2of3", _non_text_attribute),
     # an event line of the wrong shape, or with fields of the wrong JSON type
     "float-sequence": _edited_line("key_rotation_2of3", 1, lambda event: event.update(sequence=1.0)),
