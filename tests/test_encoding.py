@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from didgov import encoding
+from didgov import crypto, encoding
 from didgov.encoding import ByteWriter
 from didgov.errors import EncodingError
 
@@ -104,3 +104,58 @@ def test_presentation_payload_binds_proposal_id():
     assert encoding.presentation_payload("aa", 0, b"c") != encoding.presentation_payload(
         "aa", 3, b"c"
     )
+
+
+# --- exact bytes of every signed payload ---------------------------------------
+# Each vector pins the wire format: a change to any of these bytes invalidates
+# every signature already in a log.
+
+def test_token_payload_exact_bytes():
+    assert encoding.token_payload(bytes(range(16))) == bytes.fromhex(
+        "d2"
+        "00000010" "000102030405060708090a0b0c0d0e0f"
+    )
+
+
+def test_vc_payload_exact_bytes():
+    # claims inserted unsorted are signed key-sorted
+    payload = encoding.vc_payload(b"hk", {"role": "admin", "b": "", "weight": "3"})
+    assert payload == bytes.fromhex(
+        "d3"
+        "00000002" "686b"  # holder key
+        "0000000000000003"  # claim count
+        "00000001" "62" "00000000"  # b -> ""
+        "00000004" "726f6c65" "00000005" "61646d696e"  # role -> admin
+        "00000006" "776569676874" "00000001" "33"  # weight -> 3
+    )
+
+
+def test_presentation_payload_exact_bytes():
+    assert encoding.presentation_payload("did:ex:1", 4, b"cred") == bytes.fromhex(
+        "d4"
+        "00000008" "6469643a65783a31"
+        "0000000000000004"
+        "00000004" "63726564"
+    )
+
+
+def test_presented_credential_exact_bytes():
+    # the holder signs the credential as: tag 0x11, issuer key, holder key,
+    # claims in stored order (not sorted), issuer signature
+    issuer = crypto.generate_keypair(b"\x01" * 32)
+    holder = crypto.generate_keypair(b"\x02" * 32)
+    vc = crypto.issue_vc(issuer, holder.public_key, {"role": "admin", "b": ""})
+    credential = (
+        b"\x11"
+        + b"\x00\x00\x00\x20" + vc.issuer_key
+        + b"\x00\x00\x00\x20" + vc.holder_key
+        + bytes.fromhex(
+            "0000000000000002"
+            "00000004" "726f6c65" "00000005" "61646d696e"  # role -> admin
+            "00000001" "62" "00000000"  # b -> ""
+        )
+        + b"\x00\x00\x00\x40" + vc.issuer_signature
+    )
+    presentation = crypto.present_vc(vc, holder, "did:ex:1", 4)
+    payload = encoding.presentation_payload("did:ex:1", 4, credential)
+    assert crypto.verify(holder.public_key, payload, presentation.holder_signature)
