@@ -29,6 +29,10 @@ def _fail(message: str, code: int):
     sys.exit(code)
 
 
+def _cannot_write(exc: OSError):
+    _fail(f"cannot write {exc.filename or 'output'}: {exc.strerror or exc}", 2)
+
+
 @click.group()
 def main():
     """Deterministic governance engine for group-controlled DID documents."""
@@ -50,6 +54,8 @@ def run(scenario, out_dir):
         _fail(str(exc), 1)
     except ScenarioEngineError as exc:
         _fail(str(exc), 3)
+    except OSError as exc:
+        _cannot_write(exc)
     state = result.registry.state
     click.echo(
         f"{result.name}: {len(state.event_log)} events, "
@@ -140,7 +146,10 @@ def bench(groups, members, authz, coord, execution, time_, schedule, out):
         reports = sweep(grid, schedule=cost_schedule)
     except GovernanceError as exc:
         _fail(f"{exc.code}: {exc}", 3)
-    write_csv(reports, out)
+    try:
+        write_csv(reports, out)
+    except OSError as exc:
+        _cannot_write(exc)
     points = len(reports) // 4
     click.echo(f"{points} grid point(s), {len(reports)} rows -> {out}")
 

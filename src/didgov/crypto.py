@@ -13,15 +13,12 @@ from cryptography.exceptions import InvalidSignature
 from cryptography.hazmat.primitives.asymmetric import ed25519
 
 from . import encoding
-from .encoding import ByteWriter
 from .errors import VerificationError
 
 PUBLIC_KEY_LEN = 32
 SECRET_KEY_LEN = 32
 SIGNATURE_LEN = 64
 NONCE_LEN = 16
-
-_TAG_VC = 0x11  # leading byte of the credential bytes a presentation signs
 
 
 @dataclass(frozen=True)
@@ -102,9 +99,7 @@ class VcPresentation:
     holder_signature: bytes
 
     def verify_holder(self, did: str, proposal_id: int) -> bool:
-        payload = encoding.presentation_payload(
-            did, proposal_id, encode_credential(self.credential)
-        )
+        payload = _presentation_payload(self.credential, did, proposal_id)
         return verify(self.credential.holder_key, payload, self.holder_signature)
 
 
@@ -134,16 +129,14 @@ def present_vc(credential: VerifiableCredential, holder: KeyPair, did: str, prop
     ``proposal_id`` is 0 when presenting to submit a proposal (no id has
     been allocated yet) and the actual id when presenting to decide.
     """
-    payload = encoding.presentation_payload(did, proposal_id, encode_credential(credential))
+    payload = _presentation_payload(credential, did, proposal_id)
     return VcPresentation(
         credential=credential,
         holder_signature=sign(holder.secret_key, payload),
     )
 
 
-# --- credential bytes under the holder's presentation signature --------------
-
-def encode_credential(vc: VerifiableCredential) -> bytes:
-    w = ByteWriter().u8(_TAG_VC)
-    w.blob(vc.issuer_key).blob(vc.holder_key).text_map(vc.claims).blob(vc.issuer_signature)
-    return w.getvalue()
+def _presentation_payload(vc: VerifiableCredential, did: str, proposal_id: int) -> bytes:
+    """What the holder of ``vc`` signs to present it on (did, proposal_id)."""
+    credential = encoding.credential_bytes(vc.issuer_key, vc.holder_key, vc.claims, vc.issuer_signature)
+    return encoding.presentation_payload(did, proposal_id, credential)

@@ -17,8 +17,8 @@ class GovernanceError(Exception):
 
 class EncodingError(GovernanceError):
     """Input does not encode or decode: an event log, event payload or
-    nested document that is malformed or does not fold, or a negative
-    integer in a signing payload."""
+    nested document that is malformed or does not fold, or an integer
+    outside [0, 2**64) in a signing payload."""
 
     code = "encoding-error"
 

@@ -27,7 +27,7 @@ sort_keys=True)`` in one pass over the dicts and lists that
 from __future__ import annotations
 
 import json
-from collections.abc import Callable, Mapping
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from json.decoder import JSONDecodeError, JSONDecoder
 from json.encoder import JSONEncoder, c_make_encoder, encode_basestring_ascii
@@ -674,24 +674,47 @@ def _decode_nonce(payload) -> Nonce:
     return bytes.fromhex(payload["nonce_issuer"]), bytes.fromhex(payload["nonce"])
 
 
-def _logged(nonce: Nonce, controller: bytes = b"", weight: int = 1) -> Authorize:
-    """Replay's ``authorize``: grant a logged nonce, and a logged decision's
-    weight, once the group's authorization config passes them as far as the
-    log shows them; no event logs a signature, a credential or a proposer."""
+class _Unfolded(EncodingError):
+    """A fold failure, naming the logged event at fault."""
+
+    def __init__(self, event: GovernanceEvent, exc: BaseException) -> None:
+        super().__init__(f"event {event.sequence} ({event.kind.value}) does not fold: {type(exc).__name__}: {exc}")
+
+
+def _logged(event: GovernanceEvent, controller: bytes = b"", weight: int = 1) -> Authorize:
+    """Replay's ``authorize``: grant the nonce, and a decision's weight, that
+    ``event`` logs, once the group's authorization config passes them as far
+    as the log shows them; no event logs a signature, a credential or a
+    proposer. A refusal names ``event``: an aggregate authorizes all its
+    decisions before it derives any event."""
+    try:
+        nonce = _decode_nonce(event.payload)
+    except _MALFORMED as exc:
+        raise _Unfolded(event, exc) from exc
 
     def authorize(group, proposal, ledger, meter) -> AuthzOutcome:
         config = group.authz_config
-        config.check_logged_nonce(nonce, ledger, "proposal" if proposal is None else "decision")
-        if proposal is not None:
-            config.check_logged_weight(controller, weight)
+        try:
+            config.check_logged_nonce(nonce, ledger, "proposal" if proposal is None else "decision")
+            if proposal is not None:
+                config.check_logged_weight(controller, weight)
+        except GovernanceError as exc:
+            raise _Unfolded(event, exc) from exc
         return AuthzOutcome(granted=True, effective_weight=weight, consume_nonce=nonce)
 
     return authorize
 
 
-def _logged_vote(payload: Mapping[str, str]) -> Vote:
-    controller, weight = bytes.fromhex(payload["controller"]), int(payload["weight"])
-    return controller, Verdict(payload["verdict"]), _logged(_decode_nonce(payload), controller, weight)
+def _logged_vote(event: GovernanceEvent) -> Vote:
+    """The vote a decision event logs; a field that does not decode names
+    the event."""
+    payload = event.payload
+    try:
+        controller, weight = bytes.fromhex(payload["controller"]), int(payload["weight"])
+        verdict = Verdict(payload["verdict"])
+    except _MALFORMED as exc:
+        raise _Unfolded(event, exc) from exc
+    return controller, verdict, _logged(event, controller, weight)
 
 
 def _aggregate(events: Sequence[GovernanceEvent], at: int) -> list[Vote]:
@@ -702,14 +725,14 @@ def _aggregate(events: Sequence[GovernanceEvent], at: int) -> list[Vote]:
         if events[end].payload.get("proposal_id") != proposal_id:
             break
         end += 1
-    return [_logged_vote(event.payload) for event in events[at:end]]
+    return [_logged_vote(event) for event in events[at:end]]
 
 
-def _submission_after(events: Sequence[GovernanceEvent], at: int) -> Mapping[str, str]:
-    """The payload of the submission an override at ``events[at]`` makes
-    room for: the event logged next."""
+def _submission_after(events: Sequence[GovernanceEvent], at: int) -> GovernanceEvent:
+    """The submission an override at ``events[at]`` makes room for: the
+    event logged next."""
     if at + 1 < len(events) and events[at + 1].kind is EventKind.PROPOSAL_SUBMITTED:
-        return events[at + 1].payload
+        return events[at + 1]
     override = events[at].payload
     what = f"submit group {override['overriding_group']}'s proposal on did {override['did']}"
     if at + 1 == len(events):
@@ -742,7 +765,8 @@ def replay_events(events: Sequence[GovernanceEvent]) -> RegistryState:
     one event, and every event it derives must be the next one logged,
     equal in sequence, tick, kind and payload. A log that does not decode,
     fold or pass these checks raises ``EncodingError`` naming the first
-    logged event the failing transaction did not reproduce.
+    logged event the failing transaction did not reproduce, or the decision
+    or submission whose logged fields do not decode or do not authorize.
     """
     state = RegistryState()
 
@@ -772,9 +796,9 @@ def replay_events(events: Sequence[GovernanceEvent]) -> RegistryState:
                 _anchor(state, model.document_from_json(json.loads(document)), document, None, emit)
             elif event.kind in (EventKind.PROPOSAL_SUBMITTED, EventKind.PROPOSAL_OVERRIDDEN):
                 if event.kind is EventKind.PROPOSAL_OVERRIDDEN:
-                    payload = _submission_after(events, at)
-                logged = model.proposal_from_json(json.loads(payload["proposal"]))
-                authorize = _logged(_decode_nonce(payload))
+                    event = _submission_after(events, at)
+                logged = model.proposal_from_json(json.loads(event.payload["proposal"]))
+                authorize = _logged(event)
                 _propose(state, logged.did, logged.originating_group, logged.change_set, authorize, None, emit)
             elif event.kind is EventKind.DECISION_ACCEPTED:
                 proposal_id = int(payload["proposal_id"])
@@ -782,7 +806,7 @@ def replay_events(events: Sequence[GovernanceEvent]) -> RegistryState:
                 if proposal is not None and _group_of(state, proposal).execution is ExecutionMode.OFF_CHAIN:
                     _decide_batch(state, proposal_id, _aggregate(events, at), None, emit)
                 else:
-                    _decide(state, proposal_id, _logged_vote(payload), None, emit)
+                    _decide(state, proposal_id, _logged_vote(event), None, emit)
             elif event.kind is EventKind.RESOLVED:
                 _resolve_manual(state, int(payload["proposal_id"]), None, emit)
             elif event.kind is EventKind.CLOCK_ADVANCED:
@@ -791,12 +815,11 @@ def replay_events(events: Sequence[GovernanceEvent]) -> RegistryState:
                 raise EncodingError("a scheduled event never begins a transaction")
             if len(state.event_log) == at:
                 raise EncodingError("its transaction logs no event")
+        except _Unfolded:
+            raise
         except _MALFORMED as exc:
             at = len(state.event_log)
             if at == len(events):
                 raise EncodingError(f"the log ends after event {at} ({exc})") from exc
-            failed = events[at]
-            raise EncodingError(
-                f"event {failed.sequence} ({failed.kind.value}) does not fold: {type(exc).__name__}: {exc}"
-            ) from exc
+            raise _Unfolded(events[at], exc) from exc
     return state

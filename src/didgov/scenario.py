@@ -122,6 +122,8 @@ def load_scenario(path) -> Scenario:
         ) from exc
     except RecursionError as exc:
         raise ScenarioParseError(f"{path.name}: invalid JSON: {exc}") from exc
+    except OSError as exc:
+        raise ScenarioParseError(f"{path.name}: cannot read: {exc.strerror or exc}") from exc
     if not isinstance(data, dict):
         raise ScenarioParseError(f"{path.name}: top level must be an object")
     name = data.get("name", path.stem)

@@ -3,24 +3,29 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from didgov import crypto, encoding
-from didgov.encoding import ByteWriter
 from didgov.errors import EncodingError
 
 @given(st.integers(min_value=0, max_value=2**64 - 1))
 def test_u64_round_trip(value):
-    data = ByteWriter().u64(value).getvalue()
+    data = encoding.u64(value)
     assert data == value.to_bytes(8, "big")
     assert int.from_bytes(data, "big") == value
 
 
 def test_u64_rejects_negative():
-    with pytest.raises(EncodingError):
-        ByteWriter().u64(-1)
+    with pytest.raises(EncodingError, match="cannot encode negative integer -1"):
+        encoding.u64(-1)
+
+
+@pytest.mark.parametrize("value", [2**64, 2**64 + 1, 2**200])
+def test_u64_rejects_integers_of_more_than_64_bits(value):
+    with pytest.raises(EncodingError, match="in 64 bits"):
+        encoding.u64(value)
 
 
 @given(st.binary(max_size=64))
 def test_blob_round_trip(data):
-    encoded = ByteWriter().blob(data).getvalue()
+    encoded = encoding.blob(data)
     assert encoded == len(data).to_bytes(4, "big") + data
     assert encoded[4:] == data
 
@@ -28,19 +33,19 @@ def test_blob_round_trip(data):
 @given(st.text(max_size=64))
 def test_text_round_trip(value):
     raw = value.encode("utf-8")
-    encoded = ByteWriter().text(value).getvalue()
+    encoded = encoding.text(value)
     assert encoded == len(raw).to_bytes(4, "big") + raw
     assert encoded[4:].decode("utf-8") == value
 
 
-def test_text_map_round_trip():
-    # count, then key/value pairs in stored order (not sorted)
-    assert ByteWriter().text_map({"b": "2", "a": ""}).getvalue() == (
+def test_claim_list_round_trip():
+    # count, then key/value pairs in the order given (not sorted)
+    assert encoding.claim_list({"b": "2", "a": ""}.items()) == (
         b"\x00" * 7 + b"\x02"
         + b"\x00\x00\x00\x01b" + b"\x00\x00\x00\x012"
         + b"\x00\x00\x00\x01a" + b"\x00\x00\x00\x00"
     )
-    assert ByteWriter().text_map({}).getvalue() == b"\x00" * 8
+    assert encoding.claim_list([]) == b"\x00" * 8
 
 
 def test_decision_payload_exact_bytes():
@@ -57,20 +62,13 @@ def test_decision_payload_exact_bytes():
 def test_blob_encoding_injective(a, b):
     # the length prefix prevents boundary ambiguity between adjacent fields
     if a != b:
-        assert ByteWriter().blob(a).getvalue() != ByteWriter().blob(b).getvalue()
+        assert encoding.blob(a) != encoding.blob(b)
 
 
 def test_adjacent_blobs_unambiguous():
-    one = ByteWriter().blob(b"ab").blob(b"c").getvalue()
-    other = ByteWriter().blob(b"a").blob(b"bc").getvalue()
+    one = encoding.blob(b"ab") + encoding.blob(b"c")
+    other = encoding.blob(b"a") + encoding.blob(b"bc")
     assert one != other
-
-
-def test_sorted_claims_insertion_order_independent():
-    assert encoding.sorted_claims({"b": "2", "a": "1"}) == encoding.sorted_claims(
-        {"a": "1", "b": "2"}
-    )
-    assert encoding.sorted_claims({"b": "2", "a": "1"}) == [("a", "1"), ("b", "2")]
 
 
 def test_signing_payloads_domain_separated():
@@ -159,3 +157,16 @@ def test_presented_credential_exact_bytes():
     presentation = crypto.present_vc(vc, holder, "did:ex:1", 4)
     payload = encoding.presentation_payload("did:ex:1", 4, credential)
     assert crypto.verify(holder.public_key, payload, presentation.holder_signature)
+
+
+def test_credential_bytes_exact_bytes():
+    credential = encoding.credential_bytes(b"II", b"HHH", {"role": "admin", "b": ""}, b"SSSS")
+    assert credential == bytes.fromhex(
+        "11"
+        "00000002" "4949"  # issuer key
+        "00000003" "484848"  # holder key
+        "0000000000000002"  # claim count, then claims in stored order
+        "00000004" "726f6c65" "00000005" "61646d696e"  # role -> admin
+        "00000001" "62" "00000000"  # b -> ""
+        "00000004" "53535353"  # issuer signature
+    )

@@ -149,9 +149,11 @@ class TestExecution:
              "invalid-change-set"),
             ({"action": "decide", "proposal_id": -1, "controller": "a", "verdict": "approve"},
              "encoding-error: cannot encode negative integer"),
+            ({"action": "decide", "proposal_id": 2**64, "controller": "a", "verdict": "approve"},
+             "encoding-error: cannot encode integer 18446744073709551616 in 64 bits"),
         ],
         ids=["attributes-not-a-map", "group-without-id", "key-not-text", "unknown-edit-right",
-             "zero-threshold", "empty-change-set", "negative-proposal-id"],
+             "zero-threshold", "empty-change-set", "negative-proposal-id", "huge-proposal-id"],
     )
     def test_malformed_action_field_names_the_action(self, tmp_path, action, cause):
         """A field the model's decoders refuse is a parse error (exit 2),
@@ -463,6 +465,14 @@ MALFORMED_LOGS = {
     "anchored-at-version-two": _forged_golden("key_rotation_2of3", _anchored_at_version_two),
     "stray-scheduled": _forged_golden("expiry_timeout", _stray_scheduled),
     "split-aggregate": _forged_golden("offchain_batch", _split_aggregate),
+    # an aggregate authorizes and decodes all its decisions before it logs
+    # any; the error names the decision at fault, not the aggregate's first
+    "forged-aggregate-weight": _forged_payload("offchain_batch", "decision_accepted", nth=3, weight="7"),
+    "non-integer-aggregate-weight": _forged_payload("offchain_batch", "decision_accepted", nth=3, weight="x"),
+    # the submission after an override is the override's transaction too
+    "non-hex-nonce-after-override": _forged_payload(
+        "privilege_override", "proposal_submitted", nth=2, nonce_issuer="zz", nonce="zz"
+    ),
     "non-text-attribute": _forged_golden("key_rotation_2of3", _non_text_attribute),
     # an event line of the wrong shape, or with fields of the wrong JSON type
     "float-sequence": _edited_line("key_rotation_2of3", 1, lambda event: event.update(sequence=1.0)),
@@ -545,6 +555,38 @@ class TestCli:
         assert result.exit_code == 3
         assert "already-anchored" in result.output
         assert "action 1" in result.output
+
+    @pytest.mark.parametrize("default_out", [False, True], ids=["out-under-a-file", "default-out-is-a-file"])
+    def test_run_unwritable_output_exit_two(self, tmp_path, default_out):
+        path = _write(tmp_path, _minimal([_anchor()]))
+        blocked = tmp_path / f"{path.stem}-out" if default_out else tmp_path / "blocked"
+        blocked.write_text("")
+        args = ["run", str(path)] + ([] if default_out else ["--out", str(blocked / "out")])
+        result = self.runner.invoke(main, args)
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)
+        target = blocked if default_out else blocked / "out"
+        assert result.output.splitlines() == [f"error: cannot write {target}: " + (
+            "File exists" if default_out else "Not a directory")]
+
+    def test_run_unreadable_scenario_exit_two(self, tmp_path, monkeypatch):
+        path = _write(tmp_path, _minimal([_anchor()]))
+
+        def denied(self, *args, **kwargs):
+            raise PermissionError(13, "Permission denied", str(self))
+
+        monkeypatch.setattr(Path, "read_text", denied)
+        result = self.runner.invoke(main, ["run", str(path), "--out", str(tmp_path / "out")])
+        assert result.exit_code == 2, result.output
+        assert f"{path.name}: cannot read: Permission denied" in result.output
+
+    def test_bench_unwritable_output_exit_two(self, tmp_path):
+        (tmp_path / "blocked").write_text("")
+        out = tmp_path / "blocked" / "costs.csv"
+        result = self.runner.invoke(main, ["bench", "--groups", "1", "--members", "1", "--out", str(out)])
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert result.output.splitlines() == [f"error: cannot write {out}: Not a directory"]
 
     def test_bench_row_cardinality(self, tmp_path):
         out = tmp_path / "c.csv"
@@ -742,7 +784,7 @@ def test_run_exits_with_a_documented_code_on_every_field_mutation(path, tmp_path
     """``didgov run`` exits 0, 1 (an assertion), 2 (a parse error) or 3 (an
     engine refusal), never with a traceback."""
     scenario, out = tmp_path / "scenario.json", tmp_path / "out"
-    for field, replacement, mutant in _mutants(path.read_text(), (_DELETE, None, "zz", 7, [])):
+    for field, replacement, mutant in _mutants(path.read_text(), (_DELETE, None, "zz", 7, -1, 2**64, [])):
         scenario.write_text(json.dumps(mutant))
         assert _exit_code(cli.run, str(scenario), str(out)) in (0, 1, 2, 3), (field, replacement)
 
@@ -756,7 +798,7 @@ def test_replay_exits_with_a_documented_code_on_every_field_mutation(scenario, t
     (tmp_path / "final_state.json").write_bytes((GOLDEN / scenario / "final_state.json").read_bytes())
     lines = (GOLDEN / scenario / "events.jsonl").read_text().splitlines(keepends=True)
     for index, line in enumerate(lines):
-        for field, replacement, mutant in _mutants(line, (_DELETE, None, "zz", 7, [], {})):
+        for field, replacement, mutant in _mutants(line, (_DELETE, None, "zz", 7, -1, 2**64, [], {})):
             log.write_text("".join(lines[:index]) + json.dumps(mutant) + "\n" + "".join(lines[index + 1:]))
             allowed = (0, 1, 2) if mutant == json.loads(line) else (1, 2)
             assert _exit_code(cli.replay, str(log), None) in allowed, (index, field, replacement)
