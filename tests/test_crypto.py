@@ -32,6 +32,32 @@ def test_signing_is_deterministic():
     assert crypto.sign(signer.secret_key, b"m") == crypto.sign(signer.secret_key, b"m")
 
 
+# RFC 8032 section 7.1, TEST 1 and TEST 2: (seed, public key, message, signature).
+RFC8032_VECTORS = {
+    "test-1": (
+        "9d61b19deffd5a60ba844af492ec2cc44449c5697b326919703bac031cae7f60",
+        "d75a980182b10ab7d54bfed3c964073a0ee172f3daa62325af021a68f707511a",
+        "",
+        "e5564300c360ac729086e2cc806e828a84877f1eb8e5d974d873e065224901555fb8821590a33bacc61e39701cf9b46bd25bf5f0595bbe24655141438e7a100b",
+    ),
+    "test-2": (
+        "4ccd089b28ff96da9db6c346ec114e0f5b8a319f35aba624da8cf6ed4fb8a6fb",
+        "3d4017c3e843895a92b70aa74d1b7ebc9c982ccf2ec4968cc0cd55f12af4660c",
+        "72",
+        "92a009a9f0d4cab8720e820b5f642540a2b27b5416503f8fb3762223ebdb69da085ac1e43e15996e458f3613d0f11d8c387b2eaeb4302aeeb00d291612bb0c00",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RFC8032_VECTORS))
+def test_rfc8032_vector(name):
+    seed, public_key, message, signature = (bytes.fromhex(h) for h in RFC8032_VECTORS[name])
+    signer = crypto.generate_keypair(seed)
+    assert signer.public_key == public_key
+    assert crypto.sign(signer.secret_key, message) == signature
+    assert crypto.verify(public_key, message, signature)
+
+
 def test_verify_rejects_malformed_lengths():
     signer = pair("signer")
     signature = crypto.sign(signer.secret_key, b"m")
