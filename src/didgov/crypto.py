@@ -1,6 +1,6 @@
 """Ed25519 signing plus the two credential flavors: bearer tokens and VCs.
 
-Everything here is a pure function over byte strings. Signing is
+Everything here is a pure function over byte strings and key pairs. Signing is
 deterministic (RFC 8032), which keeps scenario logs byte-exact across runs.
 """
 
@@ -23,10 +23,15 @@ NONCE_LEN = 16
 
 @dataclass(frozen=True)
 class KeyPair:
-    """An Ed25519 key pair; the secret key is the 32-byte seed."""
+    """An Ed25519 key pair; the secret key is the 32-byte seed.
+
+    ``private`` is the signing key derived from the seed once, when the
+    pair is made; it takes no part in equality, hashing or repr.
+    """
 
     public_key: bytes
     secret_key: bytes = field(repr=False)
+    private: ed25519.Ed25519PrivateKey = field(repr=False, compare=False)
 
 
 def generate_keypair(seed: bytes) -> KeyPair:
@@ -34,13 +39,11 @@ def generate_keypair(seed: bytes) -> KeyPair:
     if len(seed) != SECRET_KEY_LEN:
         raise VerificationError(f"seed must be {SECRET_KEY_LEN} bytes, got {len(seed)}")
     private = ed25519.Ed25519PrivateKey.from_private_bytes(seed)
-    return KeyPair(public_key=private.public_key().public_bytes_raw(), secret_key=seed)
+    return KeyPair(public_key=private.public_key().public_bytes_raw(), secret_key=seed, private=private)
 
 
-def sign(secret_key: bytes, message: bytes) -> bytes:
-    if len(secret_key) != SECRET_KEY_LEN:
-        raise VerificationError(f"secret key must be {SECRET_KEY_LEN} bytes")
-    return ed25519.Ed25519PrivateKey.from_private_bytes(secret_key).sign(message)
+def sign(signer: KeyPair, message: bytes) -> bytes:
+    return signer.private.sign(message)
 
 
 def verify(public_key: bytes, message: bytes, signature: bytes) -> bool:
@@ -109,7 +112,7 @@ CredentialPresentation = TokenPresentation | VcPresentation
 def issue_token(issuer: KeyPair, nonce: bytes) -> BearerToken:
     if len(nonce) != NONCE_LEN:
         raise VerificationError(f"nonce must be {NONCE_LEN} bytes, got {len(nonce)}")
-    signature = sign(issuer.secret_key, encoding.token_payload(nonce))
+    signature = sign(issuer, encoding.token_payload(nonce))
     return BearerToken(nonce=nonce, issuer_key=issuer.public_key, signature=signature)
 
 
@@ -119,7 +122,7 @@ def issue_vc(issuer: KeyPair, holder_key: bytes, claims: Mapping[str, str]) -> V
         issuer_key=issuer.public_key,
         holder_key=holder_key,
         claims=dict(claims),
-        issuer_signature=sign(issuer.secret_key, payload),
+        issuer_signature=sign(issuer, payload),
     )
 
 
@@ -132,7 +135,7 @@ def present_vc(credential: VerifiableCredential, holder: KeyPair, did: str, prop
     payload = _presentation_payload(credential, did, proposal_id)
     return VcPresentation(
         credential=credential,
-        holder_signature=sign(holder.secret_key, payload),
+        holder_signature=sign(holder, payload),
     )
 
 

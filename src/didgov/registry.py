@@ -451,7 +451,7 @@ def build_decision(
         proposal_id=proposal_id,
         controller_key=signer.public_key,
         verdict=verdict,
-        signature=crypto.sign(signer.secret_key, payload),
+        signature=crypto.sign(signer, payload),
         credential=credential,
     )
 

@@ -1,7 +1,10 @@
 import pytest
+from cryptography.hazmat.primitives.asymmetric import ed25519
 
 from didgov import crypto
 from didgov.errors import VerificationError
+from didgov.model import Did, Verdict
+from didgov.registry import build_decision
 
 from .util import pair
 
@@ -20,7 +23,7 @@ def test_keypair_rejects_bad_seed_length():
 def test_sign_verify_round_trip():
     signer = pair("signer")
     message = b"the message"
-    signature = crypto.sign(signer.secret_key, message)
+    signature = crypto.sign(signer, message)
     assert len(signature) == 64
     assert crypto.verify(signer.public_key, message, signature)
     assert not crypto.verify(signer.public_key, b"another message", signature)
@@ -29,7 +32,7 @@ def test_sign_verify_round_trip():
 
 def test_signing_is_deterministic():
     signer = pair("signer")
-    assert crypto.sign(signer.secret_key, b"m") == crypto.sign(signer.secret_key, b"m")
+    assert crypto.sign(signer, b"m") == crypto.sign(signer, b"m")
 
 
 # RFC 8032 section 7.1, TEST 1 and TEST 2: (seed, public key, message, signature).
@@ -54,13 +57,13 @@ def test_rfc8032_vector(name):
     seed, public_key, message, signature = (bytes.fromhex(h) for h in RFC8032_VECTORS[name])
     signer = crypto.generate_keypair(seed)
     assert signer.public_key == public_key
-    assert crypto.sign(signer.secret_key, message) == signature
+    assert crypto.sign(signer, message) == signature
     assert crypto.verify(public_key, message, signature)
 
 
 def test_verify_rejects_malformed_lengths():
     signer = pair("signer")
-    signature = crypto.sign(signer.secret_key, b"m")
+    signature = crypto.sign(signer, b"m")
     with pytest.raises(VerificationError):
         crypto.verify(signer.public_key[:-1], b"m", signature)
     with pytest.raises(VerificationError):
@@ -70,6 +73,38 @@ def test_verify_rejects_malformed_lengths():
 def test_secret_key_not_in_repr():
     keypair = pair("hidden")
     assert keypair.secret_key.hex() not in repr(keypair)
+
+
+def test_each_signing_key_is_derived_once(monkeypatch):
+    derive = ed25519.Ed25519PrivateKey.from_private_bytes
+    seeds = []
+
+    def counting(seed):
+        seeds.append(seed)
+        return derive(seed)
+
+    monkeypatch.setattr(ed25519.Ed25519PrivateKey, "from_private_bytes", counting)
+    signer = crypto.generate_keypair(b"\x09" * 32)
+    assert seeds == [b"\x09" * 32]
+    holder = crypto.generate_keypair(b"\x0a" * 32)
+    seeds.clear()
+
+    decision = build_decision(signer, Did("abc1"), 1, 1, Verdict.APPROVE)
+    token = crypto.issue_token(signer, b"n" * 16)
+    vc = crypto.issue_vc(signer, holder.public_key, {"role": "voter"})
+    presentation = crypto.present_vc(vc, holder, "abc1", 1)
+    assert seeds == []
+    assert token.verify_issuer() and vc.verify_issuer() and presentation.verify_holder("abc1", 1)
+    assert len(decision.signature) == crypto.SIGNATURE_LEN
+
+    twin = crypto.generate_keypair(b"\x09" * 32)
+    assert twin == signer and hash(twin) == hash(signer)
+    assert twin.private is not signer.private
+    assert repr(signer) == f"KeyPair(public_key={signer.public_key!r})"
+    for seed in (b"\x09" * 31, b"\x09" * 33):
+        with pytest.raises(VerificationError):
+            crypto.generate_keypair(seed)
+    assert seeds == [b"\x09" * 32]
 
 
 class TestBearerToken:
