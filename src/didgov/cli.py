@@ -33,6 +33,10 @@ def _cannot_write(exc: OSError):
     _fail(f"cannot write {exc.filename or 'output'}: {exc.strerror or exc}", 2)
 
 
+def _cannot_read(path: str, exc: OSError):
+    _fail(f"cannot read {path}: {exc.strerror or exc}", 2)
+
+
 @click.group()
 def main():
     """Deterministic governance engine for group-controlled DID documents."""
@@ -165,6 +169,8 @@ def replay(events, expect):
     try:
         log = event_log_from_jsonl(Path(events).read_text(encoding="utf-8"))
         state = replay_events(log)
+    except OSError as exc:
+        _cannot_read(events, exc)
     except UnicodeDecodeError as exc:
         _fail(f"{EncodingError.code}: {events} is not UTF-8 text (byte {exc.start})", 2)
     except GovernanceError as exc:
@@ -177,7 +183,11 @@ def replay(events, expect):
     if expect is None:
         click.echo(rebuilt, nl=False)
         return
-    if rebuilt.encode() != Path(expect).read_bytes():
+    try:
+        expected = Path(expect).read_bytes()
+    except OSError as exc:
+        _cannot_read(expect, exc)
+    if rebuilt.encode() != expected:
         _fail(f"replayed state does not match {expect}", 1)
     click.echo(f"{len(log)} events replayed; state matches {expect}")
 

@@ -703,6 +703,25 @@ class TestCli:
         assert isinstance(result.exception, SystemExit)
         assert f"does not match {snapshot}" in result.output
 
+    @pytest.mark.parametrize("target", ["events", "expect", "sibling"])
+    def test_replay_unreadable_input_exit_two(self, tmp_path, monkeypatch, target):
+        out = self._run_golden(tmp_path)
+        events, snapshot = out / "events.jsonl", out / "final_state.json"
+        blocked = events if target == "events" else snapshot
+        for name in ("read_text", "read_bytes"):
+
+            def denied(self, *args, _read=getattr(Path, name), **kwargs):
+                if self == blocked:
+                    raise PermissionError(13, "Permission denied", str(self))
+                return _read(self, *args, **kwargs)
+
+            monkeypatch.setattr(Path, name, denied)
+        args = ["replay", str(events)] + (["--expect", str(snapshot)] if target == "expect" else [])
+        result = self.runner.invoke(main, args)
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert result.output.splitlines() == [f"error: cannot read {blocked}: Permission denied"]
+
     def test_run_non_utf8_scenario_exit_two(self, tmp_path):
         path = tmp_path / "latin.json"
         path.write_bytes(b'{"name": "caf\xe9"}')
