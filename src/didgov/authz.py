@@ -21,7 +21,7 @@ if TYPE_CHECKING:
 Nonce = Optional[tuple[bytes, bytes]]  # (issuer key, nonce) a token burns
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AuthzRequest:
     did: Did
     controller_key: bytes
@@ -34,7 +34,7 @@ class AuthzRequest:
         return self.proposal_id if self.proposal_id is not None else 0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AuthzOutcome:
     """Result of one authorization check.
 

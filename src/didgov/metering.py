@@ -69,7 +69,7 @@ class CostSchedule:
         return cls.from_json(data)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CostReport:
     """Frozen outcome of one metered transaction.
 

@@ -37,6 +37,8 @@ class Did(str):
     convention, though any hex string is accepted)."""
 
     def __new__(cls, value: str) -> "Did":
+        if type(value) is Did:
+            return value  # checked when it was made
         if not value or not set(value) <= _HEX_DIGITS:
             raise EncodingError(f"did must be non-empty lowercase hex, got {value!r}")
         return super().__new__(cls, value)
@@ -101,10 +103,19 @@ class EventKind(str, Enum):
     CLOCK_ADVANCED = "clock_advanced"
 
 
-def _enum_from_value(enum_cls, value):
+_BY_VALUE = {
+    enum_cls: {member.value: member for member in enum_cls}
+    for enum_cls in (AuthzKind, CoordKind, ExecutionMode, Verdict, ProposalStatus, EventKind)
+}
+
+
+def enum_from_value(enum_cls, value):
+    """The member of ``enum_cls`` whose value is ``value``, found by value
+    (a dict lookup, not ``EnumMeta.__call__``); any other value, unhashable
+    ones included, raises ``EncodingError``."""
     try:
-        return enum_cls(value)
-    except ValueError:
+        return _BY_VALUE[enum_cls][value]
+    except (KeyError, TypeError):
         raise EncodingError(f"unknown {enum_cls.__name__} value {value!r}") from None
 
 
@@ -117,7 +128,10 @@ def _require_int(value, what: str, error: type[GovernanceError]) -> None:
 
 def text_map(value, what: str) -> dict[str, str]:
     """``value`` as a new dict that must map str to str, as document
-    attributes, change-set attributes and VC claims do."""
+    attributes, change-set attributes and VC claims do. ``value`` must be a
+    mapping (a JSON object), not pairs that ``dict`` would also take."""
+    if not isinstance(value, Mapping):
+        raise EncodingError(f"{what} must be an object, not {type(value).__name__}")
     mapping = dict(value)
     for key, item in mapping.items():
         if not isinstance(key, str) or not isinstance(item, str):
@@ -133,7 +147,10 @@ def text_map(value, what: str) -> dict[str, str]:
 WEIGHT_CLAIM = "weight"
 
 
-def _keys_from_hex(data) -> tuple[bytes, ...]:
+def _keys_from_hex(data, what: str) -> tuple[bytes, ...]:
+    """The keys of a JSON array of hex strings."""
+    if type(data) is not list:
+        raise EncodingError(f"{what} must be an array, not {type(data).__name__}")
     return tuple(bytes.fromhex(key) for key in data)
 
 
@@ -200,7 +217,8 @@ class AclConfig(_Authorization):
     @classmethod
     def from_json(cls, data: Mapping) -> "AclConfig":
         weights = data.get("weights")
-        return cls(members=_keys_from_hex(data["members"]), weights=None if weights is None else tuple(weights))
+        members = _keys_from_hex(data["members"], "acl members")
+        return cls(members=members, weights=None if weights is None else tuple(weights))
 
     @property
     def storage_slots(self) -> int:
@@ -247,7 +265,7 @@ class TokenConfig(_Authorization):
 
     @classmethod
     def from_json(cls, data: Mapping) -> "TokenConfig":
-        return cls(trusted_issuers=_keys_from_hex(data["trusted_issuers"]))
+        return cls(trusted_issuers=_keys_from_hex(data["trusted_issuers"], "token trusted_issuers"))
 
     @property
     def storage_slots(self) -> int:
@@ -301,7 +319,7 @@ class VcConfig(_Authorization):
 
     @classmethod
     def from_json(cls, data: Mapping) -> "VcConfig":
-        issuers = _keys_from_hex(data["trusted_issuers"])
+        issuers = _keys_from_hex(data["trusted_issuers"], "vc trusted_issuers")
         return cls(trusted_issuers=issuers, required_claims=data.get("required_claims", {}))
 
     @property
@@ -415,7 +433,8 @@ class TurnoutConfig(_Coordination):
     ratio: Fraction
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "ratio", Fraction(self.ratio))
+        if type(self.ratio) is not Fraction:
+            object.__setattr__(self, "ratio", Fraction(self.ratio))
         _require_int(self.quorum, "quorum", InvalidGroupConfig)
         if self.quorum < 1:
             raise InvalidGroupConfig("quorum must be >= 1")
@@ -649,7 +668,7 @@ class Decision:
     credential: Optional[CredentialPresentation] = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GovernanceEvent:
     sequence: int
     tick: int
@@ -696,14 +715,14 @@ def group_to_json(group: GovernanceGroup) -> dict:
 
 
 def group_from_json(data: Mapping) -> GovernanceGroup:
-    authz = _AUTHZ_CONFIGS[_enum_from_value(AuthzKind, data["authz_kind"])]
-    coord = _COORD_CONFIGS[_enum_from_value(CoordKind, data["coord_kind"])]
+    authz = _AUTHZ_CONFIGS[enum_from_value(AuthzKind, data["authz_kind"])]
+    coord = _COORD_CONFIGS[enum_from_value(CoordKind, data["coord_kind"])]
     return GovernanceGroup(
         group_id=data["group_id"],
         edit_right=EditRightLevel.from_json_name(data["edit_right"]),
         authz_config=authz.from_json(data["authz_config"]),
         coord_config=coord.from_json(data["coord_config"]),
-        execution=_enum_from_value(ExecutionMode, data.get("execution", "onchain")),
+        execution=enum_from_value(ExecutionMode, data.get("execution", "onchain")),
         time_limit=data.get("time_limit"),
     )
 
@@ -722,7 +741,7 @@ def document_from_json(data: Mapping) -> DidDocument:
     return DidDocument(
         did=Did(data["did"]),
         version=data["version"],
-        public_keys=_keys_from_hex(data["public_keys"]),
+        public_keys=_keys_from_hex(data["public_keys"], "public_keys"),
         attributes=data["attributes"],
         groups=tuple(group_from_json(g) for g in data["groups"]),
     )
@@ -766,7 +785,7 @@ def change_set_from_json(data: Mapping) -> ChangeSet:
     new_attributes = data.get("new_attributes")
     return ChangeSet(
         new_public_keys=(
-            _keys_from_hex(new_public_keys) if new_public_keys is not None else None
+            _keys_from_hex(new_public_keys, "new_public_keys") if new_public_keys is not None else None
         ),
         new_attributes=new_attributes,
         group_ops=tuple(group_op_from_json(op) for op in data.get("group_ops", ())),
@@ -799,7 +818,7 @@ def proposal_from_json(data: Mapping) -> UpdateProposal:
         change_set=change_set_from_json(data["change_set"]),
         created_at=data["created_at"],
         deadline=data.get("deadline"),
-        status=_enum_from_value(ProposalStatus, data.get("status", "active")),
+        status=enum_from_value(ProposalStatus, data.get("status", "active")),
     )
 
 
@@ -813,7 +832,6 @@ def event_to_json(event: GovernanceEvent) -> dict:
 
 
 _EVENT_FIELDS = frozenset(("sequence", "tick", "kind", "payload"))
-_EVENT_KINDS = {kind.value: kind for kind in EventKind}
 
 
 def event_from_json(data) -> GovernanceEvent:
@@ -829,8 +847,4 @@ def event_from_json(data) -> GovernanceEvent:
         raise EncodingError(f"event sequence and tick must be integers, not {sequence!r} and {tick!r}")
     if type(payload) is not dict:
         raise EncodingError(f"event payload must be an object, not {type(payload).__name__}")
-    try:
-        kind = _EVENT_KINDS[data["kind"]]
-    except (KeyError, TypeError):
-        raise EncodingError(f"unknown EventKind value {data['kind']!r}") from None
-    return GovernanceEvent(sequence, tick, kind, payload)
+    return GovernanceEvent(sequence, tick, enum_from_value(EventKind, data["kind"]), payload)

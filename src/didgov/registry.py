@@ -19,13 +19,15 @@ replayed log reproduces the live registry byte-for-byte (see
 An audit decodes, folds, then snapshots. :func:`event_log_from_jsonl`
 reads each line with CPython's C JSON scanner and accepts only a line that
 is exactly one event (:func:`didgov.model.event_from_json`).
-:func:`snapshot_json` writes the text of ``json.dumps(snapshot, indent=2,
-sort_keys=True)`` in one pass over the dicts and lists that
-:func:`state_snapshot` builds.
+:func:`snapshot_json` writes the text of ``json.dumps(state_snapshot(state),
+indent=2, sort_keys=True)`` a top-level section at a time: it builds one
+section's dicts and lists, writes them into a text buffer and drops them
+before it builds the next, so the whole snapshot never exists as dicts.
 """
 
 from __future__ import annotations
 
+import io
 import json
 from collections.abc import Callable
 from dataclasses import dataclass, field
@@ -98,6 +100,8 @@ def _compact(value) -> str:
 class RegistryState:
     documents: dict[Did, DidDocument] = field(default_factory=dict)
     active_proposals: dict[Did, UpdateProposal] = field(default_factory=dict)
+    # the document each active proposal installs if approved, admitted with it
+    successors: dict[Did, DidDocument] = field(default_factory=dict)
     proposals: dict[int, UpdateProposal] = field(default_factory=dict)
     tallies: dict[int, Tally] = field(default_factory=dict)
     nonce_ledger: NonceLedger = field(default_factory=NonceLedger)
@@ -186,9 +190,10 @@ def _propose(
     fresh tally) and schedule its deadline if the group has a time limit.
 
     The group submits only a change set its edit right permits and that
-    applies to the document as it stands (a dry run), so resolving the
-    proposal cannot fail; and it overrides an active proposal only with
-    strictly higher edit right than that proposal's group.
+    applies to the document as it stands; the successor document it gives
+    is kept until the proposal resolves, so resolving cannot fail. The group
+    overrides an active proposal only with strictly higher edit right than
+    that proposal's group.
     """
     doc = state.documents.get(did)
     if doc is None:
@@ -204,7 +209,7 @@ def _propose(
         raise EditRightViolation(
             f"{group.edit_right.json_name()} group {group.group_id} cannot make this change"
         )
-    model.apply_change_set(doc, change_set)
+    successor = model.apply_change_set(doc, change_set)
     active = state.active_proposals.get(doc.did)
     if active is not None:
         if group.edit_right <= doc.group(active.originating_group).edit_right:
@@ -231,6 +236,7 @@ def _propose(
     state.tallies[proposal.proposal_id] = coord.init_process(group, proposal, meter)
     state.proposals[proposal.proposal_id] = proposal
     state.active_proposals[doc.did] = proposal
+    state.successors[doc.did] = successor  # the overridden proposal's successor is dropped
     state.next_proposal_id = proposal.proposal_id + 1
     _consume(state, outcome.consume_nonce)
     submitted = {"proposal": _compact(model.proposal_to_json(proposal))}
@@ -337,15 +343,18 @@ def _resolve(
     """Finalize the tally of an Active proposal, install the approved
     successor document (if any) and close the proposal for ``reason``.
 
-    Applying the change set cannot fail: it was dry-run against this
-    document version on admission, and the single-active rule keeps the
-    document fixed until the proposal resolves.
+    The successor is the one :func:`_propose` admitted: the change set
+    applied to this document version, which the single-active rule keeps
+    fixed until the proposal resolves. It is not part of the proposal's
+    JSON or the snapshot, so a decoder that rebuilds a registry from a
+    snapshot (ROADMAP item 8) must rebuild it for each active proposal.
     """
     doc = state.documents[proposal.did]
     group = doc.group(proposal.originating_group)
     verdict = coord.resolve(group.coord_config, state.tallies[proposal.proposal_id], meter)
+    successor = state.successors.pop(proposal.did)
     if verdict is Verdict.APPROVE:
-        doc = model.apply_change_set(doc, proposal.change_set)
+        doc = successor
         state.documents[proposal.did] = doc
         charge(meter, "storage_write_update", 1)  # document record
         proposal.status = ProposalStatus.APPROVED
@@ -526,99 +535,109 @@ class Registry:
 
 # --- state snapshot and event-sourcing replay --------------------------------
 
+# The snapshot's top-level sections in key order, each with the function
+# that builds its JSON-able value from the state.
+_SECTIONS: tuple[tuple[str, Callable[[RegistryState], object]], ...] = tuple(sorted({
+    "clock": lambda state: state.clock.now,
+    "next_proposal_id": lambda state: state.next_proposal_id,
+    "last_sequence": lambda state: state.event_log[-1].sequence if state.event_log else 0,
+    "documents": lambda state: {
+        str(did): model.document_to_json(doc) for did, doc in sorted(state.documents.items())
+    },
+    "active_proposals": lambda state: {
+        str(did): proposal.proposal_id for did, proposal in sorted(state.active_proposals.items())
+    },
+    "proposals": lambda state: {
+        str(pid): model.proposal_to_json(proposal) for pid, proposal in sorted(state.proposals.items())
+    },
+    "tallies": lambda state: {
+        str(pid): {
+            "accepted": [[key.hex(), verdict.value, weight] for key, verdict, weight in tally.accepted],
+            "finalized": tally.finalized,
+        }
+        for pid, tally in sorted(state.tallies.items())
+    },
+    "nonce_ledger": lambda state: [
+        [issuer.hex(), nonce.hex()] for issuer, nonce in sorted(state.nonce_ledger.pairs())
+    ],
+    "schedule_queue": lambda state: [[deadline, pid] for deadline, pid in state.queue.entries()],
+}.items()))
+
+
 def state_snapshot(state: RegistryState) -> dict:
     """JSON-able projection of the full registry state, deterministically
     ordered so equal states serialize to equal bytes."""
-    return {
-        "clock": state.clock.now,
-        "next_proposal_id": state.next_proposal_id,
-        "last_sequence": state.event_log[-1].sequence if state.event_log else 0,
-        "documents": {
-            str(did): model.document_to_json(doc) for did, doc in sorted(state.documents.items())
-        },
-        "active_proposals": {
-            str(did): proposal.proposal_id
-            for did, proposal in sorted(state.active_proposals.items())
-        },
-        "proposals": {
-            str(pid): model.proposal_to_json(proposal)
-            for pid, proposal in sorted(state.proposals.items())
-        },
-        "tallies": {
-            str(pid): {
-                "accepted": [[key.hex(), verdict.value, weight] for key, verdict, weight in tally.accepted],
-                "finalized": tally.finalized,
-            }
-            for pid, tally in sorted(state.tallies.items())
-        },
-        "nonce_ledger": [
-            [issuer.hex(), nonce.hex()] for issuer, nonce in sorted(state.nonce_ledger.pairs())
-        ],
-        "schedule_queue": [[deadline, pid] for deadline, pid in state.queue.entries()],
-    }
+    return {name: section(state) for name, section in _SECTIONS}
 
 
-def _indented(value) -> str:
-    """``value`` as the text of ``json.dumps(value, indent=2,
-    sort_keys=True)``, written in one pass. Its domain is what
-    :func:`state_snapshot` builds: dicts with str keys, lists, and str, int,
-    bool and ``None`` leaves (str and int subclasses included). Any other
-    value raises ``TypeError``."""
-    out: list[str] = []
-    _write_indented(value, "\n", out.append)
-    return "".join(out)
-
-
-def _write_indented(value, newline: str, append: Callable[[str], None]) -> None:
-    """Append the text of ``value`` to the output; ``newline`` is the line
-    break and indent of the line it starts on. (A module function, not a
-    closure: a closure that calls itself is a reference cycle, and it would
-    keep the whole output alive until the cyclic collector runs.)"""
+def _write_indented(value, newline: str, write: Callable[[str], object]) -> None:
+    """Write the text of ``json.dumps(value, indent=2, sort_keys=True)``;
+    ``newline`` is the line break and indent of the line ``value`` starts
+    on. Its domain is what :func:`state_snapshot` builds: dicts with str
+    keys, lists, and str, int, bool and ``None`` leaves (str and int
+    subclasses included). Any other value raises ``TypeError``. (A module
+    function, not a closure: a closure that calls itself is a reference
+    cycle, and it would keep what it wrote alive until the cyclic collector
+    runs.)"""
     kind = type(value)
     if kind is dict:
         if not value:
-            append("{}")
+            write("{}")
             return
         inner = newline + "  "
         separator, comma = "{" + inner, "," + inner
         for key in sorted(value):
-            append(separator)
-            append(encode_basestring_ascii(key))  # a TypeError for a key that is not a str
-            append(": ")
-            _write_indented(value[key], inner, append)
+            write(separator)
+            write(encode_basestring_ascii(key))  # a TypeError for a key that is not a str
+            write(": ")
+            _write_indented(value[key], inner, write)
             separator = comma
-        append(newline)
-        append("}")
+        write(newline)
+        write("}")
     elif kind is list:
         if not value:
-            append("[]")
+            write("[]")
             return
         inner = newline + "  "
         separator, comma = "[" + inner, "," + inner
         for item in value:
-            append(separator)
-            _write_indented(item, inner, append)
+            write(separator)
+            _write_indented(item, inner, write)
             separator = comma
-        append(newline)
-        append("]")
+        write(newline)
+        write("]")
     elif kind is str:
-        append(encode_basestring_ascii(value))
+        write(encode_basestring_ascii(value))
     elif value is None:
-        append("null")
+        write("null")
     elif value is True:
-        append("true")
+        write("true")
     elif value is False:
-        append("false")
+        write("false")
     elif isinstance(value, int):
-        append(int.__repr__(value))
+        write(int.__repr__(value))
     elif isinstance(value, str):
-        append(encode_basestring_ascii(value))
+        write(encode_basestring_ascii(value))
     else:
         raise TypeError(f"Object of type {kind.__name__} is not in the snapshot's JSON domain")
 
 
 def snapshot_json(state: RegistryState) -> str:
-    return _indented(state_snapshot(state)) + "\n"
+    """``json.dumps(state_snapshot(state), indent=2, sort_keys=True) + "\\n"``,
+    built and written a section at a time, each into a text buffer of its
+    own, so a section's value and the strings written for it are freed
+    before the next section is built. (CPython 3.11's ``io.StringIO`` keeps
+    each string written to it alive until 100,000 have accumulated; one
+    buffer for the whole snapshot would carry them across sections.)"""
+    parts = []
+    separator = "{\n  "
+    for name, section in _SECTIONS:
+        out = io.StringIO()
+        _write_indented(section(state), "\n  ", out.write)
+        parts += (separator, encode_basestring_ascii(name), ": ", out.getvalue())
+        separator = ",\n  "
+    parts.append("\n}\n")
+    return "".join(parts)
 
 
 def event_log_to_jsonl(events: Sequence[GovernanceEvent]) -> str:
@@ -711,7 +730,7 @@ def _logged_vote(event: GovernanceEvent) -> Vote:
     payload = event.payload
     try:
         controller, weight = bytes.fromhex(payload["controller"]), int(payload["weight"])
-        verdict = Verdict(payload["verdict"])
+        verdict = model.enum_from_value(Verdict, payload["verdict"])
     except _MALFORMED as exc:
         raise _Unfolded(event, exc) from exc
     return controller, verdict, _logged(event, controller, weight)

@@ -1,21 +1,24 @@
 """The auditor's JSON in :mod:`didgov.registry` against the ``json`` module.
 
-``snapshot_json`` writes its indented text with ``_indented``, which must
-equal ``json.dumps(value, indent=2, sort_keys=True)`` over the values
-``state_snapshot`` builds. ``event_log_from_jsonl`` reads each line with
+``snapshot_json`` writes its indented text with ``_write_indented``, which
+must write ``json.dumps(value, indent=2, sort_keys=True)`` for the values
+``state_snapshot`` builds, and must not hold much more memory than the text
+it writes. ``event_log_from_jsonl`` reads each line with
 CPython's C scanner, and must give what decoding each line with
 ``json.loads`` gives: the same events, or the same error naming the same
 line.
 """
 
+import io
 import json
+import tracemalloc
 from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from didgov import model, registry as registry_mod
+from didgov import coord, model, registry as registry_mod
 from didgov.errors import EncodingError
 
 from .test_scenario_cli import MALFORMED_LOGS
@@ -61,9 +64,16 @@ def _dumps(value) -> str:
     return json.dumps(value, indent=2, sort_keys=True)
 
 
+def _indented(value) -> str:
+    """``value`` as ``snapshot_json`` writes a section of the snapshot."""
+    out = io.StringIO()
+    registry_mod._write_indented(value, "\n", out.write)
+    return out.getvalue()
+
+
 @given(TREES)
 def test_writer_equals_json_dumps(value):
-    assert registry_mod._indented(value) == _dumps(value)
+    assert _indented(value) == _dumps(value)
 
 
 @given(st.integers(min_value=0, max_value=300), LEAVES, st.booleans())
@@ -71,7 +81,7 @@ def test_deep_nesting_equals_json_dumps(depth, leaf, as_dict):
     value = leaf
     for _ in range(depth):
         value = {"k": value, "": []} if as_dict else [value, {}]
-    assert registry_mod._indented(value) == _dumps(value)
+    assert _indented(value) == _dumps(value)
 
 
 @pytest.mark.parametrize(
@@ -79,19 +89,19 @@ def test_deep_nesting_equals_json_dumps(depth, leaf, as_dict):
     [{}, [], [{}], {"": []}, "", 0, -1, True, False, None, 2**100, Count(3), Text("é"), {"b": 1, "a": {}}],
 )
 def test_edge_values_equal_json_dumps(value):
-    assert registry_mod._indented(value) == _dumps(value)
+    assert _indented(value) == _dumps(value)
 
 
 @given(TREES, st.floats())
 def test_float_leaf_raises_type_error(tree, leaf):
     with pytest.raises(TypeError):
-        registry_mod._indented([tree, {"leaf": leaf}])
+        _indented([tree, {"leaf": leaf}])
 
 
 @pytest.mark.parametrize("value", [0.5, (1, 2), b"bytes", {1, 2}, {1: "a"}, {None: "a"}, [object()]])
 def test_value_outside_the_domain_raises_type_error(value):
     with pytest.raises(TypeError):
-        registry_mod._indented(value)
+        _indented(value)
 
 
 @pytest.mark.parametrize("scenario", SCENARIOS)
@@ -102,6 +112,38 @@ def test_golden_snapshots_equal_json_dumps(scenario):
     text = registry_mod.snapshot_json(state)
     assert text == _dumps(registry_mod.state_snapshot(state)) + "\n"
     assert text == (GOLDEN / scenario / "final_state.json").read_text()
+
+
+def _tallied_state(tallies: int, entries: int) -> registry_mod.RegistryState:
+    """A registry state of ``tallies`` closed tallies of ``entries`` distinct
+    controllers each, and nothing else: snapshot-shaped, without signing."""
+    state, config = registry_mod.RegistryState(), model.WeightedConfig(threshold=1)
+    for pid in range(1, tallies + 1):
+        tally = state.tallies[pid] = coord.Tally(pid)
+        for n in range(entries):
+            coord.append_entry(config, tally, ((pid * entries + n).to_bytes(32, "big"), model.Verdict.APPROVE, 1))
+        tally.finalized = True
+    return state
+
+
+def test_snapshot_writer_holds_at_most_three_times_its_text(monkeypatch):
+    """Writing the snapshot a section at a time into text buffers holds at
+    most 3x its text (about 2.9 MB here) on top of the sections' values;
+    joining a list of every fragment of the snapshot held about 5x."""
+    state = _tallied_state(4_000, 5)
+    sections = registry_mod.state_snapshot(state)
+    # each section's value built before tracing starts, so only the writing is traced
+    built = tuple((name, lambda _state, value=value: value) for name, value in sorted(sections.items()))
+    monkeypatch.setattr(registry_mod, "_SECTIONS", built)
+    tracemalloc.start()
+    try:
+        text = registry_mod.snapshot_json(state)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert text == _dumps(sections) + "\n"
+    assert len(text) > 2_500_000
+    assert peak <= 3 * len(text), f"peak {peak} B for {len(text)} B of text"
 
 
 # --- the JSONL event decoder ---------------------------------------------------

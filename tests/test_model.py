@@ -36,6 +36,13 @@ def test_did_accepts_lowercase_hex_only():
             Did(bad)
 
 
+def test_decoded_values_are_kept_not_rebuilt():
+    did, ratio = Did("00ff32"), Fraction(2, 3)
+    assert Did(did) is did
+    assert TurnoutConfig(quorum=1, ratio=ratio).ratio is ratio
+    assert model.enum_from_value(model.Verdict, "reject") is model.Verdict.REJECT
+
+
 def test_edit_right_total_order():
     assert (
         EditRightLevel.ALL
@@ -370,12 +377,26 @@ _CHANGE = ("change_set",)
         ("document", _set(_GROUPS + (2, "coord_config", "m"), "2"), InvalidGroupConfig),
         ("document", _set(_GROUPS + (2, "time_limit"), 7.0), InvalidGroupConfig),
         ("document", _set(_GROUPS + (3, "authz_config", "required_claims"), {"role": 1}), EncodingError),
+        # a JSON object where an array of keys belongs, and pairs where an object belongs
+        ("document", _set(("public_keys",), {"ab": 0}), EncodingError),
+        ("document", _set(_GROUPS + (0, "authz_config", "members"), {"ab": 0, "cd": 0}), EncodingError),
+        ("document", _set(_GROUPS + (2, "authz_config", "trusted_issuers"), {"ab": 0}), EncodingError),
+        ("document", _set(_GROUPS + (3, "authz_config", "trusted_issuers"), {"ab": 0}), EncodingError),
+        ("document", _set(("attributes",), [["service", "x"]]), EncodingError),
+        ("document", _set(_GROUPS + (3, "authz_config", "required_claims"), [["role", "voter"]]), EncodingError),
+        # an unhashable value where an enum member's value belongs
+        ("document", _set(_GROUPS + (0, "authz_kind"), []), EncodingError),
+        ("document", _set(_GROUPS + (1, "coord_kind"), {}), EncodingError),
+        ("document", _set(_GROUPS + (2, "execution"), []), EncodingError),
         ("proposal", _set(("proposal_id",), 4.0), EncodingError),
         ("proposal", _set(("base_version",), True), EncodingError),
         ("proposal", _set(("originating_group",), "1"), EncodingError),
         ("proposal", _set(("created_at",), 9.0), EncodingError),
         ("proposal", _set(("deadline",), 15.0), EncodingError),
         ("proposal", _set(_CHANGE + ("new_attributes",), {"a": 1}), EncodingError),
+        ("proposal", _set(_CHANGE + ("new_attributes",), [["a", "1"]]), EncodingError),
+        ("proposal", _set(_CHANGE + ("new_public_keys",), {"ab": 0}), EncodingError),
+        ("proposal", _set(("status",), []), EncodingError),
         ("proposal", _set(_CHANGE + ("group_ops", 0, "group_id"), False), InvalidChangeSet),
         ("proposal", _set(_CHANGE + ("group_ops", 1, "group_id"), 1.0), InvalidChangeSet),
         ("event", _set(("sequence",), 7.0), EncodingError),

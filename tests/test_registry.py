@@ -3,7 +3,7 @@ import gc
 
 import pytest
 
-from didgov import crypto, registry as registry_mod
+from didgov import crypto, model, registry as registry_mod
 from didgov.coord import DecisionBatch
 from didgov.errors import (
     ActiveProposalPrecedence,
@@ -243,6 +243,25 @@ class TestDecide:
         assert Did(did) not in registry.state.active_proposals
         assert registry.state.event_log[-1].kind is EventKind.RESOLVED
 
+    def test_approved_proposal_applies_its_change_set_once(self, monkeypatch):
+        """Admission applies the change set; resolution installs that very
+        successor instead of applying it again."""
+        admitted = []
+
+        def apply_change_set(doc, change_set):
+            admitted.append(apply(doc, change_set))
+            return admitted[-1]
+
+        apply = model.apply_change_set
+        monkeypatch.setattr(model, "apply_change_set", apply_change_set)
+        registry, did = self._registry()
+        pid = _propose(registry, did, pair("a"))
+        _decide(registry, did, pair("a"), pid)
+        assert _decide(registry, did, pair("b"), pid) is Verdict.APPROVE
+        assert len(admitted) == 1
+        assert registry.state.documents[Did(did)] is admitted[0]
+        assert registry.state.successors == {}
+
     def test_early_reject_resolves_without_applying(self):
         registry, did = self._registry()
         pid = _propose(registry, did, pair("a"))
@@ -250,6 +269,7 @@ class TestDecide:
         assert _decide(registry, did, pair("b"), pid, Verdict.REJECT) is Verdict.REJECT
         assert registry.state.documents[Did(did)].version == 1
         assert registry.state.proposals[pid].status is ProposalStatus.REJECTED
+        assert registry.state.successors == {}
 
     def test_bad_signature_rejected(self):
         registry, did = self._registry()

@@ -140,7 +140,7 @@ class TestExecution:
     @pytest.mark.parametrize(
         "action, cause",
         [
-            (dict(_anchor(did="bb"), attributes="zz"), "ValueError"),
+            (dict(_anchor(did="bb"), attributes="zz"), "encoding-error: attributes must be an object, not str"),
             (dict(_anchor(did="bb"), groups=[{"edit_right": "document"}]), "KeyError"),
             (dict(_anchor(did="bb"), public_keys=[7]), "TypeError"),
             (_anchor(did="bb", edit_right="zz"), "encoding-error"),
@@ -383,12 +383,27 @@ def _split_aggregate(events):
     return fourth
 
 
-def _non_text_attribute(events):
-    event = _nth(events, "anchored")
-    document = json.loads(event["payload"]["document"])
-    document["attributes"] = {"service": 1.5}
-    event["payload"]["document"] = json.dumps(document, separators=(",", ":"))
-    return event
+def _edited_document(edit):
+    """An edit of a log that changes its first anchored document's JSON in
+    place by ``edit``."""
+
+    def edit_events(events):
+        event = _nth(events, "anchored")
+        document = json.loads(event["payload"]["document"])
+        edit(document)
+        event["payload"]["document"] = json.dumps(document, separators=(",", ":"))
+        return event
+
+    return edit_events
+
+
+def _keys_as_object(keys):
+    return {key: 0 for key in keys}
+
+
+def _members_as_object(document):
+    config = document["groups"][0]["authz_config"]
+    config["members"] = _keys_as_object(config["members"])
 
 
 def _edited_line(scenario, line_number, edit):
@@ -403,14 +418,6 @@ def _edited_line(scenario, line_number, edit):
 
 def _payload_as_pairs(event):
     event["payload"] = [[key, value] for key, value in event["payload"].items()]
-
-
-def _anchored_at_version_two(events):
-    event = _nth(events, "anchored")
-    document = json.loads(event["payload"]["document"])
-    document["version"] = 2
-    event["payload"]["document"] = json.dumps(document, separators=(",", ":"))
-    return event
 
 
 # JSON text nesting arrays deeper than any decoder recursion limit
@@ -462,7 +469,9 @@ MALFORMED_LOGS = {
     "unresolved-settled-tally": _forged_golden("key_rotation_2of3", _unresolved_settled_tally),
     "unappliable-change-set": _forged_golden("privilege_override", _unappliable_change_set),
     "submission-while-active": _forged_golden("privilege_override", _submission_while_active),
-    "anchored-at-version-two": _forged_golden("key_rotation_2of3", _anchored_at_version_two),
+    "anchored-at-version-two": _forged_golden(
+        "key_rotation_2of3", _edited_document(lambda document: document.update(version=2))
+    ),
     "stray-scheduled": _forged_golden("expiry_timeout", _stray_scheduled),
     "split-aggregate": _forged_golden("offchain_batch", _split_aggregate),
     # an aggregate authorizes and decodes all its decisions before it logs
@@ -473,7 +482,24 @@ MALFORMED_LOGS = {
     "non-hex-nonce-after-override": _forged_payload(
         "privilege_override", "proposal_submitted", nth=2, nonce_issuer="zz", nonce="zz"
     ),
-    "non-text-attribute": _forged_golden("key_rotation_2of3", _non_text_attribute),
+    "non-text-attribute": _forged_golden(
+        "key_rotation_2of3", _edited_document(lambda document: document.update(attributes={"service": 1.5}))
+    ),
+    # a JSON container of the wrong kind that iterating or dict() would take
+    "public-keys-as-object": _forged_golden(
+        "key_rotation_2of3",
+        _edited_document(lambda document: document.update(public_keys=_keys_as_object(document["public_keys"]))),
+    ),
+    "acl-members-as-object": _forged_golden("key_rotation_2of3", _edited_document(_members_as_object)),
+    "attributes-as-pairs": _forged_golden(
+        "key_rotation_2of3",
+        _edited_document(lambda document: document.update(attributes=[list(a) for a in document["attributes"].items()])),
+    ),
+    # unhashable values where an enum member's value belongs
+    "unhashable-verdict": _forged_payload("key_rotation_2of3", "decision_accepted", verdict=[]),
+    "unhashable-authz-kind": _forged_golden(
+        "key_rotation_2of3", _edited_document(lambda document: document["groups"][0].update(authz_kind={}))
+    ),
     # an event line of the wrong shape, or with fields of the wrong JSON type
     "float-sequence": _edited_line("key_rotation_2of3", 1, lambda event: event.update(sequence=1.0)),
     "boolean-sequence": _edited_line("key_rotation_2of3", 1, lambda event: event.update(sequence=True)),
