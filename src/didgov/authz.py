@@ -28,11 +28,6 @@ class AuthzRequest:
     proposal_id: Optional[int] = None
     credential: Optional[CredentialPresentation] = None
 
-    def presentation_context(self) -> int:
-        # Propose-time presentations bind id 0: no proposal exists yet and
-        # real ids start at 1, so the two contexts can never collide.
-        return self.proposal_id if self.proposal_id is not None else 0
-
 
 @dataclass(frozen=True, slots=True)
 class AuthzOutcome:

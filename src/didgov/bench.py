@@ -16,7 +16,9 @@ comparable:
 from __future__ import annotations
 
 import csv
+import functools
 import io
+import itertools
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -45,21 +47,16 @@ from .registry import Registry, build_decision
 
 PHASES = ("anchor", "propose", "vote", "resolve")
 
-CSV_COLUMNS = ("phase", "groups", "members", "authz", "coord", "execution", "time", "total") + CATEGORIES
+# the governance aspects of a grid point, as its reports' ``dimensions`` name them
+_DIMENSIONS = ("groups", "members", "authz", "coord", "execution", "time")
+
+CSV_COLUMNS = ("phase", *_DIMENSIONS, "total") + CATEGORIES
 
 _ISSUER_SEED = b"I" * 32
 _SUBJECT_SEED = b"S" * 32
 _ROTATED_SEED = b"R" * 32
 
-_keypair_cache: dict[bytes, KeyPair] = {}
-
-
-def _keypair(seed: bytes) -> KeyPair:
-    pair = _keypair_cache.get(seed)
-    if pair is None:
-        pair = crypto.generate_keypair(seed)
-        _keypair_cache[seed] = pair
-    return pair
+_keypair = functools.cache(crypto.generate_keypair)
 
 
 def _controller(index: int) -> KeyPair:
@@ -78,13 +75,9 @@ class SweepGrid:
     time_limits: tuple[Optional[int], ...] = (None,)
 
     def points(self):
-        for g in self.groups:
-            for mc in self.members:
-                for a in self.authz:
-                    for c in self.coord:
-                        for e in self.execution:
-                            for t in self.time_limits:
-                                yield g, mc, a, c, e, t
+        return itertools.product(
+            self.groups, self.members, self.authz, self.coord, self.execution, self.time_limits
+        )
 
 
 def _authz_config(kind: AuthzKind, members: int, coord_kind: CoordKind, issuer: KeyPair) -> object:
@@ -124,17 +117,18 @@ def _credential(
     return crypto.present_vc(vc, controller, did, proposal_id)
 
 
-def run_workflow(
+def _open_proposal(
+    registry: Registry,
     groups: int,
     members: int,
     authz_kind: AuthzKind,
     coord_kind: CoordKind,
     execution: ExecutionMode,
     time_limit: Optional[int],
-    schedule: Optional[CostSchedule] = None,
-) -> dict[str, CostReport]:
-    """One grid point: fresh registry, four phases, one report each."""
-    registry = Registry(schedule=schedule)
+) -> tuple[Did, int]:
+    """Anchor the document with ``groups`` identical groups, then have the
+    first controller propose the key rotation: two transactions. Returns
+    the document's did and the proposal's id."""
     issuer = _keypair(_ISSUER_SEED)
     subject = _keypair(_SUBJECT_SEED)
     did = Did(subject.public_key.hex())
@@ -149,31 +143,35 @@ def run_workflow(
         )
         for i in range(groups)
     )
-    reports: dict[str, CostReport] = {}
-
     registry.anchor(did, [subject.public_key], {}, group_list)
-    reports["anchor"] = registry.reports[-1]
-
     proposer = _controller(0)
     change = ChangeSet(new_public_keys=(_keypair(_ROTATED_SEED).public_key,))
     credential = _credential(authz_kind, proposer, issuer, did, 0, b"propose")
-    proposal_id = registry.propose(did, 0, change, proposer.public_key, credential)
-    reports["propose"] = registry.reports[-1]
+    return did, registry.propose(did, 0, change, proposer.public_key, credential)
 
+
+def run_workflow(
+    groups: int,
+    members: int,
+    authz_kind: AuthzKind,
+    coord_kind: CoordKind,
+    execution: ExecutionMode,
+    time_limit: Optional[int],
+    schedule: Optional[CostSchedule] = None,
+) -> dict[str, CostReport]:
+    """One grid point: fresh registry, four phases, one transaction and
+    report each."""
+    registry = Registry(schedule=schedule)
+    did, proposal_id = _open_proposal(registry, groups, members, authz_kind, coord_kind, execution, time_limit)
     voter = _controller(members - 1)  # last member: full membership scan
-    credential = _credential(authz_kind, voter, issuer, did, proposal_id, b"vote")
-    decision = build_decision(
-        voter, did, proposal_id, 1, Verdict.APPROVE, credential=credential
-    )
+    credential = _credential(authz_kind, voter, _keypair(_ISSUER_SEED), did, proposal_id, b"vote")
+    decision = build_decision(voter, did, proposal_id, 1, Verdict.APPROVE, credential=credential)
     if execution is ExecutionMode.ON_CHAIN:
         registry.decide(decision)
     else:
         registry.decide_batch(DecisionBatch(proposal_id=proposal_id, decisions=(decision,)))
-    reports["vote"] = registry.reports[-1]
-
     registry.resolve_manual(proposal_id)
-    reports["resolve"] = registry.reports[-1]
-    return reports
+    return dict(zip(PHASES, registry.reports))
 
 
 def sweep(grid: SweepGrid, schedule: Optional[CostSchedule] = None) -> list[CostReport]:
@@ -181,14 +179,8 @@ def sweep(grid: SweepGrid, schedule: Optional[CostSchedule] = None) -> list[Cost
     dimensions and are labelled by phase."""
     out: list[CostReport] = []
     for g, mc, a, c, e, t in grid.points():
-        dimensions = {
-            "groups": g,
-            "members": mc,
-            "authz": a.value,
-            "coord": c.value,
-            "execution": e.value,
-            "time": "unlimited" if t is None else t,
-        }
+        values = (g, mc, a.value, c.value, e.value, "unlimited" if t is None else t)
+        dimensions = dict(zip(_DIMENSIONS, values))
         phase_reports = run_workflow(g, mc, a, c, e, t, schedule=schedule)
         for phase in PHASES:
             out.append(
@@ -202,18 +194,10 @@ def reports_to_csv(reports: Sequence[CostReport]) -> str:
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
     for report in reports:
-        dims = report.dimensions
         writer.writerow(
-            [
-                report.transaction_label,
-                dims.get("groups", ""),
-                dims.get("members", ""),
-                dims.get("authz", ""),
-                dims.get("coord", ""),
-                dims.get("execution", ""),
-                dims.get("time", ""),
-                report.total,
-            ]
+            [report.transaction_label]
+            + [report.dimensions.get(name, "") for name in _DIMENSIONS]
+            + [report.total]
             + [report.units(category) for category in CATEGORIES]
         )
     return buffer.getvalue()
@@ -228,12 +212,10 @@ def write_csv(reports: Sequence[CostReport], path: str) -> None:
 
 def batch_comparison(
     k_values: Sequence[int] = tuple(range(2, 11)),
-    members: int = 10,
     groups: int = 1,
-    schedule: Optional[CostSchedule] = None,
 ) -> list[tuple[int, int, int]]:
     """For each k: total cost of k individual on-chain decisions vs one
-    off-chain aggregate of the same k decisions.
+    off-chain aggregate of the same k decisions, in ACL groups of 10.
 
     Turnout-sensitive coordination is used because it never terminates
     early, so both sides tally exactly k decisions with no resolution
@@ -241,37 +223,18 @@ def batch_comparison(
     """
     out = []
     for k in k_values:
-        individual = _decision_phase_total(k, members, groups, ExecutionMode.ON_CHAIN, schedule)
-        aggregated = _decision_phase_total(k, members, groups, ExecutionMode.OFF_CHAIN, schedule)
+        individual = _decision_phase_total(k, groups, ExecutionMode.ON_CHAIN)
+        aggregated = _decision_phase_total(k, groups, ExecutionMode.OFF_CHAIN)
         out.append((k, individual, aggregated))
     return out
 
 
-def _decision_phase_total(
-    k: int,
-    members: int,
-    groups: int,
-    execution: ExecutionMode,
-    schedule: Optional[CostSchedule],
-) -> int:
+def _decision_phase_total(k: int, groups: int, execution: ExecutionMode) -> int:
     """Summed decision-submission cost for k approvals under one config."""
-    registry = Registry(schedule=schedule)
-    subject = _keypair(_SUBJECT_SEED)
-    did = Did(subject.public_key.hex())
-    group_list = tuple(
-        GovernanceGroup(
-            group_id=i,
-            edit_right=EditRightLevel.DOCUMENT,
-            authz_config=AclConfig(members=tuple(_controller(i).public_key for i in range(members))),
-            coord_config=TurnoutConfig(quorum=2, ratio=Fraction(1, 2)),
-            execution=execution,
-        )
-        for i in range(groups)
+    registry = Registry()
+    did, proposal_id = _open_proposal(
+        registry, groups, 10, AuthzKind.ACL, CoordKind.TURNOUT_SENSITIVE, execution, None
     )
-    registry.anchor(did, [subject.public_key], {}, group_list)
-    proposer = _controller(0)
-    change = ChangeSet(new_public_keys=(_keypair(_ROTATED_SEED).public_key,))
-    proposal_id = registry.propose(did, 0, change, proposer.public_key)
     decisions = tuple(
         build_decision(_controller(i), did, proposal_id, 1, Verdict.APPROVE) for i in range(k)
     )

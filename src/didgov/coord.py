@@ -1,8 +1,10 @@
 """Coordination: decisions counted into one mutable :class:`Tally`, off-chain
 batches, and resolution. Each coordination kind is a config class in
 :mod:`didgov.model` holding its verdict formula, early outcome, cap and
-resolution charge. ``evaluate`` is the pure verdict function; ``resolve``
-is evaluate-plus-finalize.
+resolution charge. Verdicts and early outcomes read the tally's running
+counts, which only :func:`append_entry` keeps; ``accepted`` is what the
+snapshot holds. ``evaluate`` is the pure verdict function; ``resolve`` is
+evaluate-plus-finalize.
 """
 
 from __future__ import annotations
@@ -36,10 +38,10 @@ class ResolveReason(str, Enum):
 class Tally:
     """Accepted decisions of one proposal, in order.
 
-    ``accepted`` is what snapshots serialize. The controller set and the
-    running counters beside it are derived from ``accepted`` and change
-    only in :func:`append_entry`, so a vote is counted without rescanning
-    the tally.
+    ``accepted`` is what the snapshot holds. The controller set and the
+    running counts beside it are derived from ``accepted`` and change only
+    in :func:`append_entry`; verdicts and early outcomes read the counts,
+    so no formula rescans the tally.
     """
 
     proposal_id: int
@@ -49,9 +51,6 @@ class Tally:
     approvals: int = field(default=0, init=False)
     rejections: int = field(default=0, init=False)
     approve_weight: int = field(default=0, init=False)
-
-    def has_decided(self, controller_key: bytes) -> bool:
-        return controller_key in self.decided
 
 
 @dataclass(frozen=True)
@@ -92,9 +91,9 @@ def init_process(
     return Tally(proposal_id=proposal.proposal_id)
 
 
-def evaluate(config: CoordConfig, accepted: Sequence[TallyEntry]) -> Verdict:
+def evaluate(config: CoordConfig, tally: Tally) -> Verdict:
     """The pure resolution formula over a (possibly partial) tally."""
-    return config.verdict(accepted)
+    return config.verdict(tally)
 
 
 def submit_decision(
@@ -124,7 +123,7 @@ def append_entry(
     :func:`submit_decision` or :func:`submit_batch`. Checks precede it."""
     if tally.finalized:
         raise TallyFinalized(f"tally for proposal {tally.proposal_id} is finalized")
-    if tally.has_decided(entry[0]):
+    if entry[0] in tally.decided:
         raise DuplicateDecision("controller already has a counted decision")
     if config.cap is not None and len(tally.accepted) >= config.cap:
         raise TallyFull(f"turnout threshold m={config.cap} reached")
@@ -189,7 +188,7 @@ def resolve(
         raise AlreadyFinalized(f"proposal {tally.proposal_id} was already resolved")
     charge(meter, "iteration_step", config.resolution_steps(len(tally.accepted)))
     charge(meter, "storage_write_update", 1)  # finalization flag
-    verdict = evaluate(config, tally.accepted)
+    verdict = evaluate(config, tally)
     tally.finalized = True
     return verdict
 

@@ -19,16 +19,6 @@ from typing import Optional
 
 from .errors import UnknownCategory
 
-CATEGORIES = (
-    "base_tx",
-    "storage_write_new",
-    "storage_write_update",
-    "event_base",
-    "event_per_byte",
-    "sig_verify",
-    "iteration_step",
-)
-
 
 @dataclass(frozen=True)
 class CostSchedule:
@@ -69,6 +59,10 @@ class CostSchedule:
         return cls.from_json(data)
 
 
+# in field order, which is also the order of the cost columns in CSV output
+CATEGORIES = tuple(f.name for f in fields(CostSchedule))
+
+
 @dataclass(frozen=True, slots=True)
 class CostReport:
     """Frozen outcome of one metered transaction.
@@ -103,8 +97,7 @@ class CostMeter:
         self._counts: dict[str, int] = {}
 
     def charge(self, category: str, count: int = 1) -> None:
-        unit = self.schedule.unit(category)  # validates the category
-        del unit
+        self.schedule.unit(category)  # validates the category
         if count < 0:
             raise UnknownCategory(f"cannot charge negative count {count}")
         if count == 0:

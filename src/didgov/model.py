@@ -12,7 +12,7 @@ in :mod:`didgov.encoding`.
 from __future__ import annotations
 
 import math
-from collections.abc import Mapping, Sequence
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from enum import Enum, IntEnum
 from fractions import Fraction
@@ -27,7 +27,7 @@ from .errors import (
 from .metering import CostMeter, charge
 
 if TYPE_CHECKING:
-    from .coord import Tally, TallyEntry
+    from .coord import Tally
 
 _HEX_DIGITS = frozenset("0123456789abcdef")
 
@@ -338,7 +338,10 @@ class VcConfig(_Authorization):
         # The holder proof is the extra signature check credential flows pay
         # over bearer tokens.
         charge(meter, "sig_verify", 1)
-        if not request.credential.verify_holder(request.did, request.presentation_context()):
+        # Propose-time presentations bind id 0: no proposal exists yet and
+        # real ids start at 1, so the two contexts can never collide.
+        context = request.proposal_id if request.proposal_id is not None else 0
+        if not request.credential.verify_holder(request.did, context):
             return deny(Unauthorized, "holder proof-of-possession invalid")
         if vc.holder_key != request.controller_key:
             return deny(Unauthorized, "credential bound to a different holder")
@@ -362,14 +365,11 @@ AuthzConfig = Union[AclConfig, TokenConfig, VcConfig]
 _AUTHZ_CONFIGS = {config.kind: config for config in (AclConfig, TokenConfig, VcConfig)}
 
 
-def _approvals(accepted: Sequence[TallyEntry]) -> int:
-    return sum(1 for _, verdict, _ in accepted if verdict is Verdict.APPROVE)
-
-
 class _Coordination:
     """Shared by the coordination kinds, each of which has ``verdict``, its
-    resolution formula. By default a kind counts every decision (no ``cap``),
-    never settles early and resolves in one scan of the tally."""
+    resolution formula over the tally's running counts. By default a kind
+    counts every decision (no ``cap``), never settles early and resolves in
+    one scan of the tally."""
 
     cap: Optional[int] = None
 
@@ -410,8 +410,8 @@ class NOfMConfig(_Coordination):
     def cap(self) -> int:
         return self.m
 
-    def verdict(self, accepted: Sequence[TallyEntry]) -> Verdict:
-        return Verdict.APPROVE if _approvals(accepted) >= self.n else Verdict.REJECT
+    def verdict(self, tally: Tally) -> Verdict:
+        return Verdict.APPROVE if tally.approvals >= self.n else Verdict.REJECT
 
     def early_outcome(self, tally: Tally, meter: Optional[CostMeter] = None) -> Optional[Verdict]:
         charge(meter, "iteration_step", len(tally.accepted))  # early-termination pass over the tally
@@ -448,12 +448,12 @@ class TurnoutConfig(_Coordination):
     def from_json(cls, data: Mapping) -> "TurnoutConfig":
         return cls(quorum=data["quorum"], ratio=ratio_from_text(data["ratio"]))
 
-    def verdict(self, accepted: Sequence[TallyEntry]) -> Verdict:
-        submitted = len(accepted)
+    def verdict(self, tally: Tally) -> Verdict:
+        submitted = len(tally.accepted)
         if submitted < self.quorum:
             return Verdict.REJECT
         needed = math.ceil(self.ratio * submitted)  # exact: ratio is a Fraction
-        return Verdict.APPROVE if _approvals(accepted) >= needed else Verdict.REJECT
+        return Verdict.APPROVE if tally.approvals >= needed else Verdict.REJECT
 
     def resolution_steps(self, submitted: int) -> int:
         return 2 * submitted + 2  # turnout recount plus threshold scaling: the costliest resolution
@@ -480,9 +480,8 @@ class WeightedConfig(_Coordination):
     def from_json(cls, data: Mapping) -> "WeightedConfig":
         return cls(threshold=data["threshold"])
 
-    def verdict(self, accepted: Sequence[TallyEntry]) -> Verdict:
-        approve_weight = sum(w for _, verdict, w in accepted if verdict is Verdict.APPROVE)
-        return Verdict.APPROVE if approve_weight >= self.threshold else Verdict.REJECT
+    def verdict(self, tally: Tally) -> Verdict:
+        return Verdict.APPROVE if tally.approve_weight >= self.threshold else Verdict.REJECT
 
     def early_outcome(self, tally: Tally, meter: Optional[CostMeter] = None) -> Optional[Verdict]:
         charge(meter, "iteration_step", len(tally.accepted))  # early-termination pass over the tally
@@ -609,22 +608,20 @@ def apply_change_set(doc: DidDocument, change_set: ChangeSet) -> DidDocument:
     listed order. Returns the successor document at version + 1."""
     public_keys = change_set.new_public_keys if change_set.new_public_keys is not None else doc.public_keys
     attributes = change_set.new_attributes if change_set.new_attributes is not None else doc.attributes
-    groups = list(doc.groups)
+    # by id, in document order: replacing a group keeps its position
+    groups = {g.group_id: g for g in doc.groups}
     for op in change_set.group_ops:
         if isinstance(op, AddGroup):
-            if any(g.group_id == op.group.group_id for g in groups):
+            if op.group.group_id in groups:
                 raise InvalidChangeSet(f"group {op.group.group_id} already exists")
-            groups.append(op.group)
+            groups[op.group.group_id] = op.group
         elif isinstance(op, ReplaceGroup):
-            index = next((i for i, g in enumerate(groups) if g.group_id == op.group_id), None)
-            if index is None:
+            if op.group_id not in groups:
                 raise UnknownGroup(f"cannot replace missing group {op.group_id}")
-            groups[index] = op.group
+            groups[op.group_id] = op.group
         elif isinstance(op, RemoveGroup):
-            index = next((i for i, g in enumerate(groups) if g.group_id == op.group_id), None)
-            if index is None:
+            if groups.pop(op.group_id, None) is None:
                 raise UnknownGroup(f"cannot remove missing group {op.group_id}")
-            del groups[index]
         else:  # pragma: no cover - GroupOp union is closed
             raise InvalidChangeSet(f"unknown group op {op!r}")
     if not groups:
@@ -634,7 +631,7 @@ def apply_change_set(doc: DidDocument, change_set: ChangeSet) -> DidDocument:
         version=doc.version + 1,
         public_keys=public_keys,
         attributes=attributes,
-        groups=tuple(groups),
+        groups=tuple(groups.values()),
     )
 
 
@@ -643,7 +640,7 @@ def apply_change_set(doc: DidDocument, change_set: ChangeSet) -> DidDocument:
 @dataclass
 class UpdateProposal:
     """Mutable lifecycle record; only status and deadline change after
-    creation (the registry sets the deadline when scheduling fires)."""
+    creation (the registry writes the deadline once, when it schedules it)."""
 
     proposal_id: int
     did: Did

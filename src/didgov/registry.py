@@ -28,7 +28,6 @@ before it builds the next, so the whole snapshot never exists as dicts.
 from __future__ import annotations
 
 import io
-import json
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from json.decoder import JSONDecodeError, JSONDecoder
@@ -72,7 +71,7 @@ from .model import (
     UpdateProposal,
     Verdict,
 )
-from .scheduler import DeadlineQueue, ScheduleRequest, SimClock
+from .scheduler import DeadlineQueue, SimClock
 
 if c_make_encoder is None or c_make_scanner is None:
     raise ImportError("didgov requires CPython's _json accelerator (c_make_encoder and c_make_scanner)")
@@ -153,11 +152,9 @@ def _group_of(state: RegistryState, proposal: UpdateProposal) -> GovernanceGroup
     return state.documents[proposal.did].group(proposal.originating_group)
 
 
-def _anchor(
-    state: RegistryState, doc: DidDocument, document: str, meter: Optional[CostMeter], emit: Emit
-) -> None:
-    """Install a new document, at version 1, and charge its storage.
-    ``document`` is its JSON text, the event's record of it."""
+def _anchor(state: RegistryState, doc: DidDocument, meter: Optional[CostMeter], emit: Emit) -> None:
+    """Install a new document, at version 1, and charge its storage. The
+    event records the document's JSON text."""
     if doc.did in state.documents:
         raise AlreadyAnchored(f"did {doc.did} is already anchored")
     if doc.version != 1:
@@ -172,7 +169,8 @@ def _anchor(
         if group.time_limit is not None:
             charge(meter, "storage_write_new", 1)  # time settings
     state.documents[doc.did] = doc
-    emit(state, EventKind.ANCHORED, {"did": str(doc.did), "document": document}, meter)
+    anchored = {"did": str(doc.did), "document": _compact(model.document_to_json(doc))}
+    emit(state, EventKind.ANCHORED, anchored, meter)
 
 
 def _propose(
@@ -243,10 +241,9 @@ def _propose(
     submitted.update(_nonce_fields(outcome.consume_nonce))
     emit(state, EventKind.PROPOSAL_SUBMITTED, submitted, meter)
     if group.time_limit is not None:
-        request = ScheduleRequest(proposal.proposal_id, proposal.created_at + group.time_limit)
-        proposal.deadline = request.deadline
-        state.queue.push(request)
-        scheduled = {"proposal_id": str(request.proposal_id), "deadline": str(request.deadline)}
+        proposal.deadline = proposal.created_at + group.time_limit
+        state.queue.push(proposal.deadline, proposal.proposal_id)
+        scheduled = {"proposal_id": str(proposal.proposal_id), "deadline": str(proposal.deadline)}
         emit(state, EventKind.SCHEDULED, scheduled, meter)
     return proposal
 
@@ -491,7 +488,7 @@ class Registry:
         doc = DidDocument(
             did=Did(did), version=1, public_keys=tuple(public_keys), attributes=attributes, groups=tuple(groups)
         )
-        self._run("anchor", _anchor, doc, _compact(model.document_to_json(doc)))
+        self._run("anchor", _anchor, doc)
         return doc
 
     def propose(
@@ -657,7 +654,8 @@ _JSON_SPACE = " \t\n\r"
 def _json_line(line: str):
     """``json.loads(line)``, errors included, without its per-call Python
     layers: the C scanner reads the value after any JSON whitespace, and
-    only JSON whitespace may follow it."""
+    only JSON whitespace may follow it. Replay decodes the document and
+    proposal text that events hold with it too."""
     start = len(line) - len(line.lstrip(_JSON_SPACE))
     try:
         value, end = _scan(line, start)
@@ -811,12 +809,11 @@ def replay_events(events: Sequence[GovernanceEvent]) -> RegistryState:
         payload = event.payload
         try:
             if event.kind is EventKind.ANCHORED:
-                document = payload["document"]
-                _anchor(state, model.document_from_json(json.loads(document)), document, None, emit)
+                _anchor(state, model.document_from_json(_json_line(payload["document"])), None, emit)
             elif event.kind in (EventKind.PROPOSAL_SUBMITTED, EventKind.PROPOSAL_OVERRIDDEN):
                 if event.kind is EventKind.PROPOSAL_OVERRIDDEN:
                     event = _submission_after(events, at)
-                logged = model.proposal_from_json(json.loads(event.payload["proposal"]))
+                logged = model.proposal_from_json(_json_line(event.payload["proposal"]))
                 authorize = _logged(event)
                 _propose(state, logged.did, logged.originating_group, logged.change_set, authorize, None, emit)
             elif event.kind is EventKind.DECISION_ACCEPTED:

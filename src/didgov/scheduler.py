@@ -11,13 +11,6 @@ mechanism.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
-
-
-@dataclass(frozen=True)
-class ScheduleRequest:
-    proposal_id: int
-    deadline: int
 
 
 class SimClock:
@@ -36,8 +29,8 @@ class DeadlineQueue:
     def __init__(self) -> None:
         self._heap: list[tuple[int, int]] = []
 
-    def push(self, request: ScheduleRequest) -> None:
-        heapq.heappush(self._heap, (request.deadline, request.proposal_id))
+    def push(self, deadline: int, proposal_id: int) -> None:
+        heapq.heappush(self._heap, (deadline, proposal_id))
 
     def due(self, now: int) -> list[tuple[int, int]]:
         """Pop every entry with deadline <= now, ordered by deadline then id."""

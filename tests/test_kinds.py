@@ -3,7 +3,8 @@
 Every authorization kind, coordination kind and execution mode runs the
 whole lifecycle and replays byte for byte; and no engine module dispatches
 on a config's class or branches on a kind itself, so the classes in
-``didgov.model`` stay the one place a kind is defined.
+``didgov.model`` stay the one place a kind is defined. No coordination
+formula counts a tally's decisions again: each reads the running counts.
 """
 
 import ast
@@ -165,3 +166,83 @@ def test_no_engine_module_dispatches_on_a_governance_kind():
 )
 def test_the_dispatch_guard_finds_a_branch_on_a_kind(source):
     assert len(_kind_dispatch(ast.parse(source), "registry.py")) == 1
+
+
+# --- one count per tally ------------------------------------------------------
+# coord.append_entry keeps a tally's running counts, and every formula reads
+# them; a formula that rescanned the accepted decisions would be a second
+# count of the same votes.
+
+COUNT_FIELDS = {"approvals", "rejections", "approve_weight", "decided"}
+FORMULAS = {"verdict", "early_outcome"}
+
+
+def _second_counts(tree: ast.Module, module: str) -> list[str]:
+    """Each place in ``tree`` that counts a tally outside its running counts:
+    a ``verdict`` or ``early_outcome`` that reads the accepted decisions
+    other than by ``len``, and a write to a running count anywhere but
+    ``coord.append_entry``; ``module`` is the file name."""
+    found = []
+
+    def is_accepted(node):
+        return (isinstance(node, ast.Name) and node.id == "accepted") or (
+            isinstance(node, ast.Attribute) and node.attr == "accepted"
+        )
+
+    def writes_count(node):
+        targets = []
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+            targets = [node.target]
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            targets = [node.func.value]  # tally.decided.add(key) writes tally.decided
+        return any(isinstance(t, ast.Attribute) and t.attr in COUNT_FIELDS for t in targets)
+
+    def visit(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id == "len"
+            and len(node.args) == 1
+            and is_accepted(node.args[0])
+        ):
+            return  # the number of decisions is no count of their verdicts
+        if function in FORMULAS and is_accepted(node):
+            found.append(f"{module}:{node.lineno} {function} reads the accepted decisions")
+        if writes_count(node) and (module, function) != ("coord.py", "append_entry"):
+            found.append(f"{module}:{node.lineno} {function} writes a running count")
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(tree, None)
+    return found
+
+
+def test_no_formula_counts_a_tally_a_second_time():
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        found += _second_counts(ast.parse(path.read_text(encoding="utf-8")), path.name)
+    assert found == []
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        "def verdict(self, tally):\n    return sum(w for _, v, w in tally.accepted) >= self.threshold",
+        "def verdict(self, accepted):\n    return _approvals(accepted) >= self.n",
+        "def early_outcome(self, tally, meter):\n    for entry in tally.accepted:\n        pass",
+        "def resolve(config, tally, meter):\n    tally.approvals += 1",
+        "def replay(tally):\n    tally.approve_weight = 0",
+        "def replay(tally, key):\n    tally.decided.add(key)",
+    ],
+)
+def test_the_count_guard_finds_a_second_count(source):
+    assert len(_second_counts(ast.parse(source), "model.py")) == 1
+
+
+def test_the_count_guard_lets_a_formula_read_the_turnout():
+    source = "def verdict(self, tally):\n    return len(tally.accepted) >= self.quorum"
+    assert _second_counts(ast.parse(source), "model.py") == []

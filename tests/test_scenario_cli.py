@@ -454,6 +454,10 @@ MALFORMED_LOGS = {
     "forged-proposal-status": _forged_proposal(status="rejected"),
     "forged-proposal-deadline": _forged_proposal(deadline=50),
     "forged-anchored-did": _forged_payload("key_rotation_2of3", "anchored", did="c0ffee99"),
+    # a field the document codec does not read: the anchor derives the text it logs
+    "non-canonical-document": _forged_golden(
+        "key_rotation_2of3", _edited_document(lambda document: document.update(bogus=1))
+    ),
     "forged-reason-expired": _forged_payload("offchain_batch", "resolved", reason="expired"),
     "forged-deadline": _forged_payload("offchain_batch", "scheduled", deadline="30"),
     "clock-moved-back": _forged_golden("expiry_timeout", _clock_moved_back),
