@@ -665,15 +665,15 @@ class Decision:
     credential: Optional[CredentialPresentation] = None
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class GovernanceEvent:
+    """One audit log entry. The event owns ``payload``: each writer passes a
+    dict of its own, which nothing changes once it is logged."""
+
     sequence: int
     tick: int
     kind: EventKind
-    payload: Mapping[str, str]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "payload", dict(self.payload))
+    payload: dict[str, str]
 
     def payload_bytes(self) -> int:
         """Byte size charged for emitting this event (utf-8 payload text)."""

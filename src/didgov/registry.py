@@ -16,9 +16,11 @@ registry runs it with a fresh meter and an ``emit`` that logs each event.
 replayed log reproduces the live registry byte-for-byte (see
 :func:`snapshot_json`). Tallies change only through :mod:`didgov.coord`.
 
-An audit decodes, folds, then snapshots. :func:`event_log_from_jsonl`
-reads each line with CPython's C JSON scanner and accepts only a line that
-is exactly one event (:func:`didgov.model.event_from_json`).
+:func:`event_log_to_jsonl` writes each event line from its kind's fixed
+text, with only the payload through the C JSON encoder. An audit decodes,
+folds, then snapshots. :func:`event_log_from_jsonl` reads each line with
+CPython's C JSON scanner and accepts only a line that is exactly one event
+(:func:`didgov.model.event_from_json`).
 :func:`snapshot_json` writes the text of ``json.dumps(state_snapshot(state),
 indent=2, sort_keys=True)`` a top-level section at a time: it builds one
 section's dicts and lists, writes them into a text buffer and drops them
@@ -77,6 +79,11 @@ if c_make_encoder is None or c_make_scanner is None:
     raise ImportError("didgov requires CPython's _json accelerator (c_make_encoder and c_make_scanner)")
 
 
+# the stock encoder's ``default``: it raises the TypeError ``json.dumps``
+# raises for a value that is not JSON
+_ENCODER_DEFAULT = JSONEncoder().default
+
+
 def _compact_writer() -> Callable[[object], str]:
     """A writer of compact JSON text, equal to ``json.dumps(value,
     separators=(",", ":"))``: one C encoder built with the arguments
@@ -85,7 +92,7 @@ def _compact_writer() -> Callable[[object], str]:
     ``json.dumps`` builds that encoder for each value; build one writer
     per call and write every value of the call through it."""
     encode = c_make_encoder(
-        {}, JSONEncoder().default, encode_basestring_ascii, None, ":", ",", False, False, True
+        {}, _ENCODER_DEFAULT, encode_basestring_ascii, None, ":", ",", False, False, True
     )
     return lambda value: "".join(encode(value, 0))
 
@@ -637,9 +644,21 @@ def snapshot_json(state: RegistryState) -> str:
     return "".join(parts)
 
 
+# what an event line holds between its tick and its payload, per kind
+_KIND_FIELDS = {kind: f',"kind":{encode_basestring_ascii(kind.value)},"payload":' for kind in EventKind}
+
+
 def event_log_to_jsonl(events: Sequence[GovernanceEvent]) -> str:
-    write = _compact_writer()
-    return "".join([write(model.event_to_json(event)) + "\n" for event in events])
+    """One line per event, each the compact JSON text of
+    :func:`didgov.model.event_to_json` for it, written from a template:
+    the integers in ``json.dumps``'s spelling, the kind's fixed text and
+    the payload through one compact writer, with no dict built per
+    event."""
+    write, kinds, spell = _compact_writer(), _KIND_FIELDS, int.__repr__
+    return "".join([
+        f'{{"sequence":{spell(event.sequence)},"tick":{spell(event.tick)}{kinds[event.kind]}{write(event.payload)}}}\n'
+        for event in events
+    ])
 
 
 # What a hostile log can make decoding or folding raise; each is reported
@@ -762,11 +781,17 @@ def _difference(logged: GovernanceEvent, derived: GovernanceEvent) -> str:
     for name in ("sequence", "tick", "kind"):
         if getattr(logged, name) != getattr(derived, name):
             return f"logged {name} {getattr(logged, name)!r}, derived {getattr(derived, name)!r}"
-    logged_payload, derived_payload = logged.payload, derived.payload
+    logged_payload, derived_payload, absent = logged.payload, derived.payload, object()
     key = next(
-        k for k in (*derived_payload, *logged_payload) if logged_payload.get(k) != derived_payload.get(k)
+        k
+        for k in (*derived_payload, *logged_payload)
+        if logged_payload.get(k, absent) != derived_payload.get(k, absent)
     )
-    return f"logged {key} {logged_payload.get(key)!r}, derived {derived_payload.get(key)!r}"
+
+    def value(payload) -> str:
+        return repr(payload[key]) if key in payload else "(no such field)"
+
+    return f"logged {key} {value(logged_payload)}, derived {value(derived_payload)}"
 
 
 def replay_events(events: Sequence[GovernanceEvent]) -> RegistryState:

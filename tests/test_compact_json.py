@@ -1,8 +1,10 @@
 """The compact JSON writer in :mod:`didgov.registry` against ``json.dumps``.
 
-Every event log line and every ``document``/``proposal`` payload is written
-through it, so its text must equal ``json.dumps(value, separators=(",",
-":"))`` byte for byte.
+Every ``document``/``proposal`` payload field and every event's payload is
+written through it, so its text must equal ``json.dumps(value,
+separators=(",", ":"))`` byte for byte. ``event_log_to_jsonl`` writes the
+rest of each event line from a per-kind template; each line must equal the
+compact ``json.dumps`` of :func:`didgov.model.event_to_json` for its event.
 """
 
 import json
@@ -12,7 +14,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from didgov import model
 from didgov import registry as registry_mod
+from didgov.model import EventKind, GovernanceEvent
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -72,6 +76,23 @@ def test_non_serializable_value_raises_type_error(value):
         _dumps(value)
     with pytest.raises(TypeError, match="not JSON serializable"):
         registry_mod._compact_writer()(value)
+
+
+# sequence and tick past 2**64, every kind, payload text that JSON escapes
+EVENTS = st.builds(
+    GovernanceEvent,
+    st.integers(min_value=0, max_value=2**70),
+    st.integers(min_value=0, max_value=2**70),
+    st.sampled_from(EventKind),
+    st.dictionaries(TEXT, TEXT, max_size=5),
+)
+
+
+@given(st.lists(EVENTS, max_size=4))
+def test_event_lines_equal_json_dumps_of_event_to_json(events):
+    assert registry_mod.event_log_to_jsonl(events) == "".join(
+        _dumps(model.event_to_json(event)) + "\n" for event in events
+    )
 
 
 @pytest.mark.parametrize("scenario", sorted(path.name for path in GOLDEN.iterdir() if path.is_dir()))

@@ -445,6 +445,8 @@ MALFORMED_LOGS = {
     "forged-controller": _forged_payload("key_rotation_2of3", "decision_accepted", controller="ab" * 32),
     "forged-weight": _forged_payload("key_rotation_2of3", "decision_accepted", weight="7"),
     "non-canonical-weight": _forged_payload("key_rotation_2of3", "decision_accepted", weight="01"),
+    # a field the transition does not derive, whose value reads like a missing one
+    "extra-null-field": _forged_payload("key_rotation_2of3", "resolved", extra=None),
     # fields a transition derives, each edited in a log that folds unchecked
     "forged-new-version": _forged_payload("key_rotation_2of3", "resolved", new_version="99"),
     "forged-reason-decisive": _forged_payload("key_rotation_2of3", "resolved", reason="manual"),
@@ -786,9 +788,11 @@ class TestCli:
         assert json.loads(result.output)["clock"] == 0
 
 
-# --- CLI fuzz: every field of every golden input deleted or replaced ---------
+# --- CLI fuzz: every field of every golden input deleted or replaced, and a
+# field added to every object ----------------------------------------------
 
 _DELETE = object()
+_ADDED = "added"  # a field name no golden input uses
 
 
 def _json_paths(value, path=()):
@@ -806,8 +810,12 @@ def _json_paths(value, path=()):
 
 def _mutants(text, replacements):
     """The JSON value of ``text`` with one field deleted (``_DELETE``) or
-    replaced, for every field and every replacement."""
-    for path in list(_json_paths(json.loads(text))):
+    replaced, for every field and every replacement; then with the field
+    ``_ADDED`` added to one object, for every object and every replacement
+    value."""
+    value = json.loads(text)
+    paths = list(_json_paths(value))
+    for path in paths:
         for replacement in replacements:
             mutant = json.loads(text)
             parent = functools.reduce(operator.getitem, path[:-1], mutant)
@@ -816,6 +824,15 @@ def _mutants(text, replacements):
             else:
                 parent[path[-1]] = replacement
             yield path, replacement, mutant
+    for path in [(), *paths]:
+        if not isinstance(functools.reduce(operator.getitem, path, value), dict):
+            continue
+        for replacement in replacements:
+            if replacement is _DELETE:
+                continue
+            mutant = json.loads(text)
+            functools.reduce(operator.getitem, path, mutant)[_ADDED] = replacement
+            yield path + (_ADDED,), replacement, mutant
 
 
 def _exit_code(command, *args) -> int:
