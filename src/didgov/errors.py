@@ -160,7 +160,8 @@ class DuplicateBatch(GovernanceError):
 # --- scheduler / metering ----------------------------------------------------
 
 class ClockRegression(GovernanceError):
-    """Attempt to move the simulated clock backwards."""
+    """Attempt to move the simulated clock backwards, or to a tick that is
+    not an integer."""
 
     code = "clock-regression"
 

@@ -1,10 +1,10 @@
 """Abstract cost accounting.
 
 Every registry transaction owns one meter. Modules on the transaction path
-charge itemized units (storage writes, event bytes, signature checks,
-iteration steps) and the registry freezes the meter into a report when the
-transaction commits. Failed transactions discard their meter, so metering
-can never observe partial work.
+charge counts (storage writes, event bytes, signature checks, iteration
+steps); the meter only counts, and the report the registry takes from it
+when the transaction commits prices each count once. Failed transactions
+discard their meter, so metering can never observe partial work.
 
 The unit weights mirror EVM gas magnitudes so cost *trends* are comparable
 with on-chain measurements; the absolute numbers carry no meaning and the
@@ -36,11 +36,6 @@ class CostSchedule:
             if isinstance(value, bool) or not isinstance(value, int) or value <= 0:
                 raise UnknownCategory(f"schedule unit {f.name} must be a positive integer")
 
-    def unit(self, category: str) -> int:
-        if category not in CATEGORIES:
-            raise UnknownCategory(f"unknown cost category {category!r}")
-        return getattr(self, category)
-
     @classmethod
     def from_json(cls, data: Mapping) -> "CostSchedule":
         unknown = set(data) - set(CATEGORIES)
@@ -67,20 +62,19 @@ CATEGORIES = tuple(f.name for f in fields(CostSchedule))
 class CostReport:
     """Frozen outcome of one metered transaction.
 
-    ``items`` lists (category, count, units) in first-charge order;
+    ``items`` lists (category, count, units) in first-charge order and is
+    the one record of the transaction's price: ``total`` is derived from it.
     ``dimensions`` carries the governance aspects of the grid point when
     the report comes from a benchmark sweep (empty otherwise).
     """
 
     transaction_label: str
-    total: int
     items: tuple[tuple[str, int, int], ...]
     dimensions: Mapping[str, object] = field(default_factory=dict)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "dimensions", dict(self.dimensions))
-        if self.total != sum(units for _, _, units in self.items):
-            raise UnknownCategory("report total does not match its items")
+    @property
+    def total(self) -> int:
+        return sum(units for _, _, units in self.items)
 
     def count(self, category: str) -> int:
         return sum(count for cat, count, _ in self.items if cat == category)
@@ -90,32 +84,25 @@ class CostReport:
 
 
 class CostMeter:
-    """Accumulates charges for one transaction, in first-charge order."""
+    """Counts one transaction's charges in first-charge order; :meth:`report` prices them."""
 
     def __init__(self, schedule: Optional[CostSchedule] = None) -> None:
         self.schedule = schedule if schedule is not None else CostSchedule()
         self._counts: dict[str, int] = {}
 
     def charge(self, category: str, count: int = 1) -> None:
-        self.schedule.unit(category)  # validates the category
+        if category not in CATEGORIES:
+            raise UnknownCategory(f"unknown cost category {category!r}")
         if count < 0:
             raise UnknownCategory(f"cannot charge negative count {count}")
         if count == 0:
             return
         self._counts[category] = self._counts.get(category, 0) + count
 
-    def items(self) -> tuple[tuple[str, int, int], ...]:
-        return tuple(
-            (category, count, count * self.schedule.unit(category))
-            for category, count in self._counts.items()
-        )
-
-    @property
-    def total(self) -> int:
-        return sum(units for _, _, units in self.items())
-
     def report(self, label: str) -> CostReport:
-        return CostReport(transaction_label=label, total=self.total, items=self.items())
+        """Price each count once, in first-charge order."""
+        items = tuple((cat, count, count * getattr(self.schedule, cat)) for cat, count in self._counts.items())
+        return CostReport(transaction_label=label, items=items)
 
 
 def charge(meter: Optional[CostMeter], category: str, count: int = 1) -> None:

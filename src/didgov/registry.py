@@ -381,6 +381,7 @@ def _advance_clock(state: RegistryState, to: int, meter: Optional[CostMeter], em
     """Move the clock forward and expire each proposal whose deadline came
     due and that is still active, in firing order; returns their ids. Queue
     entries of proposals resolved earlier are dropped."""
+    model._require_int(to, "the clock tick", ClockRegression)
     if to < state.clock.now:
         raise ClockRegression(f"clock must move forward from {state.clock.now}, not to {to}")
     charge(meter, "base_tx", 1)

@@ -59,11 +59,11 @@ class TestAcl:
         for member in (pair("a"), pair("b"), pair("c")):
             meter = CostMeter()
             authorize(self.config, _request(member), NonceLedger(), meter)
-            costs.append(meter.total)
+            costs.append(meter.report("authorize").total)
         assert costs[0] < costs[1] < costs[2]
         miss = CostMeter()
         authorize(self.config, _request(pair("z")), NonceLedger(), miss)
-        assert miss.total == costs[2]  # a miss scans the full list
+        assert miss.report("authorize").total == costs[2]  # a miss scans the full list
 
     @staticmethod
     def _scan(config, key):

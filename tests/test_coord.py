@@ -274,7 +274,7 @@ class TestResolveAndFreeze:
                 coord.submit_decision(config, tally, _key(tag), Verdict.REJECT, 1)
             meter = CostMeter()
             coord.resolve(config, tally, meter)
-            return meter.total
+            return meter.report("resolve").total
 
         turnout = resolve_cost(TurnoutConfig(quorum=5, ratio=Fraction(1, 2)))
         nofm = resolve_cost(NOfMConfig(n=5, m=9))

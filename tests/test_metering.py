@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from didgov.errors import UnknownCategory
@@ -7,12 +9,10 @@ from didgov.metering import CATEGORIES, CostMeter, CostReport, CostSchedule, cha
 def test_schedule_defaults_cover_every_category():
     schedule = CostSchedule()
     for category in CATEGORIES:
-        assert schedule.unit(category) > 0
+        assert getattr(schedule, category) > 0
 
 
 def test_schedule_rejects_unknown_category():
-    with pytest.raises(UnknownCategory):
-        CostSchedule().unit("quantum_flux")
     with pytest.raises(UnknownCategory):
         CostSchedule.from_json({"quantum_flux": 3})
 
@@ -47,10 +47,10 @@ def test_meter_accumulates_and_reports():
     meter.charge("base_tx")
     meter.charge("iteration_step", 3)
     meter.charge("iteration_step", 2)
-    assert meter.total == 10 + 5 * 2
     report = meter.report("label")
     assert report.transaction_label == "label"
-    assert report.total == 20
+    assert report.total == 10 + 5 * 2
+    assert report.items == (("base_tx", 1, 10), ("iteration_step", 5, 10))
     assert report.count("iteration_step") == 5
     assert report.units("iteration_step") == 10
     assert report.dimensions == {}  # only a benchmark sweep labels its reports
@@ -61,7 +61,7 @@ def test_meter_items_keep_first_charge_order():
     meter.charge("sig_verify")
     meter.charge("base_tx")
     meter.charge("sig_verify")
-    assert [category for category, _, _ in meter.items()] == ["sig_verify", "base_tx"]
+    assert [category for category, _, _ in meter.report("x").items] == ["sig_verify", "base_tx"]
 
 
 def test_meter_rejects_bad_charges():
@@ -71,16 +71,19 @@ def test_meter_rejects_bad_charges():
     with pytest.raises(UnknownCategory):
         meter.charge("base_tx", -1)
     meter.charge("base_tx", 0)  # no-op, not an item
-    assert meter.items() == ()
-
-
-def test_report_total_must_match_items():
-    with pytest.raises(UnknownCategory):
-        CostReport(transaction_label="x", total=5, items=(("base_tx", 1, 21000),))
+    assert meter.report("x").items == ()
 
 
 def test_charge_helper_tolerates_disabled_meter():
     charge(None, "base_tx")  # must not raise
     meter = CostMeter()
     charge(meter, "base_tx", 2)
-    assert meter.total == 2 * CostSchedule().base_tx
+    assert meter.report("x").total == 2 * CostSchedule().base_tx
+
+
+def test_each_price_has_one_owner():
+    """The meter counts and its report prices: no stored total, no second
+    pricing path on the meter or the schedule."""
+    assert "total" not in {f.name for f in dataclasses.fields(CostReport)}
+    assert not hasattr(CostMeter, "items") and not hasattr(CostMeter, "total")
+    assert not hasattr(CostSchedule, "unit")

@@ -564,6 +564,18 @@ class TestClockAndExpiry:
             registry.advance_clock(4)
         assert registry.state.clock.now == 5
 
+    @pytest.mark.parametrize("tick", [2.5, True, "3"], ids=["float", "bool", "str"])
+    def test_non_integer_tick_rejected(self, tick):
+        """A tick that is not an int is refused before it reaches the log,
+        which could then neither be exported nor replayed."""
+        registry, _ = self._registry()
+        snapshot, events, reports = registry.snapshot_json(), list(registry.state.event_log), list(registry.reports)
+        with pytest.raises(ClockRegression, match="must be an integer"):
+            registry.advance_clock(tick)
+        assert registry.snapshot_json() == snapshot
+        assert registry.state.event_log == events
+        assert registry.reports == reports
+
     def test_same_tick_advance_is_a_quiet_transaction(self):
         registry, _ = self._registry()
         registry.advance_clock(5)
