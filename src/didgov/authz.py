@@ -1,4 +1,4 @@
-"""Authorization requests and outcomes, and the ledger of burned nonces.
+"""Authorization requests and outcomes.
 
 Each authorization kind (ACL, token, VC) is a config class in
 :mod:`didgov.model` that authorizes a request itself, without mutating
@@ -19,6 +19,7 @@ if TYPE_CHECKING:
 
 
 Nonce = Optional[tuple[bytes, bytes]]  # (issuer key, nonce) a token burns
+NonceLedger = set[tuple[bytes, bytes]]  # the burned pairs; a burned pair is dead forever
 
 
 @dataclass(frozen=True, slots=True)
@@ -52,25 +53,6 @@ class AuthzOutcome:
             return None
         error, message = self.refusal
         return error(message)
-
-
-class NonceLedger:
-    """Consumed (issuer, nonce) pairs; a consumed pair is dead forever."""
-
-    def __init__(self) -> None:
-        self._consumed: set[tuple[bytes, bytes]] = set()
-
-    def is_consumed(self, issuer_key: bytes, nonce: bytes) -> bool:
-        return (issuer_key, nonce) in self._consumed
-
-    def consume(self, issuer_key: bytes, nonce: bytes) -> None:
-        self._consumed.add((issuer_key, nonce))
-
-    def pairs(self) -> frozenset[tuple[bytes, bytes]]:
-        return frozenset(self._consumed)
-
-    def __len__(self) -> int:
-        return len(self._consumed)
 
 
 def deny(error: type[GovernanceError], message: str) -> AuthzOutcome:

@@ -23,14 +23,11 @@ NONCE_LEN = 16
 
 @dataclass(frozen=True)
 class KeyPair:
-    """An Ed25519 key pair; the secret key is the 32-byte seed.
-
-    ``private`` is the signing key derived from the seed once, when the
-    pair is made; it takes no part in equality, hashing or repr.
-    """
+    """An Ed25519 key pair. ``private`` is the signing key derived from the
+    32-byte seed once, when the pair is made, and the pair's only secret;
+    equality, hashing and repr rest on ``public_key`` alone."""
 
     public_key: bytes
-    secret_key: bytes = field(repr=False)
     private: ed25519.Ed25519PrivateKey = field(repr=False, compare=False)
 
 
@@ -39,7 +36,7 @@ def generate_keypair(seed: bytes) -> KeyPair:
     if len(seed) != SECRET_KEY_LEN:
         raise VerificationError(f"seed must be {SECRET_KEY_LEN} bytes, got {len(seed)}")
     private = ed25519.Ed25519PrivateKey.from_private_bytes(seed)
-    return KeyPair(public_key=private.public_key().public_bytes_raw(), secret_key=seed, private=private)
+    return KeyPair(public_key=private.public_key().public_bytes_raw(), private=private)
 
 
 def sign(signer: KeyPair, message: bytes) -> bytes:

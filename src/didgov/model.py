@@ -22,7 +22,7 @@ from .authz import AuthzOutcome, AuthzRequest, Nonce, NonceLedger, deny
 from .crypto import CredentialPresentation, TokenPresentation, VcPresentation
 from .errors import (
     EncodingError, GovernanceError, InvalidChangeSet, InvalidGroupConfig, MalformedCredential,
-    ReplayedNonce, Unauthorized, UnknownGroup, UntrustedIssuer,
+    ReplayedNonce, Unauthorized, UnknownGroup, UntrustedIssuer, VerificationError,
 )
 from .metering import CostMeter, charge
 
@@ -154,6 +154,15 @@ def _keys_from_hex(data, what: str) -> tuple[bytes, ...]:
     return tuple(bytes.fromhex(key) for key in data)
 
 
+def _keys(value, what: str, error: type[GovernanceError]) -> tuple[bytes, ...]:
+    """``value`` as a tuple of keys, each a byte string."""
+    keys = tuple(value)
+    for key in keys:
+        if type(key) is not bytes:
+            raise error(f"{what} must be byte strings, not {key!r}")
+    return keys
+
+
 def _issuer_trusted(issuers: tuple[bytes, ...], issuer_key: bytes, meter: Optional[CostMeter]) -> bool:
     # Metered linear scan, same as the ACL path; with the usual handful of
     # issuers this stays flat while ACL membership grows with the group.
@@ -194,7 +203,7 @@ class AclConfig(_Authorization):
     index: Mapping[bytes, int] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "members", tuple(self.members))
+        object.__setattr__(self, "members", _keys(self.members, "acl members", InvalidGroupConfig))
         if not self.members:
             raise InvalidGroupConfig("acl members must be non-empty")
         index = {member: position for position, member in enumerate(self.members)}
@@ -256,7 +265,7 @@ class TokenConfig(_Authorization):
     trusted_issuers: tuple[bytes, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "trusted_issuers", tuple(self.trusted_issuers))
+        object.__setattr__(self, "trusted_issuers", _keys(self.trusted_issuers, "token issuers", InvalidGroupConfig))
         if not self.trusted_issuers:
             raise InvalidGroupConfig("token trusted_issuers must be non-empty")
 
@@ -280,7 +289,7 @@ class TokenConfig(_Authorization):
         charge(meter, "sig_verify", 1)
         if not token.verify_issuer():
             return deny(Unauthorized, "token issuer signature invalid")
-        if ledger.is_consumed(token.issuer_key, token.nonce):
+        if (token.issuer_key, token.nonce) in ledger:
             return deny(ReplayedNonce, "token nonce already consumed")
         return AuthzOutcome(granted=True, consume_nonce=(token.issuer_key, token.nonce))
 
@@ -289,7 +298,7 @@ class TokenConfig(_Authorization):
             raise Unauthorized(f"token {what} carries no nonce")
         if nonce[0] not in self.trusted_issuers:
             raise UntrustedIssuer("nonce issuer is not trusted")
-        if ledger.is_consumed(*nonce):
+        if nonce in ledger:
             raise ReplayedNonce("nonce already consumed")
 
 
@@ -306,7 +315,7 @@ class VcConfig(_Authorization):
     required_claims: Mapping[str, str] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "trusted_issuers", tuple(self.trusted_issuers))
+        object.__setattr__(self, "trusted_issuers", _keys(self.trusted_issuers, "vc issuers", InvalidGroupConfig))
         object.__setattr__(self, "required_claims", text_map(self.required_claims, "required_claims"))
         if not self.trusted_issuers:
             raise InvalidGroupConfig("vc trusted_issuers must be non-empty")
@@ -510,6 +519,8 @@ class GovernanceGroup:
         _require_int(self.group_id, "group_id", InvalidGroupConfig)
         if self.group_id < 0:
             raise InvalidGroupConfig("group_id must be unsigned")
+        if type(self.edit_right) is not EditRightLevel or type(self.execution) is not ExecutionMode:
+            raise InvalidGroupConfig(f"bad edit right or execution mode: {self.edit_right!r}, {self.execution!r}")
         if type(self.authz_config) not in _AUTHZ_CONFIGS.values():
             raise InvalidGroupConfig(f"unknown authz config {type(self.authz_config).__name__}")
         if type(self.coord_config) not in _COORD_CONFIGS.values():
@@ -532,7 +543,7 @@ class DidDocument:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "did", Did(self.did))
-        object.__setattr__(self, "public_keys", tuple(self.public_keys))
+        object.__setattr__(self, "public_keys", _keys(self.public_keys, "public_keys", EncodingError))
         object.__setattr__(self, "attributes", text_map(self.attributes, "attributes"))
         object.__setattr__(self, "groups", tuple(self.groups))
         _require_int(self.version, "version", EncodingError)
@@ -555,9 +566,24 @@ class DidDocument:
 
 # --- change sets -------------------------------------------------------------
 
+# Each group operation is the one definition of its step: ``apply`` makes
+# it on a document's groups (by id, in document order), and
+# ``edit_right_needed`` is the least edit right that may propose it from
+# the group ``originating_group``.
+
 @dataclass(frozen=True)
 class AddGroup:
     group: GovernanceGroup
+
+    def apply(self, groups: dict[int, GovernanceGroup]) -> None:
+        if self.group.group_id in groups:
+            raise InvalidChangeSet(f"group {self.group.group_id} already exists")
+        groups[self.group.group_id] = self.group
+
+    def edit_right_needed(self, originating_group: int) -> EditRightLevel:
+        if self.group.edit_right is EditRightLevel.DOCUMENT:
+            return EditRightLevel.DELEGATES_CREATION
+        return EditRightLevel.ALL
 
 
 @dataclass(frozen=True)
@@ -572,6 +598,16 @@ class ReplaceGroup:
                 f"replacement group keeps its id: {self.group.group_id} != {self.group_id}"
             )
 
+    def apply(self, groups: dict[int, GovernanceGroup]) -> None:
+        if self.group_id not in groups:
+            raise UnknownGroup(f"cannot replace missing group {self.group_id}")
+        groups[self.group_id] = self.group  # keeps its position
+
+    def edit_right_needed(self, originating_group: int) -> EditRightLevel:
+        if self.group_id == originating_group:
+            return EditRightLevel.SELF_GOVERNANCE
+        return EditRightLevel.ALL
+
 
 @dataclass(frozen=True)
 class RemoveGroup:
@@ -580,8 +616,15 @@ class RemoveGroup:
     def __post_init__(self) -> None:
         _require_int(self.group_id, "group_id", InvalidChangeSet)
 
+    def apply(self, groups: dict[int, GovernanceGroup]) -> None:
+        if groups.pop(self.group_id, None) is None:
+            raise UnknownGroup(f"cannot remove missing group {self.group_id}")
 
-GroupOp = Union[AddGroup, ReplaceGroup, RemoveGroup]
+    def edit_right_needed(self, originating_group: int) -> EditRightLevel:
+        return EditRightLevel.ALL
+
+
+GroupOp = AddGroup | ReplaceGroup | RemoveGroup
 
 
 @dataclass(frozen=True)
@@ -595,10 +638,13 @@ class ChangeSet:
 
     def __post_init__(self) -> None:
         if self.new_public_keys is not None:
-            object.__setattr__(self, "new_public_keys", tuple(self.new_public_keys))
+            object.__setattr__(self, "new_public_keys", _keys(self.new_public_keys, "new_public_keys", EncodingError))
         if self.new_attributes is not None:
             object.__setattr__(self, "new_attributes", text_map(self.new_attributes, "new_attributes"))
         object.__setattr__(self, "group_ops", tuple(self.group_ops))
+        for op in self.group_ops:
+            if not isinstance(op, GroupOp):
+                raise InvalidChangeSet(f"unknown group op {op!r}")
         if self.new_public_keys is None and self.new_attributes is None and not self.group_ops:
             raise InvalidChangeSet("change set must change something")
 
@@ -608,22 +654,9 @@ def apply_change_set(doc: DidDocument, change_set: ChangeSet) -> DidDocument:
     listed order. Returns the successor document at version + 1."""
     public_keys = change_set.new_public_keys if change_set.new_public_keys is not None else doc.public_keys
     attributes = change_set.new_attributes if change_set.new_attributes is not None else doc.attributes
-    # by id, in document order: replacing a group keeps its position
     groups = {g.group_id: g for g in doc.groups}
     for op in change_set.group_ops:
-        if isinstance(op, AddGroup):
-            if op.group.group_id in groups:
-                raise InvalidChangeSet(f"group {op.group.group_id} already exists")
-            groups[op.group.group_id] = op.group
-        elif isinstance(op, ReplaceGroup):
-            if op.group_id not in groups:
-                raise UnknownGroup(f"cannot replace missing group {op.group_id}")
-            groups[op.group_id] = op.group
-        elif isinstance(op, RemoveGroup):
-            if groups.pop(op.group_id, None) is None:
-                raise UnknownGroup(f"cannot remove missing group {op.group_id}")
-        else:  # pragma: no cover - GroupOp union is closed
-            raise InvalidChangeSet(f"unknown group op {op!r}")
+        op.apply(groups)
     if not groups:
         raise InvalidChangeSet("change set would leave the document ungovernable")
     return DidDocument(
@@ -663,6 +696,12 @@ class Decision:
     verdict: Verdict
     signature: bytes
     credential: Optional[CredentialPresentation] = None
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.controller_key, bytes) or not isinstance(self.signature, bytes):
+            raise VerificationError("a decision's controller key and signature must be byte strings")
+        if type(self.verdict) is not Verdict:
+            raise EncodingError(f"unknown verdict {self.verdict!r}")
 
 
 @dataclass(slots=True)

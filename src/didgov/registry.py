@@ -58,7 +58,6 @@ from .errors import (
 )
 from .metering import CostMeter, CostReport, CostSchedule, charge
 from .model import (
-    AddGroup,
     ChangeSet,
     Decision,
     Did,
@@ -69,7 +68,6 @@ from .model import (
     GovernanceEvent,
     GovernanceGroup,
     ProposalStatus,
-    ReplaceGroup,
     UpdateProposal,
     Verdict,
 )
@@ -110,11 +108,10 @@ class RegistryState:
     successors: dict[Did, DidDocument] = field(default_factory=dict)
     proposals: dict[int, UpdateProposal] = field(default_factory=dict)
     tallies: dict[int, Tally] = field(default_factory=dict)
-    nonce_ledger: NonceLedger = field(default_factory=NonceLedger)
+    nonce_ledger: NonceLedger = field(default_factory=set)
     event_log: list[GovernanceEvent] = field(default_factory=list)
     queue: DeadlineQueue = field(default_factory=DeadlineQueue)
     clock: SimClock = field(default_factory=SimClock)
-    next_proposal_id: int = 1
 
 
 # --- transactions: one function each, run by the live registry and by replay --
@@ -148,7 +145,7 @@ def _log_event(
 
 def _consume(state: RegistryState, nonce: Nonce) -> None:
     if nonce is not None:
-        state.nonce_ledger.consume(*nonce)
+        state.nonce_ledger.add(nonce)
 
 
 def _nonce_fields(nonce: Nonce) -> dict[str, str]:
@@ -190,7 +187,7 @@ def _propose(
     emit: Emit,
 ) -> UpdateProposal:
     """Admit a change set from a group of an anchored document: override the
-    DID's active proposal, if any, then open proposal ``next_proposal_id``
+    DID's active proposal, if any, then open proposal ``len(proposals) + 1``
     (Active, against the document's current version, created now, with a
     fresh tally) and schedule its deadline if the group has a time limit.
 
@@ -230,7 +227,7 @@ def _propose(
         }
         emit(state, EventKind.PROPOSAL_OVERRIDDEN, overridden, meter)
     proposal = UpdateProposal(
-        proposal_id=state.next_proposal_id,
+        proposal_id=len(state.proposals) + 1,  # no proposal is ever removed
         did=doc.did,
         base_version=doc.version,
         originating_group=group.group_id,
@@ -242,7 +239,6 @@ def _propose(
     state.proposals[proposal.proposal_id] = proposal
     state.active_proposals[doc.did] = proposal
     state.successors[doc.did] = successor  # the overridden proposal's successor is dropped
-    state.next_proposal_id = proposal.proposal_id + 1
     _consume(state, outcome.consume_nonce)
     submitted = {"proposal": _compact(model.proposal_to_json(proposal))}
     submitted.update(_nonce_fields(outcome.consume_nonce))
@@ -430,25 +426,10 @@ def _signed(decision: Decision) -> Vote:
 
 
 def allowed_changes(edit_right: EditRightLevel, originating_group: int, change_set: ChangeSet) -> bool:
-    """Does this edit right level permit this change set?
-
-    Content changes are open to every level. Group operations narrow with
-    privilege: SelfGovernance may replace its own group, DelegatesCreation
-    may additionally add Document-level groups, All may do anything.
-    """
-    if edit_right is EditRightLevel.ALL:
-        return True
-    for op in change_set.group_ops:
-        if isinstance(op, ReplaceGroup) and op.group_id == originating_group:
-            if edit_right >= EditRightLevel.SELF_GOVERNANCE:
-                continue
-            return False
-        if isinstance(op, AddGroup) and op.group.edit_right is EditRightLevel.DOCUMENT:
-            if edit_right >= EditRightLevel.DELEGATES_CREATION:
-                continue
-            return False
-        return False
-    return True
+    """Does this edit right level permit this change set? Content changes
+    are open to every level; each group operation names the least edit
+    right that may propose it (see :mod:`didgov.model`)."""
+    return all(edit_right >= op.edit_right_needed(originating_group) for op in change_set.group_ops)
 
 
 def build_decision(
@@ -544,7 +525,7 @@ class Registry:
 # that builds its JSON-able value from the state.
 _SECTIONS: tuple[tuple[str, Callable[[RegistryState], object]], ...] = tuple(sorted({
     "clock": lambda state: state.clock.now,
-    "next_proposal_id": lambda state: state.next_proposal_id,
+    "next_proposal_id": lambda state: len(state.proposals) + 1,
     "last_sequence": lambda state: state.event_log[-1].sequence if state.event_log else 0,
     "documents": lambda state: {
         str(did): model.document_to_json(doc) for did, doc in sorted(state.documents.items())
@@ -563,7 +544,7 @@ _SECTIONS: tuple[tuple[str, Callable[[RegistryState], object]], ...] = tuple(sor
         for pid, tally in sorted(state.tallies.items())
     },
     "nonce_ledger": lambda state: [
-        [issuer.hex(), nonce.hex()] for issuer, nonce in sorted(state.nonce_ledger.pairs())
+        [issuer.hex(), nonce.hex()] for issuer, nonce in sorted(state.nonce_ledger)
     ],
     "schedule_queue": lambda state: [[deadline, pid] for deadline, pid in state.queue.entries()],
 }.items()))

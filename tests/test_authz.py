@@ -1,11 +1,9 @@
+import typing
+
 import pytest
 
-from didgov import crypto
-from didgov.authz import (
-    AuthzRequest,
-    NonceLedger,
-    authorize,
-)
+from didgov import authz, crypto
+from didgov.authz import AuthzRequest, authorize
 from didgov.errors import (
     MalformedCredential,
     ReplayedNonce,
@@ -33,24 +31,24 @@ class TestAcl:
     config = AclConfig(members=(pair("a").public_key, pair("b").public_key, pair("c").public_key))
 
     def test_member_granted(self):
-        outcome = authorize(self.config, _request(pair("b")), NonceLedger())
+        outcome = authorize(self.config, _request(pair("b")), set())
         assert outcome.granted and outcome.effective_weight == 1
 
     def test_non_member_denied(self):
-        outcome = authorize(self.config, _request(pair("z")), NonceLedger())
+        outcome = authorize(self.config, _request(pair("z")), set())
         assert not outcome.granted
         assert isinstance(outcome.denial, Unauthorized)
 
     def test_credential_on_acl_group_is_malformed(self):
         token = crypto.issue_token(pair("issuer"), b"n" * 16)
         outcome = authorize(
-            self.config, _request(pair("a"), crypto.TokenPresentation(token=token)), NonceLedger()
+            self.config, _request(pair("a"), crypto.TokenPresentation(token=token)), set()
         )
         assert isinstance(outcome.denial, MalformedCredential)
 
     def test_weighted_member_weight(self):
         config = AclConfig(members=self.config.members, weights=(5, 2, 1))
-        outcome = authorize(config, _request(pair("b")), NonceLedger())
+        outcome = authorize(config, _request(pair("b")), set())
         assert outcome.effective_weight == 2
 
     def test_scan_cost_grows_with_position(self):
@@ -58,11 +56,11 @@ class TestAcl:
         costs = []
         for member in (pair("a"), pair("b"), pair("c")):
             meter = CostMeter()
-            authorize(self.config, _request(member), NonceLedger(), meter)
+            authorize(self.config, _request(member), set(), meter)
             costs.append(meter.report("authorize").total)
         assert costs[0] < costs[1] < costs[2]
         miss = CostMeter()
-        authorize(self.config, _request(pair("z")), NonceLedger(), miss)
+        authorize(self.config, _request(pair("z")), set(), miss)
         assert miss.report("authorize").total == costs[2]  # a miss scans the full list
 
     @staticmethod
@@ -81,7 +79,7 @@ class TestAcl:
         key = {"first": config.members[0], "last": config.members[-1], "miss": pair("z").public_key}[who]
         request = AuthzRequest(did=DID, controller_key=key, proposal_id=1)
         meter = CostMeter()
-        outcome = authorize(config, request, NonceLedger(), meter)
+        outcome = authorize(config, request, set(), meter)
         charged = meter.report("decide").count("iteration_step")
         assert (outcome.granted, outcome.effective_weight, charged) == self._scan(config, key)
 
@@ -94,22 +92,22 @@ class TestToken:
         return crypto.TokenPresentation(token=crypto.issue_token(issuer or self.issuer, nonce))
 
     def test_valid_token_granted_and_nonce_deferred(self):
-        ledger = NonceLedger()
+        ledger = set()
         outcome = authorize(self.config, _request(pair("x"), self._presentation()), ledger)
         assert outcome.granted
         assert outcome.consume_nonce == (self.issuer.public_key, b"n" * 16)
         # authorize must not burn the nonce itself
         assert len(ledger) == 0
-        ledger.consume(*outcome.consume_nonce)  # what the registry does on commit
-        assert ledger.is_consumed(self.issuer.public_key, b"n" * 16)
+        ledger.add(outcome.consume_nonce)  # what the registry does on commit
+        assert (self.issuer.public_key, b"n" * 16) in ledger
 
     def test_missing_credential_malformed(self):
-        outcome = authorize(self.config, _request(pair("x")), NonceLedger())
+        outcome = authorize(self.config, _request(pair("x")), set())
         assert isinstance(outcome.denial, MalformedCredential)
 
     def test_untrusted_issuer(self):
         outcome = authorize(
-            self.config, _request(pair("x"), self._presentation(issuer=pair("rogue"))), NonceLedger()
+            self.config, _request(pair("x"), self._presentation(issuer=pair("rogue"))), set()
         )
         assert isinstance(outcome.denial, UntrustedIssuer)
 
@@ -119,19 +117,19 @@ class TestToken:
             nonce=b"m" * 16, issuer_key=token.issuer_key, signature=token.signature
         )
         outcome = authorize(
-            self.config, _request(pair("x"), crypto.TokenPresentation(token=forged)), NonceLedger()
+            self.config, _request(pair("x"), crypto.TokenPresentation(token=forged)), set()
         )
         assert isinstance(outcome.denial, Unauthorized)
 
     def test_consumed_nonce_rejected(self):
-        ledger = NonceLedger()
-        ledger.consume(self.issuer.public_key, b"n" * 16)
+        ledger = set()
+        ledger.add((self.issuer.public_key, b"n" * 16))
         outcome = authorize(self.config, _request(pair("x"), self._presentation()), ledger)
         assert isinstance(outcome.denial, ReplayedNonce)
 
     def test_denied_authorize_is_idempotent(self):
         # a denial changes nothing, so retrying gives the same answer
-        ledger = NonceLedger()
+        ledger = set()
         for _ in range(2):
             outcome = authorize(
                 self.config, _request(pair("x"), self._presentation(issuer=pair("rogue"))), ledger
@@ -154,7 +152,7 @@ class TestVc:
 
     def test_valid_presentation_granted(self):
         outcome = authorize(
-            self.config, _request(self.holder, self._presentation(), proposal_id=3), NonceLedger()
+            self.config, _request(self.holder, self._presentation(), proposal_id=3), set()
         )
         assert outcome.granted
         assert outcome.consume_nonce is None  # re-presentable, nothing to burn
@@ -162,7 +160,7 @@ class TestVc:
     def test_weight_claim_sets_effective_weight(self):
         presentation = self._presentation(claims={"role": "voter", "weight": "4"})
         outcome = authorize(
-            self.config, _request(self.holder, presentation, proposal_id=3), NonceLedger()
+            self.config, _request(self.holder, presentation, proposal_id=3), set()
         )
         assert outcome.effective_weight == 4
 
@@ -172,7 +170,7 @@ class TestVc:
         for raw in ("zero", "-2", "0", "1_000", " 7 ", "\u0663"):
             presentation = self._presentation(claims={"role": "voter", "weight": raw})
             outcome = authorize(
-                self.config, _request(self.holder, presentation, proposal_id=3), NonceLedger()
+                self.config, _request(self.holder, presentation, proposal_id=3), set()
             )
             assert outcome.effective_weight == 1
 
@@ -181,39 +179,39 @@ class TestVc:
         outcome = authorize(
             self.config,
             _request(self.holder, self._presentation(proposal_id=3), proposal_id=4),
-            NonceLedger(),
+            set(),
         )
         assert isinstance(outcome.denial, Unauthorized)
 
     def test_propose_context_is_id_zero(self):
         outcome = authorize(
-            self.config, _request(self.holder, self._presentation(proposal_id=0)), NonceLedger()
+            self.config, _request(self.holder, self._presentation(proposal_id=0)), set()
         )
         assert outcome.granted
 
     def test_missing_required_claim_denied(self):
         outcome = authorize(
-            self.config, _request(self.holder, self._presentation(claims={}), proposal_id=3), NonceLedger()
+            self.config, _request(self.holder, self._presentation(claims={}), proposal_id=3), set()
         )
         assert isinstance(outcome.denial, Unauthorized)
 
     def test_claim_value_must_match_exactly(self):
         presentation = self._presentation(claims={"role": "Voter"})
         outcome = authorize(
-            self.config, _request(self.holder, presentation, proposal_id=3), NonceLedger()
+            self.config, _request(self.holder, presentation, proposal_id=3), set()
         )
         assert isinstance(outcome.denial, Unauthorized)
 
     def test_extra_claims_allowed(self):
         presentation = self._presentation(claims={"role": "voter", "dept": "eng"})
         outcome = authorize(
-            self.config, _request(self.holder, presentation, proposal_id=3), NonceLedger()
+            self.config, _request(self.holder, presentation, proposal_id=3), set()
         )
         assert outcome.granted
 
     def test_holder_must_match_controller(self):
         outcome = authorize(
-            self.config, _request(pair("other"), self._presentation(), proposal_id=3), NonceLedger()
+            self.config, _request(pair("other"), self._presentation(), proposal_id=3), set()
         )
         assert isinstance(outcome.denial, Unauthorized)
 
@@ -221,7 +219,7 @@ class TestVc:
         vc = crypto.issue_vc(pair("rogue"), self.holder.public_key, {"role": "voter"})
         presentation = crypto.present_vc(vc, self.holder, str(DID), 3)
         outcome = authorize(
-            self.config, _request(self.holder, presentation, proposal_id=3), NonceLedger()
+            self.config, _request(self.holder, presentation, proposal_id=3), set()
         )
         assert isinstance(outcome.denial, UntrustedIssuer)
 
@@ -236,7 +234,7 @@ class TestVc:
         )
         presentation = crypto.present_vc(forged, self.holder, str(DID), 3)
         outcome = authorize(
-            self.config, _request(self.holder, presentation, proposal_id=3), NonceLedger()
+            self.config, _request(self.holder, presentation, proposal_id=3), set()
         )
         assert outcome.refusal == (Unauthorized, "credential issuer signature invalid")
 
@@ -245,19 +243,19 @@ class TestVc:
         outcome = authorize(
             self.config,
             _request(self.holder, crypto.TokenPresentation(token=token), proposal_id=3),
-            NonceLedger(),
+            set(),
         )
         assert isinstance(outcome.denial, MalformedCredential)
 
     def test_vc_costs_one_more_signature_check_than_token(self):
         vc_meter = CostMeter()
         authorize(
-            self.config, _request(self.holder, self._presentation(), proposal_id=3), NonceLedger(), vc_meter
+            self.config, _request(self.holder, self._presentation(), proposal_id=3), set(), vc_meter
         )
         token_meter = CostMeter()
         token_config = TokenConfig(trusted_issuers=(self.issuer.public_key,))
         presentation = crypto.TokenPresentation(token=crypto.issue_token(self.issuer, b"n" * 16))
-        authorize(token_config, _request(pair("x"), presentation, proposal_id=3), NonceLedger(), token_meter)
+        authorize(token_config, _request(pair("x"), presentation, proposal_id=3), set(), token_meter)
         assert vc_meter.report("vc").count("sig_verify") == 2
         assert token_meter.report("token").count("sig_verify") == 1
 
@@ -265,9 +263,13 @@ class TestVc:
 def test_authorize_never_mutates_ledger():
     issuer = pair("issuer")
     config = TokenConfig(trusted_issuers=(issuer.public_key,))
-    ledger = NonceLedger()
+    ledger = set()
     presentation = crypto.TokenPresentation(token=crypto.issue_token(issuer, b"n" * 16))
     for _ in range(3):
         outcome = authorize(config, _request(pair("x"), presentation), ledger)
         assert outcome.granted  # grant repeats until someone commits it
     assert len(ledger) == 0
+
+
+def test_the_nonce_ledger_is_a_plain_set():
+    assert typing.get_origin(authz.NonceLedger) is set

@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 from cryptography.hazmat.primitives.asymmetric import ed25519
 
@@ -71,8 +73,12 @@ def test_verify_rejects_malformed_lengths():
 
 
 def test_secret_key_not_in_repr():
-    keypair = pair("hidden")
-    assert keypair.secret_key.hex() not in repr(keypair)
+    seed = b"hidden".ljust(32, b"\x00")
+    assert seed.hex() not in repr(crypto.generate_keypair(seed))
+
+
+def test_the_signing_key_is_the_only_secret_held():
+    assert [f.name for f in dataclasses.fields(crypto.KeyPair)] == ["public_key", "private"]
 
 
 def test_each_signing_key_is_derived_once(monkeypatch):

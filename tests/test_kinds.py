@@ -3,7 +3,9 @@
 Every authorization kind, coordination kind and execution mode runs the
 whole lifecycle and replays byte for byte; and no engine module dispatches
 on a config's class or branches on a kind itself, so the classes in
-``didgov.model`` stay the one place a kind is defined. No coordination
+``didgov.model`` stay the one place a kind is defined. Likewise each group
+operation class holds how it applies and the edit right it needs: only its
+JSON writer dispatches on it. No coordination
 formula counts a tally's decisions again: each reads the running counts.
 """
 
@@ -41,6 +43,9 @@ CONFIG_CLASSES = {"AclConfig", "TokenConfig", "VcConfig", "NOfMConfig", "Turnout
 KIND_ENUMS = {"AuthzKind", "CoordKind"}
 # bench.py builds its sweep inputs from the kinds a command line names
 KIND_BRANCHES_ALLOWED = {("bench.py", name) for name in ("_authz_config", "_coord_config", "_credential")}
+GROUP_OP_CLASSES = {"AddGroup", "ReplaceGroup", "RemoveGroup"}
+# a group operation's JSON names its operation
+GROUP_OP_DISPATCH_ALLOWED = {("model.py", "group_op_to_json")}
 
 MEMBERS = [pair(f"kind-member-{i}") for i in range(3)]
 ISSUER = pair("kind-issuer")
@@ -111,9 +116,9 @@ def test_every_kind_combination_runs_the_lifecycle_and_replays(authz, coord, exe
 
 def _kind_dispatch(tree: ast.Module, module: str) -> list[str]:
     """Each place in ``tree`` that dispatches on a config class with
-    ``isinstance``, or compares a value with an ``AuthzKind`` or
-    ``CoordKind`` member outside the allowed functions; ``module`` is the
-    file name."""
+    ``isinstance``, or outside the allowed functions on a group operation
+    class, or compares a value with an ``AuthzKind`` or ``CoordKind`` member;
+    ``module`` is the file name."""
     found = []
 
     def names(node):
@@ -131,9 +136,12 @@ def _kind_dispatch(tree: ast.Module, module: str) -> list[str]:
             and isinstance(node.func, ast.Name)
             and node.func.id == "isinstance"
             and len(node.args) == 2
-            and names(node.args[1]) & CONFIG_CLASSES
         ):
-            found.append(f"{module}:{node.lineno} isinstance on {sorted(names(node.args[1]) & CONFIG_CLASSES)}")
+            classes = CONFIG_CLASSES
+            if (module, function) not in GROUP_OP_DISPATCH_ALLOWED:
+                classes = classes | GROUP_OP_CLASSES
+            if names(node.args[1]) & classes:
+                found.append(f"{module}:{node.lineno} isinstance on {sorted(names(node.args[1]) & classes)}")
         if (
             isinstance(node, ast.Compare)
             and names(node) & KIND_ENUMS
@@ -162,10 +170,18 @@ def test_no_engine_module_dispatches_on_a_governance_kind():
         "isinstance(config, model.TurnoutConfig)",
         "kind is AuthzKind.ACL",
         "kind == model.CoordKind.WEIGHTED",
+        "isinstance(op, ReplaceGroup)",
+        "isinstance(op, (model.AddGroup, RemoveGroup))",
+        "def group_op_to_json(op):\n    return isinstance(op, AddGroup)",
     ],
 )
 def test_the_dispatch_guard_finds_a_branch_on_a_kind(source):
     assert len(_kind_dispatch(ast.parse(source), "registry.py")) == 1
+
+
+def test_the_dispatch_guard_lets_the_group_op_writer_name_its_op():
+    source = "def group_op_to_json(op):\n    return isinstance(op, AddGroup)"
+    assert _kind_dispatch(ast.parse(source), "model.py") == []
 
 
 # --- one count per tally ------------------------------------------------------

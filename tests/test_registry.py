@@ -17,6 +17,7 @@ from didgov.errors import (
     EncodingError,
     GovernanceError,
     InvalidChangeSet,
+    InvalidGroupConfig,
     MalformedCredential,
     NoActiveProposal,
     NotAnchored,
@@ -34,10 +35,13 @@ from didgov.model import (
     EditRightLevel,
     EventKind,
     ExecutionMode,
+    GovernanceGroup,
     NOfMConfig,
     ProposalStatus,
     RemoveGroup,
     ReplaceGroup,
+    TokenConfig,
+    VcConfig,
     Verdict,
 )
 from didgov.registry import Registry, allowed_changes, build_decision
@@ -89,6 +93,51 @@ class TestAnchor:
             else:
                 _propose(registry, "XYZ", pair("a"))
         assert (registry.snapshot_json(), len(registry.reports)) == before
+
+
+def _issuer_group(config_class):
+    return GovernanceGroup(0, EditRightLevel.DOCUMENT, config_class(trusted_issuers=("zz",)), NOfMConfig(1, 1))
+
+
+def _anchoring(keys=(), group=lambda: acl_group([pair("a")])):
+    return lambda registry, did: registry.anchor("ab", keys, {}, (group(),))
+
+
+# calls that would commit a record its JSON projection cannot write
+UNWRITABLE = {
+    "document-key": (_anchoring(keys=["zz"]), EncodingError),
+    "acl-member": (_anchoring(group=lambda: acl_group(["zz"])), InvalidGroupConfig),
+    "token-issuer": (_anchoring(group=lambda: _issuer_group(TokenConfig)), InvalidGroupConfig),
+    "vc-issuer": (_anchoring(group=lambda: _issuer_group(VcConfig)), InvalidGroupConfig),
+    "edit-right": (_anchoring(group=lambda: acl_group([pair("a")], edit_right=4)), InvalidGroupConfig),
+    "execution": (_anchoring(group=lambda: acl_group([pair("a")], execution="onchain")), InvalidGroupConfig),
+    "change-set-key": (
+        lambda registry, did: _propose(registry, did, pair("a"), change=ChangeSet(new_public_keys=("zz",))),
+        EncodingError,
+    ),
+}
+
+
+@pytest.mark.parametrize("call, error", UNWRITABLE.values(), ids=UNWRITABLE.keys())
+def test_a_record_that_cannot_be_written_is_refused(call, error):
+    registry, did = anchored([acl_group([pair("a")])])
+
+    def written():
+        log = registry_mod.event_log_to_jsonl(registry.state.event_log)
+        return registry.snapshot_json(), log, list(registry.reports)
+
+    before = written()
+    with pytest.raises(error):
+        call(registry, did)
+    assert written() == before
+    _propose(registry, did, pair("a"))  # the registry stays writable, and its log replays
+    text = registry_mod.event_log_to_jsonl(registry.state.event_log)
+    replayed = registry_mod.replay_events(registry_mod.event_log_from_jsonl(text))
+    assert registry_mod.snapshot_json(replayed) == registry.snapshot_json()
+
+
+def test_the_next_proposal_id_is_derived_not_stored():
+    assert "next_proposal_id" not in {f.name for f in dataclasses.fields(registry_mod.RegistryState)}
 
 
 class TestAllowedChanges:
@@ -318,6 +367,19 @@ class TestDecide:
             _decide(registry, did, pair("z"), pid)
         assert registry.snapshot_json() == before_snapshot
         assert len(registry.reports) == before_reports
+
+    @pytest.mark.parametrize(
+        "field, value, error",
+        [
+            ("controller_key", "ab", VerificationError),
+            ("signature", None, VerificationError),
+            ("verdict", "approve", EncodingError),
+        ],
+    )
+    def test_a_wrong_typed_decision_is_refused(self, field, value, error):
+        decision = build_decision(pair("a"), Did("abc123"), 1, 1, Verdict.APPROVE)
+        with pytest.raises(error):
+            dataclasses.replace(decision, **{field: value})
 
 
 class TestCredentialFlows:
