@@ -18,12 +18,13 @@ from .errors import (
     AlreadyFinalized,
     DuplicateBatch,
     DuplicateDecision,
+    EncodingError,
     ReplayedNonce,
     TallyFinalized,
     TallyFull,
 )
 from .metering import CostMeter, charge
-from .model import CoordConfig, Decision, ExecutionMode, GovernanceGroup, UpdateProposal, Verdict
+from .model import CoordConfig, Decision, ExecutionMode, GovernanceGroup, UpdateProposal, Verdict, tuple_of
 
 TallyEntry = tuple[bytes, Verdict, int]  # (controller_key, verdict, effective_weight)
 
@@ -61,10 +62,12 @@ class DecisionBatch:
     decisions: tuple[Decision, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "decisions", tuple(self.decisions))
+        object.__setattr__(self, "decisions", tuple_of(self.decisions, "a batch's decisions", EncodingError))
         for decision in self.decisions:
+            if not isinstance(decision, Decision):
+                raise EncodingError(f"a batch holds decisions, not {decision!r}")
             if decision.proposal_id != self.proposal_id:
-                raise ValueError(
+                raise EncodingError(
                     f"batch for proposal {self.proposal_id} contains a decision "
                     f"for proposal {decision.proposal_id}"
                 )

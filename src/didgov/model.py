@@ -7,15 +7,22 @@ else is frozen. Every persisted type has a JSON projection (byte strings
 as lowercase hex, ratios as "n/d"), the one persistence format; decisions
 are never persisted. The only byte-level encoding is the signing payloads
 in :mod:`didgov.encoding`.
+
+Each record the state snapshot holds also writes its projection as
+indented text, the text of ``json.dumps(projection, indent=2,
+sort_keys=True)``, from a template of its own (``to_indented`` on a
+config class, ``*_to_indented`` here), with no dict built. The
+projections stay the reference the templates are tested against.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Mapping
+from collections.abc import Callable, Mapping
 from dataclasses import dataclass, field
 from enum import Enum, IntEnum
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from typing import TYPE_CHECKING, Optional, Union
 
 from .authz import AuthzOutcome, AuthzRequest, Nonce, NonceLedger, deny
@@ -139,6 +146,92 @@ def text_map(value, what: str) -> dict[str, str]:
     return mapping
 
 
+# --- indented JSON text ------------------------------------------------------
+# A template writes its record as the value on a line that starts with
+# ``newline``, a line break and that line's indent; each level of nesting
+# indents two spaces more, as ``json.dumps(..., indent=2)`` does.
+
+_quote = encode_basestring_ascii  # a str as JSON text, escaped to ASCII
+_spell = int.__repr__  # an int as JSON text: json.dumps's spelling, int subclasses included
+
+
+def _hex_array(keys: tuple[bytes, ...], newline: str) -> str:
+    """``keys`` in hex as an indented JSON array (hex needs no escaping)."""
+    if not keys:
+        return "[]"
+    inner = newline + "  "
+    separator = f'",{inner}"'
+    return f'[{inner}"{separator.join([key.hex() for key in keys])}"{newline}]'
+
+
+def _int_array(values: tuple[int, ...], newline: str) -> str:
+    if not values:
+        return "[]"
+    inner = newline + "  "
+    return f"[{inner}{(',' + inner).join(map(_spell, values))}{newline}]"
+
+
+def _text_object(mapping: Mapping[str, str], newline: str) -> str:
+    """A text-to-text mapping as an indented JSON object, keys in order."""
+    if not mapping:
+        return "{}"
+    inner = newline + "  "
+    members = ",".join([f"{inner}{_quote(key)}: {_quote(value)}" for key, value in sorted(mapping.items())])
+    return f"{{{members}{newline}}}"
+
+
+def _write_indented(value, newline: str, write: Callable[[str], object]) -> None:
+    """Write the text of ``json.dumps(value, indent=2, sort_keys=True)``;
+    ``newline`` is the line break and indent of the line ``value`` starts
+    on. Its domain is what the JSON projections build: dicts with str keys,
+    lists, and str, int, bool and ``None`` leaves (str and int subclasses
+    included). Any other value raises ``TypeError``. The snapshot writes a
+    group operation through it. (A module function, not a closure: a
+    closure that calls itself is a reference cycle, and it would keep what
+    it wrote alive until the cyclic collector runs.)"""
+    kind = type(value)
+    if kind is dict:
+        if not value:
+            write("{}")
+            return
+        inner = newline + "  "
+        separator, comma = "{" + inner, "," + inner
+        for key in sorted(value):
+            write(separator)
+            write(_quote(key))  # a TypeError for a key that is not a str
+            write(": ")
+            _write_indented(value[key], inner, write)
+            separator = comma
+        write(newline)
+        write("}")
+    elif kind is list:
+        if not value:
+            write("[]")
+            return
+        inner = newline + "  "
+        separator, comma = "[" + inner, "," + inner
+        for item in value:
+            write(separator)
+            _write_indented(item, inner, write)
+            separator = comma
+        write(newline)
+        write("]")
+    elif kind is str:
+        write(_quote(value))
+    elif value is None:
+        write("null")
+    elif value is True:
+        write("true")
+    elif value is False:
+        write("false")
+    elif isinstance(value, int):
+        write(_spell(value))
+    elif isinstance(value, str):
+        write(_quote(value))
+    else:
+        raise TypeError(f"Object of type {kind.__name__} is not in the snapshot's JSON domain")
+
+
 # --- governance kinds --------------------------------------------------------
 # Each config class is the one definition of its kind: ``kind``, the JSON
 # codec and the behaviour the engine calls instead of branching on a kind.
@@ -154,9 +247,17 @@ def _keys_from_hex(data, what: str) -> tuple[bytes, ...]:
     return tuple(bytes.fromhex(key) for key in data)
 
 
+def tuple_of(value, what: str, error: type[GovernanceError]) -> tuple:
+    """``value`` as a tuple; a value that is not iterable raises ``error``."""
+    try:
+        return tuple(value)
+    except TypeError:
+        raise error(f"{what} must be a collection, not {type(value).__name__}") from None
+
+
 def _keys(value, what: str, error: type[GovernanceError]) -> tuple[bytes, ...]:
     """``value`` as a tuple of keys, each a byte string."""
-    keys = tuple(value)
+    keys = tuple_of(value, what, error)
     for key in keys:
         if type(key) is not bytes:
             raise error(f"{what} must be byte strings, not {key!r}")
@@ -211,7 +312,7 @@ class AclConfig(_Authorization):
             raise InvalidGroupConfig("acl members must be unique")
         object.__setattr__(self, "index", index)
         if self.weights is not None:
-            object.__setattr__(self, "weights", tuple(self.weights))
+            object.__setattr__(self, "weights", tuple_of(self.weights, "acl weights", InvalidGroupConfig))
             for weight in self.weights:
                 _require_int(weight, "an acl weight", InvalidGroupConfig)
             if len(self.weights) != len(self.members):
@@ -222,6 +323,12 @@ class AclConfig(_Authorization):
     def to_json(self) -> dict:
         weights = list(self.weights) if self.weights is not None else None
         return {"members": [m.hex() for m in self.members], "weights": weights}
+
+    def to_indented(self, newline: str) -> str:
+        """The indented text of :meth:`to_json` (see ``_write_indented``)."""
+        inner = newline + "  "
+        weights = "null" if self.weights is None else _int_array(self.weights, inner)
+        return f'{{{inner}"members": {_hex_array(self.members, inner)},{inner}"weights": {weights}{newline}}}'
 
     @classmethod
     def from_json(cls, data: Mapping) -> "AclConfig":
@@ -271,6 +378,10 @@ class TokenConfig(_Authorization):
 
     def to_json(self) -> dict:
         return {"trusted_issuers": [k.hex() for k in self.trusted_issuers]}
+
+    def to_indented(self, newline: str) -> str:
+        inner = newline + "  "
+        return f'{{{inner}"trusted_issuers": {_hex_array(self.trusted_issuers, inner)}{newline}}}'
 
     @classmethod
     def from_json(cls, data: Mapping) -> "TokenConfig":
@@ -325,6 +436,13 @@ class VcConfig(_Authorization):
             "trusted_issuers": [k.hex() for k in self.trusted_issuers],
             "required_claims": dict(self.required_claims),
         }
+
+    def to_indented(self, newline: str) -> str:
+        inner = newline + "  "
+        return (
+            f'{{{inner}"required_claims": {_text_object(self.required_claims, inner)},'
+            f'{inner}"trusted_issuers": {_hex_array(self.trusted_issuers, inner)}{newline}}}'
+        )
 
     @classmethod
     def from_json(cls, data: Mapping) -> "VcConfig":
@@ -411,6 +529,10 @@ class NOfMConfig(_Coordination):
     def to_json(self) -> dict:
         return {"n": self.n, "m": self.m}
 
+    def to_indented(self, newline: str) -> str:
+        inner = newline + "  "
+        return f'{{{inner}"m": {_spell(self.m)},{inner}"n": {_spell(self.n)}{newline}}}'
+
     @classmethod
     def from_json(cls, data: Mapping) -> "NOfMConfig":
         return cls(n=data["n"], m=data["m"])
@@ -453,6 +575,11 @@ class TurnoutConfig(_Coordination):
     def to_json(self) -> dict:
         return {"quorum": self.quorum, "ratio": ratio_to_text(self.ratio)}
 
+    def to_indented(self, newline: str) -> str:
+        inner = newline + "  "
+        ratio = _quote(ratio_to_text(self.ratio))
+        return f'{{{inner}"quorum": {_spell(self.quorum)},{inner}"ratio": {ratio}{newline}}}'
+
     @classmethod
     def from_json(cls, data: Mapping) -> "TurnoutConfig":
         return cls(quorum=data["quorum"], ratio=ratio_from_text(data["ratio"]))
@@ -484,6 +611,9 @@ class WeightedConfig(_Coordination):
 
     def to_json(self) -> dict:
         return {"threshold": self.threshold}
+
+    def to_indented(self, newline: str) -> str:
+        return f'{{{newline}  "threshold": {_spell(self.threshold)}{newline}}}'
 
     @classmethod
     def from_json(cls, data: Mapping) -> "WeightedConfig":
@@ -545,7 +675,10 @@ class DidDocument:
         object.__setattr__(self, "did", Did(self.did))
         object.__setattr__(self, "public_keys", _keys(self.public_keys, "public_keys", EncodingError))
         object.__setattr__(self, "attributes", text_map(self.attributes, "attributes"))
-        object.__setattr__(self, "groups", tuple(self.groups))
+        object.__setattr__(self, "groups", tuple_of(self.groups, "groups", InvalidGroupConfig))
+        for group in self.groups:
+            if not isinstance(group, GovernanceGroup):
+                raise InvalidGroupConfig(f"a document's groups must be governance groups, not {group!r}")
         _require_int(self.version, "version", EncodingError)
         if self.version < 1:
             raise ValueError(f"version must be >= 1, got {self.version}")
@@ -571,9 +704,17 @@ class DidDocument:
 # ``edit_right_needed`` is the least edit right that may propose it from
 # the group ``originating_group``.
 
+def _require_group(group) -> None:
+    if not isinstance(group, GovernanceGroup):
+        raise InvalidChangeSet(f"a group operation's group must be a governance group, not {group!r}")
+
+
 @dataclass(frozen=True)
 class AddGroup:
     group: GovernanceGroup
+
+    def __post_init__(self) -> None:
+        _require_group(self.group)
 
     def apply(self, groups: dict[int, GovernanceGroup]) -> None:
         if self.group.group_id in groups:
@@ -593,6 +734,7 @@ class ReplaceGroup:
 
     def __post_init__(self) -> None:
         _require_int(self.group_id, "group_id", InvalidChangeSet)
+        _require_group(self.group)
         if self.group.group_id != self.group_id:
             raise InvalidChangeSet(
                 f"replacement group keeps its id: {self.group.group_id} != {self.group_id}"
@@ -641,7 +783,7 @@ class ChangeSet:
             object.__setattr__(self, "new_public_keys", _keys(self.new_public_keys, "new_public_keys", EncodingError))
         if self.new_attributes is not None:
             object.__setattr__(self, "new_attributes", text_map(self.new_attributes, "new_attributes"))
-        object.__setattr__(self, "group_ops", tuple(self.group_ops))
+        object.__setattr__(self, "group_ops", tuple_of(self.group_ops, "group_ops", InvalidChangeSet))
         for op in self.group_ops:
             if not isinstance(op, GroupOp):
                 raise InvalidChangeSet(f"unknown group op {op!r}")
@@ -750,6 +892,24 @@ def group_to_json(group: GovernanceGroup) -> dict:
     }
 
 
+# each edit right level as JSON text (a kind, a mode or a status needs no
+# table: its member is a str equal to its value, and quotes as that value)
+_EDIT_RIGHT_TEXT = {level: _quote(level.json_name()) for level in EditRightLevel}
+
+
+def group_to_indented(group: GovernanceGroup, newline: str) -> str:
+    """The indented text of :func:`group_to_json` (see ``_write_indented``)."""
+    inner = newline + "  "
+    authz, coord = group.authz_config, group.coord_config
+    time_limit = "null" if group.time_limit is None else _spell(group.time_limit)
+    return (
+        f'{{{inner}"authz_config": {authz.to_indented(inner)},{inner}"authz_kind": {_quote(authz.kind)},'
+        f'{inner}"coord_config": {coord.to_indented(inner)},{inner}"coord_kind": {_quote(coord.kind)},'
+        f'{inner}"edit_right": {_EDIT_RIGHT_TEXT[group.edit_right]},{inner}"execution": {_quote(group.execution)},'
+        f'{inner}"group_id": {_spell(group.group_id)},{inner}"time_limit": {time_limit}{newline}}}'
+    )
+
+
 def group_from_json(data: Mapping) -> GovernanceGroup:
     authz = _AUTHZ_CONFIGS[enum_from_value(AuthzKind, data["authz_kind"])]
     coord = _COORD_CONFIGS[enum_from_value(CoordKind, data["coord_kind"])]
@@ -771,6 +931,18 @@ def document_to_json(doc: DidDocument) -> dict:
         "attributes": dict(doc.attributes),
         "groups": [group_to_json(g) for g in doc.groups],
     }
+
+
+def document_to_indented(doc: DidDocument, newline: str) -> str:
+    """The indented text of :func:`document_to_json` (see ``_write_indented``)."""
+    inner = newline + "  "
+    item = inner + "  "
+    groups = f",{item}".join([group_to_indented(group, item) for group in doc.groups])
+    return (
+        f'{{{inner}"attributes": {_text_object(doc.attributes, inner)},{inner}"did": {_quote(doc.did)},'
+        f'{inner}"groups": [{item}{groups}{inner}],{inner}"public_keys": {_hex_array(doc.public_keys, inner)},'
+        f'{inner}"version": {_spell(doc.version)}{newline}}}'
+    )
 
 
 def document_from_json(data: Mapping) -> DidDocument:
@@ -816,6 +988,20 @@ def change_set_to_json(change_set: ChangeSet) -> dict:
     }
 
 
+def change_set_to_indented(change_set: ChangeSet, newline: str) -> str:
+    """The indented text of :func:`change_set_to_json`; its group
+    operations, rare in a log, are written from their JSON projection."""
+    inner = newline + "  "
+    group_ops: list[str] = []
+    _write_indented([group_op_to_json(op) for op in change_set.group_ops], inner, group_ops.append)
+    keys, attributes = change_set.new_public_keys, change_set.new_attributes
+    return (
+        f'{{{inner}"group_ops": {"".join(group_ops)},'
+        f'{inner}"new_attributes": {"null" if attributes is None else _text_object(attributes, inner)},'
+        f'{inner}"new_public_keys": {"null" if keys is None else _hex_array(keys, inner)}{newline}}}'
+    )
+
+
 def change_set_from_json(data: Mapping) -> ChangeSet:
     new_public_keys = data.get("new_public_keys")
     new_attributes = data.get("new_attributes")
@@ -839,6 +1025,19 @@ def proposal_to_json(proposal: UpdateProposal) -> dict:
         "deadline": proposal.deadline,
         "status": proposal.status.value,
     }
+
+
+def proposal_to_indented(proposal: UpdateProposal, newline: str) -> str:
+    """The indented text of :func:`proposal_to_json` (see ``_write_indented``)."""
+    inner = newline + "  "
+    deadline = "null" if proposal.deadline is None else _spell(proposal.deadline)
+    return (
+        f'{{{inner}"base_version": {_spell(proposal.base_version)},'
+        f'{inner}"change_set": {change_set_to_indented(proposal.change_set, inner)},'
+        f'{inner}"created_at": {_spell(proposal.created_at)},{inner}"deadline": {deadline},'
+        f'{inner}"did": {_quote(proposal.did)},{inner}"originating_group": {_spell(proposal.originating_group)},'
+        f'{inner}"proposal_id": {_spell(proposal.proposal_id)},{inner}"status": {_quote(proposal.status)}{newline}}}'
+    )
 
 
 def proposal_from_json(data: Mapping) -> UpdateProposal:

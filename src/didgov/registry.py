@@ -22,14 +22,16 @@ folds, then snapshots. :func:`event_log_from_jsonl` reads each line with
 CPython's C JSON scanner and accepts only a line that is exactly one event
 (:func:`didgov.model.event_from_json`).
 :func:`snapshot_json` writes the text of ``json.dumps(state_snapshot(state),
-indent=2, sort_keys=True)`` a top-level section at a time: it builds one
-section's dicts and lists, writes them into a text buffer and drops them
-before it builds the next, so the whole snapshot never exists as dicts.
+indent=2, sort_keys=True)`` straight from the state's records, one
+template per record: a document, group and proposal write their own text
+(:mod:`didgov.model`), and this module writes the tallies, the nonce
+ledger, the queue and the scalars. No dict of the snapshot is built;
+:func:`state_snapshot` is the reference projection the text is tested
+against.
 """
 
 from __future__ import annotations
 
-import io
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from json.decoder import JSONDecodeError, JSONDecoder
@@ -474,9 +476,7 @@ class Registry:
         attributes,
         groups: Sequence[GovernanceGroup],
     ) -> DidDocument:
-        doc = DidDocument(
-            did=Did(did), version=1, public_keys=tuple(public_keys), attributes=attributes, groups=tuple(groups)
-        )
+        doc = DidDocument(did=Did(did), version=1, public_keys=public_keys, attributes=attributes, groups=groups)
         self._run("anchor", _anchor, doc)
         return doc
 
@@ -522,7 +522,8 @@ class Registry:
 # --- state snapshot and event-sourcing replay --------------------------------
 
 # The snapshot's top-level sections in key order, each with the function
-# that builds its JSON-able value from the state.
+# that builds its JSON-able value from the state: the reference projection
+# that :func:`snapshot_json`'s text is tested against.
 _SECTIONS: tuple[tuple[str, Callable[[RegistryState], object]], ...] = tuple(sorted({
     "clock": lambda state: state.clock.now,
     "next_proposal_id": lambda state: len(state.proposals) + 1,
@@ -556,73 +557,94 @@ def state_snapshot(state: RegistryState) -> dict:
     return {name: section(state) for name, section in _SECTIONS}
 
 
-def _write_indented(value, newline: str, write: Callable[[str], object]) -> None:
-    """Write the text of ``json.dumps(value, indent=2, sort_keys=True)``;
-    ``newline`` is the line break and indent of the line ``value`` starts
-    on. Its domain is what :func:`state_snapshot` builds: dicts with str
-    keys, lists, and str, int, bool and ``None`` leaves (str and int
-    subclasses included). Any other value raises ``TypeError``. (A module
-    function, not a closure: a closure that calls itself is a reference
-    cycle, and it would keep what it wrote alive until the cyclic collector
-    runs.)"""
-    kind = type(value)
-    if kind is dict:
-        if not value:
-            write("{}")
-            return
-        inner = newline + "  "
-        separator, comma = "{" + inner, "," + inner
-        for key in sorted(value):
-            write(separator)
-            write(encode_basestring_ascii(key))  # a TypeError for a key that is not a str
-            write(": ")
-            _write_indented(value[key], inner, write)
-            separator = comma
-        write(newline)
-        write("}")
-    elif kind is list:
-        if not value:
-            write("[]")
-            return
-        inner = newline + "  "
-        separator, comma = "[" + inner, "," + inner
-        for item in value:
-            write(separator)
-            _write_indented(item, inner, write)
-            separator = comma
-        write(newline)
-        write("]")
-    elif kind is str:
-        write(encode_basestring_ascii(value))
-    elif value is None:
-        write("null")
-    elif value is True:
-        write("true")
-    elif value is False:
-        write("false")
-    elif isinstance(value, int):
-        write(int.__repr__(value))
-    elif isinstance(value, str):
-        write(encode_basestring_ascii(value))
-    else:
-        raise TypeError(f"Object of type {kind.__name__} is not in the snapshot's JSON domain")
+# The written snapshot: each section's value starts on a line of indent 2,
+# its entries start on lines of indent 4, and their fields nest deeper.
+_SECTION, _ENTRY, _FIELD = "\n  ", "\n    ", "\n      "
+_ITEM = _FIELD + "  "  # a decision in a tally's "accepted" list
+# a decision's text from the end of its key's hex to its weight, per verdict
+_VERDICT_TEXT = {verdict: f'",{_ITEM}  {encode_basestring_ascii(verdict)},{_ITEM}  ' for verdict in Verdict}
+
+Write = Callable[[str], object]
+
+
+def _write_entries(brackets: str, entries: list[str], write: Write) -> None:
+    """Write a section that is a JSON object or array (``brackets`` is
+    ``"{}"`` or ``"[]"``) from the texts of its entries, in order."""
+    if not entries:
+        write(brackets)
+        return
+    write(brackets[0] + _ENTRY)
+    write(("," + _ENTRY).join(entries))
+    write(_SECTION + brackets[1])
+
+
+def _write_object(records: dict, text: Callable[[object], str], write: Write) -> None:
+    """Write a section that maps keys to records: each key with
+    ``text(record)``, in the order JSON sorts keys: as strings, so
+    proposal "10" comes before proposal "2"."""
+    keyed = sorted([(str(key), record) for key, record in records.items()])
+    _write_entries("{}", [f"{encode_basestring_ascii(key)}: {text(record)}" for key, record in keyed], write)
+
+
+def _tally_text(tally: Tally) -> str:
+    spell, verdicts, close = int.__repr__, _VERDICT_TEXT, f"{_ITEM}]"
+    decisions = ",".join([
+        f'{_ITEM}[{_ITEM}  "{key.hex()}{verdicts[verdict]}{spell(weight)}{close}'
+        for key, verdict, weight in tally.accepted
+    ])
+    accepted = f"[{decisions}{_FIELD}]" if decisions else "[]"
+    finalized = "true" if tally.finalized else "false"
+    return f'{{{_FIELD}"accepted": {accepted},{_FIELD}"finalized": {finalized}{_ENTRY}}}'
+
+
+def _nonce_text(nonce: tuple[bytes, bytes]) -> str:
+    return f'[{_FIELD}"{nonce[0].hex()}",{_FIELD}"{nonce[1].hex()}"{_ENTRY}]'
+
+
+def _queue_entry_text(entry: tuple[int, int]) -> str:
+    return f"[{_FIELD}{int.__repr__(entry[0])},{_FIELD}{int.__repr__(entry[1])}{_ENTRY}]"
+
+
+# Each top-level section of the snapshot with its writer, in key order: the
+# templates of what :data:`_SECTIONS` builds, written with no dict built.
+_SECTION_WRITERS: tuple[tuple[str, Callable[[RegistryState, Write], None]], ...] = tuple(sorted({
+    "clock": lambda state, write: write(int.__repr__(state.clock.now)),
+    "next_proposal_id": lambda state, write: write(int.__repr__(len(state.proposals) + 1)),
+    "last_sequence": lambda state, write: write(int.__repr__(state.event_log[-1].sequence if state.event_log else 0)),
+    "documents": lambda state, write: _write_object(
+        state.documents, lambda doc: model.document_to_indented(doc, _ENTRY), write
+    ),
+    "active_proposals": lambda state, write: _write_object(
+        state.active_proposals, lambda proposal: int.__repr__(proposal.proposal_id), write
+    ),
+    "proposals": lambda state, write: _write_object(
+        state.proposals, lambda proposal: model.proposal_to_indented(proposal, _ENTRY), write
+    ),
+    "tallies": lambda state, write: _write_object(state.tallies, _tally_text, write),
+    "nonce_ledger": lambda state, write: _write_entries(
+        "[]", [_nonce_text(nonce) for nonce in sorted(state.nonce_ledger)], write
+    ),
+    "schedule_queue": lambda state, write: _write_entries(
+        "[]", [_queue_entry_text(entry) for entry in state.queue.entries()], write
+    ),
+}.items()))
 
 
 def snapshot_json(state: RegistryState) -> str:
     """``json.dumps(state_snapshot(state), indent=2, sort_keys=True) + "\\n"``,
-    built and written a section at a time, each into a text buffer of its
-    own, so a section's value and the strings written for it are freed
-    before the next section is built. (CPython 3.11's ``io.StringIO`` keeps
-    each string written to it alive until 100,000 have accumulated; one
-    buffer for the whole snapshot would carry them across sections.)"""
-    parts = []
-    separator = "{\n  "
-    for name, section in _SECTIONS:
-        out = io.StringIO()
-        _write_indented(section(state), "\n  ", out.write)
-        parts += (separator, encode_basestring_ascii(name), ": ", out.getvalue())
-        separator = ",\n  "
-    parts.append("\n}\n")
+    written straight from the state's records, each through its template
+    (:func:`didgov.model.document_to_indented`,
+    :func:`didgov.model.proposal_to_indented`, :func:`_tally_text`, ...),
+    with no dict of the snapshot built. It holds each record's text and
+    the whole text once: about twice the text at its peak."""
+    parts: list[str] = []
+    write = parts.append
+    separator = "{" + _SECTION
+    for name, section in _SECTION_WRITERS:
+        write(f"{separator}{encode_basestring_ascii(name)}: ")
+        section(state, write)
+        separator = "," + _SECTION
+    write("\n}\n")
     return "".join(parts)
 
 

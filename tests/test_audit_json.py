@@ -1,25 +1,49 @@
 """The auditor's JSON in :mod:`didgov.registry` against the ``json`` module.
 
-``snapshot_json`` writes its indented text with ``_write_indented``, which
-must write ``json.dumps(value, indent=2, sort_keys=True)`` for the values
-``state_snapshot`` builds, and must not hold much more memory than the text
-it writes. ``event_log_from_jsonl`` reads each line with
-CPython's C scanner, and must give what decoding each line with
-``json.loads`` gives: the same events, or the same error naming the same
-line.
+``snapshot_json`` writes each record of the state through a template of
+its own (``document_to_indented``, ``proposal_to_indented``, a config's
+``to_indented``, the registry's tally and ledger templates), and a group
+operation through the generic ``_write_indented``. Each must write
+``json.dumps(value, indent=2, sort_keys=True)`` for the projection
+``state_snapshot`` builds, without building it, and the whole must not
+hold much more memory than the text it writes. ``event_log_from_jsonl``
+reads each line with CPython's C scanner, and must give what decoding
+each line with ``json.loads`` gives: the same events, or the same error
+naming the same line.
 """
 
 import io
 import json
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from didgov import coord, model, registry as registry_mod
 from didgov.errors import EncodingError
+from didgov.model import (
+    AclConfig,
+    AddGroup,
+    ChangeSet,
+    DidDocument,
+    EditRightLevel,
+    ExecutionMode,
+    GovernanceEvent,
+    GovernanceGroup,
+    NOfMConfig,
+    ProposalStatus,
+    RemoveGroup,
+    ReplaceGroup,
+    TokenConfig,
+    TurnoutConfig,
+    UpdateProposal,
+    VcConfig,
+    Verdict,
+    WeightedConfig,
+)
 
 from .test_scenario_cli import MALFORMED_LOGS
 
@@ -65,9 +89,9 @@ def _dumps(value) -> str:
 
 
 def _indented(value) -> str:
-    """``value`` as ``snapshot_json`` writes a section of the snapshot."""
+    """``value`` as ``snapshot_json`` writes a group operation."""
     out = io.StringIO()
-    registry_mod._write_indented(value, "\n", out.write)
+    model._write_indented(value, "\n", out.write)
     return out.getvalue()
 
 
@@ -126,24 +150,136 @@ def _tallied_state(tallies: int, entries: int) -> registry_mod.RegistryState:
     return state
 
 
-def test_snapshot_writer_holds_at_most_three_times_its_text(monkeypatch):
-    """Writing the snapshot a section at a time into text buffers holds at
-    most 3x its text (about 2.9 MB here) on top of the sections' values;
-    joining a list of every fragment of the snapshot held about 5x."""
+def test_snapshot_writer_holds_at_most_three_times_its_text():
+    """The whole ``snapshot_json`` call, templates included, holds at most
+    3x its text (about 2.9 MB here): each record's text and the joined
+    text. Building the snapshot's dicts first would hold far more."""
     state = _tallied_state(4_000, 5)
-    sections = registry_mod.state_snapshot(state)
-    # each section's value built before tracing starts, so only the writing is traced
-    built = tuple((name, lambda _state, value=value: value) for name, value in sorted(sections.items()))
-    monkeypatch.setattr(registry_mod, "_SECTIONS", built)
     tracemalloc.start()
     try:
         text = registry_mod.snapshot_json(state)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert text == _dumps(sections) + "\n"
+    assert text == _dumps(registry_mod.state_snapshot(state)) + "\n"
     assert len(text) > 2_500_000
     assert peak <= 3 * len(text), f"peak {peak} B for {len(text)} B of text"
+
+
+@pytest.mark.parametrize("scenario", SCENARIOS)
+def test_golden_snapshots_build_no_projection(scenario, monkeypatch):
+    """The snapshot writes each record from its template: it builds no
+    document, proposal or snapshot dict on the way."""
+    state = registry_mod.replay_events(
+        registry_mod.event_log_from_jsonl((GOLDEN / scenario / "events.jsonl").read_text())
+    )
+
+    def refuse(*args):
+        raise AssertionError("snapshot_json built a JSON projection")
+
+    for owner, name in ((model, "document_to_json"), (model, "proposal_to_json"), (registry_mod, "state_snapshot")):
+        monkeypatch.setattr(owner, name, refuse)
+    assert registry_mod.snapshot_json(state) == (GOLDEN / scenario / "final_state.json").read_text()
+
+
+# --- the snapshot's templates, against the projection ---------------------------
+
+BYTES = st.binary(min_size=1, max_size=3)
+KEY_LISTS = st.lists(BYTES, max_size=3, unique=True).map(tuple)
+ISSUERS = st.lists(BYTES, min_size=1, max_size=3).map(tuple)
+BIG = st.integers(min_value=1, max_value=2**70)
+AUTHZ = st.one_of(
+    st.lists(BYTES, min_size=1, max_size=3, unique=True).flatmap(
+        lambda members: st.builds(
+            AclConfig,
+            st.just(tuple(members)),
+            st.none() | st.lists(BIG, min_size=len(members), max_size=len(members)).map(tuple),
+        )
+    ),
+    st.builds(TokenConfig, ISSUERS),
+    st.builds(VcConfig, ISSUERS, st.dictionaries(TEXT, TEXT, max_size=3)),
+)
+COORD = st.one_of(
+    st.integers(min_value=1, max_value=5).flatmap(
+        lambda n: st.builds(NOfMConfig, st.just(n), st.integers(min_value=n, max_value=9))
+    ),
+    st.builds(TurnoutConfig, BIG, st.fractions(min_value=Fraction(1, 10**6), max_value=1)),
+    st.builds(WeightedConfig, BIG),
+)
+BELOW_ALL = st.sampled_from([level for level in EditRightLevel if level is not EditRightLevel.ALL])
+
+
+def _groups(group_id, edit_right=BELOW_ALL):
+    return st.builds(
+        GovernanceGroup,
+        group_id,
+        edit_right,
+        AUTHZ,
+        COORD,
+        st.sampled_from(ExecutionMode),
+        st.none() | BIG,
+    )
+
+
+GROUP_IDS = st.integers(min_value=0, max_value=2**70)
+DIDS = st.text("0123456789abcdef", min_size=1, max_size=6)
+TEXT_MAPS = st.dictionaries(TEXT, TEXT, max_size=3)
+DOCUMENTS = st.builds(
+    lambda did, version, keys, attributes, first, rest: DidDocument(
+        did, version, keys, attributes, (first, *(group for group in rest if group.group_id != first.group_id))
+    ),
+    DIDS,
+    BIG,
+    KEY_LISTS,
+    TEXT_MAPS,
+    _groups(GROUP_IDS, st.sampled_from(EditRightLevel)),
+    st.lists(_groups(GROUP_IDS), max_size=2, unique_by=lambda group: group.group_id),
+)
+GROUP_OPS = st.one_of(
+    st.builds(AddGroup, _groups(GROUP_IDS)),
+    GROUP_IDS.flatmap(lambda group_id: st.builds(ReplaceGroup, st.just(group_id), _groups(st.just(group_id)))),
+    st.builds(RemoveGroup, GROUP_IDS),
+)
+@st.composite
+def _change_sets(draw):
+    keys, attributes = draw(st.none() | KEY_LISTS), draw(st.none() | TEXT_MAPS)
+    ops = tuple(draw(st.lists(GROUP_OPS, max_size=2)))
+    if keys is None and attributes is None and not ops:
+        attributes = {}
+    return ChangeSet(keys, attributes, ops)
+
+
+@st.composite
+def _states(draw):
+    state = registry_mod.RegistryState()
+    for doc in draw(st.lists(DOCUMENTS, max_size=3, unique_by=lambda doc: doc.did)):
+        state.documents[doc.did] = doc
+    for pid in range(1, draw(st.integers(min_value=0, max_value=12)) + 1):
+        proposal = state.proposals[pid] = UpdateProposal(
+            pid, model.Did(draw(DIDS)), draw(BIG), draw(GROUP_IDS), draw(_change_sets()), draw(BIG),
+            draw(st.none() | BIG), draw(st.sampled_from(ProposalStatus)),
+        )
+        if draw(st.booleans()):
+            state.active_proposals[proposal.did] = proposal
+        tally = state.tallies[pid] = coord.Tally(pid)
+        tally.accepted += draw(st.lists(st.tuples(BYTES, st.sampled_from(Verdict), BIG), max_size=3))
+        tally.finalized = draw(st.booleans())
+        if proposal.deadline is not None:
+            state.queue.push(proposal.deadline, pid)
+    state.nonce_ledger.update(draw(st.sets(st.tuples(BYTES, BYTES), max_size=3)))
+    state.clock.advance(draw(st.integers(min_value=0, max_value=2**70)))
+    if draw(st.booleans()):
+        state.event_log.append(GovernanceEvent(draw(BIG), 0, model.EventKind.CLOCK_ADVANCED, {}))
+    return state
+
+
+@given(_states())
+@example(registry_mod.RegistryState())
+def test_snapshot_templates_equal_json_dumps(state):
+    """Every kind, ACL weights or none, time limits and deadlines, each
+    group operation, keys none, empty or set, empty sections, and awkward
+    text in attributes and required claims."""
+    assert registry_mod.snapshot_json(state) == _dumps(registry_mod.state_snapshot(state)) + "\n"
 
 
 # --- the JSONL event decoder ---------------------------------------------------

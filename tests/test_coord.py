@@ -12,6 +12,7 @@ from didgov.errors import (
     AlreadyFinalized,
     DuplicateBatch,
     DuplicateDecision,
+    EncodingError,
     TallyFinalized,
     TallyFull,
     Unauthorized,
@@ -199,7 +200,7 @@ class TestBatch:
         return [(_key(t), v) for t, v in entries]
 
     def test_mismatched_proposal_id_rejected_at_construction(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(EncodingError):
             DecisionBatch(proposal_id=2, decisions=(_decision("a", Verdict.APPROVE, proposal_id=1),))
 
     def test_second_batch_rejected(self):

@@ -116,9 +116,9 @@ def test_every_kind_combination_runs_the_lifecycle_and_replays(authz, coord, exe
 
 def _kind_dispatch(tree: ast.Module, module: str) -> list[str]:
     """Each place in ``tree`` that dispatches on a config class with
-    ``isinstance``, or outside the allowed functions on a group operation
-    class, or compares a value with an ``AuthzKind`` or ``CoordKind`` member;
-    ``module`` is the file name."""
+    ``isinstance`` or by comparing a ``type(...)`` with it, or outside the
+    allowed functions on a group operation class, or compares a value with
+    an ``AuthzKind`` or ``CoordKind`` member; ``module`` is the file name."""
     found = []
 
     def names(node):
@@ -148,6 +148,11 @@ def _kind_dispatch(tree: ast.Module, module: str) -> list[str]:
             and (module, function) not in KIND_BRANCHES_ALLOWED
         ):
             found.append(f"{module}:{node.lineno} branches on a kind in {function}")
+        if isinstance(node, ast.Compare) and names(node) & CONFIG_CLASSES and any(
+            isinstance(n, ast.Call) and isinstance(n.func, ast.Name) and n.func.id == "type"
+            for n in ast.walk(node)
+        ):
+            found.append(f"{module}:{node.lineno} compares a type with {sorted(names(node) & CONFIG_CLASSES)}")
         for child in ast.iter_child_nodes(node):
             visit(child, function)
 
@@ -170,6 +175,9 @@ def test_no_engine_module_dispatches_on_a_governance_kind():
         "isinstance(config, model.TurnoutConfig)",
         "kind is AuthzKind.ACL",
         "kind == model.CoordKind.WEIGHTED",
+        "type(config) is AclConfig",
+        "type(group.coord_config) is not model.WeightedConfig",
+        "type(config) in (TokenConfig, VcConfig)",
         "isinstance(op, ReplaceGroup)",
         "isinstance(op, (model.AddGroup, RemoveGroup))",
         "def group_op_to_json(op):\n    return isinstance(op, AddGroup)",

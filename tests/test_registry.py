@@ -95,25 +95,67 @@ class TestAnchor:
         assert (registry.snapshot_json(), len(registry.reports)) == before
 
 
-def _issuer_group(config_class):
-    return GovernanceGroup(0, EditRightLevel.DOCUMENT, config_class(trusted_issuers=("zz",)), NOfMConfig(1, 1))
-
-
 def _anchoring(keys=(), group=lambda: acl_group([pair("a")])):
     return lambda registry, did: registry.anchor("ab", keys, {}, (group(),))
 
 
-# calls that would commit a record its JSON projection cannot write
+def _anchoring_groups(groups):
+    return lambda registry, did: registry.anchor("ef", [], {}, groups)
+
+
+def _config_group(config):
+    """A group factory for :func:`_anchoring`: its authorization is ``config()``."""
+    return lambda: GovernanceGroup(0, EditRightLevel.DOCUMENT, config(), NOfMConfig(1, 1))
+
+
+def _proposing(change):
+    return lambda registry, did: _propose(registry, did, pair("a"), change=change())
+
+
+def _batching(decisions):
+    return lambda registry, did: registry.decide_batch(DecisionBatch(1, decisions(did)))
+
+
+# calls that would commit a record its JSON projection cannot write, or
+# that hand the model a collection or record of the wrong type: each is
+# refused with a GovernanceError before anything changes
 UNWRITABLE = {
     "document-key": (_anchoring(keys=["zz"]), EncodingError),
     "acl-member": (_anchoring(group=lambda: acl_group(["zz"])), InvalidGroupConfig),
-    "token-issuer": (_anchoring(group=lambda: _issuer_group(TokenConfig)), InvalidGroupConfig),
-    "vc-issuer": (_anchoring(group=lambda: _issuer_group(VcConfig)), InvalidGroupConfig),
+    "token-issuer": (_anchoring(group=_config_group(lambda: TokenConfig(("zz",)))), InvalidGroupConfig),
+    "vc-issuer": (_anchoring(group=_config_group(lambda: VcConfig(("zz",)))), InvalidGroupConfig),
     "edit-right": (_anchoring(group=lambda: acl_group([pair("a")], edit_right=4)), InvalidGroupConfig),
     "execution": (_anchoring(group=lambda: acl_group([pair("a")], execution="onchain")), InvalidGroupConfig),
     "change-set-key": (
         lambda registry, did: _propose(registry, did, pair("a"), change=ChangeSet(new_public_keys=("zz",))),
         EncodingError,
+    ),
+    "document-keys-not-a-collection": (_anchoring(keys=None), EncodingError),
+    "acl-members-not-a-collection": (
+        _anchoring(group=_config_group(lambda: model.AclConfig(None))), InvalidGroupConfig
+    ),
+    "acl-weights-not-a-collection": (
+        _anchoring(group=_config_group(lambda: model.AclConfig((pair("a").public_key,), weights=5))),
+        InvalidGroupConfig,
+    ),
+    "token-issuers-not-a-collection": (
+        _anchoring(group=_config_group(lambda: TokenConfig(None))), InvalidGroupConfig
+    ),
+    "vc-issuers-not-a-collection": (
+        _anchoring(group=_config_group(lambda: VcConfig(None))), InvalidGroupConfig
+    ),
+    "groups-not-a-collection": (_anchoring_groups(None), InvalidGroupConfig),
+    "group-not-a-group": (_anchoring_groups(("x",)), InvalidGroupConfig),
+    "change-set-keys-not-a-collection": (_proposing(lambda: ChangeSet(new_public_keys=5)), EncodingError),
+    "group-ops-not-a-collection": (_proposing(lambda: ChangeSet(group_ops=5)), InvalidChangeSet),
+    "added-group-not-a-group": (_proposing(lambda: ChangeSet(group_ops=(AddGroup("x"),))), InvalidChangeSet),
+    "replacing-group-not-a-group": (
+        _proposing(lambda: ChangeSet(group_ops=(ReplaceGroup(0, "x"),))), InvalidChangeSet
+    ),
+    "batch-not-a-collection": (_batching(lambda did: None), EncodingError),
+    "batch-entry-not-a-decision": (_batching(lambda did: ("x",)), EncodingError),
+    "batch-decision-for-another-proposal": (
+        _batching(lambda did: (build_decision(pair("a"), Did(did), 2, 1, Verdict.APPROVE),)), EncodingError
     ),
 }
 
