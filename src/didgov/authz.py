@@ -8,7 +8,7 @@ anything; :func:`authorize` hands a request to the group's config.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, NamedTuple, Optional
 
 from .crypto import CredentialPresentation
 from .errors import GovernanceError
@@ -30,9 +30,9 @@ class AuthzRequest:
     credential: Optional[CredentialPresentation] = None
 
 
-@dataclass(frozen=True, slots=True)
-class AuthzOutcome:
-    """Result of one authorization check.
+class AuthzOutcome(NamedTuple):
+    """Result of one authorization check: an immutable record, a named
+    tuple because every vote and proposal builds one.
 
     A refused outcome records what to raise, ``refusal``: the error class
     and its message. ``denial`` builds a new, un-raised error from it on

@@ -28,6 +28,9 @@ from .model import CoordConfig, Decision, ExecutionMode, GovernanceGroup, Update
 
 TallyEntry = tuple[bytes, Verdict, int]  # (controller_key, verdict, effective_weight)
 
+# members as module names: loading one from its enum class costs several global loads
+_APPROVE, _OFF_CHAIN = Verdict.APPROVE, ExecutionMode.OFF_CHAIN
+
 
 class ResolveReason(str, Enum):
     DECISIVE = "decisive"
@@ -86,7 +89,7 @@ def init_process(
 ) -> Tally:
     """Start the coordination process for a freshly admitted proposal."""
     charge(meter, "storage_write_new", 1)  # tally record
-    if group.execution is ExecutionMode.OFF_CHAIN:
+    if group.execution is _OFF_CHAIN:
         # aggregation setup: record where/how signatures will be collected
         charge(meter, "storage_write_new", 1)
     if group.time_limit is not None:
@@ -133,7 +136,7 @@ def append_entry(
     key, verdict, weight = entry
     tally.accepted.append(entry)
     tally.decided.add(key)
-    if verdict is Verdict.APPROVE:
+    if verdict is _APPROVE:
         tally.approvals += 1
         tally.approve_weight += weight
     else:

@@ -11,13 +11,18 @@ in :mod:`didgov.encoding`.
 Each record the state snapshot holds also writes its projection as
 indented text, the text of ``json.dumps(projection, indent=2,
 sort_keys=True)``, from a template of its own (``to_indented`` on a
-config class, ``*_to_indented`` here), with no dict built. The
-projections stay the reference the templates are tested against.
+config class, ``*_to_indented`` here), with no dict built. A document and
+a proposal, which events record, likewise write the compact text of
+``json.dumps(projection, separators=(",", ":"))`` (``to_compact``,
+``*_to_compact``). The projections stay the reference the templates are
+tested against.
 """
 
 from __future__ import annotations
 
+import json
 import math
+import re
 from collections.abc import Callable, Mapping
 from dataclasses import dataclass, field
 from enum import Enum, IntEnum
@@ -36,19 +41,20 @@ from .metering import CostMeter, charge
 if TYPE_CHECKING:
     from .coord import Tally
 
-_HEX_DIGITS = frozenset("0123456789abcdef")
+_LOWERCASE_HEX = re.compile("[0-9a-f]+").fullmatch
 
 
 class Did(str):
     """Registry identifier: non-empty lowercase hex (a controller key, by
-    convention, though any hex string is accepted)."""
+    convention, though any hex string is accepted). Only a ``str`` is one:
+    a list of hex characters is not."""
 
     def __new__(cls, value: str) -> "Did":
         if type(value) is Did:
             return value  # checked when it was made
-        if not value or not set(value) <= _HEX_DIGITS:
+        if not isinstance(value, str) or not _LOWERCASE_HEX(value):
             raise EncodingError(f"did must be non-empty lowercase hex, got {value!r}")
-        return super().__new__(cls, value)
+        return str.__new__(cls, value)
 
 
 class EditRightLevel(IntEnum):
@@ -65,9 +71,14 @@ class EditRightLevel(IntEnum):
     @classmethod
     def from_json_name(cls, name: str) -> "EditRightLevel":
         try:
-            return cls[name.upper()]
+            return _LEVELS_BY_NAME[name.upper()]
         except KeyError:
             raise EncodingError(f"unknown edit right level {name!r}") from None
+
+
+# each level by its name, read without ``EnumType.__getitem__``
+_LEVELS_BY_NAME = {level.name: level for level in EditRightLevel}
+_ALL = EditRightLevel.ALL
 
 
 class AuthzKind(str, Enum):
@@ -129,7 +140,7 @@ def enum_from_value(enum_cls, value):
 def _require_int(value, what: str, error: type[GovernanceError]) -> None:
     """Refuse ``value`` unless it is an integer, as JSON writes one: an
     ``int`` that is not a ``bool``."""
-    if not isinstance(value, int) or isinstance(value, bool):
+    if type(value) is not int and (not isinstance(value, int) or isinstance(value, bool)):
         raise error(f"{what} must be an integer, not {value!r}")
 
 
@@ -137,7 +148,7 @@ def text_map(value, what: str) -> dict[str, str]:
     """``value`` as a new dict that must map str to str, as document
     attributes, change-set attributes and VC claims do. ``value`` must be a
     mapping (a JSON object), not pairs that ``dict`` would also take."""
-    if not isinstance(value, Mapping):
+    if type(value) is not dict and not isinstance(value, Mapping):
         raise EncodingError(f"{what} must be an object, not {type(value).__name__}")
     mapping = dict(value)
     for key, item in mapping.items():
@@ -232,6 +243,22 @@ def _write_indented(value, newline: str, write: Callable[[str], object]) -> None
         raise TypeError(f"Object of type {kind.__name__} is not in the snapshot's JSON domain")
 
 
+# --- compact JSON text -------------------------------------------------------
+# A compact template writes its record as ``json.dumps(projection,
+# separators=(",", ":"))`` does: the projection's keys in the order it
+# builds them, with no space.
+
+
+def _hex_list(keys: tuple[bytes, ...]) -> str:
+    """``keys`` in hex as a compact JSON array (hex needs no escaping)."""
+    return '["' + '","'.join([key.hex() for key in keys]) + '"]' if keys else "[]"
+
+
+def _text_members(mapping: Mapping[str, str]) -> str:
+    """A text-to-text mapping as a compact JSON object, in its own order."""
+    return "{" + ",".join([f"{_quote(key)}:{_quote(value)}" for key, value in mapping.items()]) + "}"
+
+
 # --- governance kinds --------------------------------------------------------
 # Each config class is the one definition of its kind: ``kind``, the JSON
 # codec and the behaviour the engine calls instead of branching on a kind.
@@ -244,7 +271,7 @@ def _keys_from_hex(data, what: str) -> tuple[bytes, ...]:
     """The keys of a JSON array of hex strings."""
     if type(data) is not list:
         raise EncodingError(f"{what} must be an array, not {type(data).__name__}")
-    return tuple(bytes.fromhex(key) for key in data)
+    return tuple(map(bytes.fromhex, data))
 
 
 def tuple_of(value, what: str, error: type[GovernanceError]) -> tuple:
@@ -330,6 +357,11 @@ class AclConfig(_Authorization):
         weights = "null" if self.weights is None else _int_array(self.weights, inner)
         return f'{{{inner}"members": {_hex_array(self.members, inner)},{inner}"weights": {weights}{newline}}}'
 
+    def to_compact(self) -> str:
+        """The compact text of :meth:`to_json`, as an event records it."""
+        weights = "null" if self.weights is None else "[" + ",".join(map(_spell, self.weights)) + "]"
+        return f'{{"members":{_hex_list(self.members)},"weights":{weights}}}'
+
     @classmethod
     def from_json(cls, data: Mapping) -> "AclConfig":
         weights = data.get("weights")
@@ -382,6 +414,9 @@ class TokenConfig(_Authorization):
     def to_indented(self, newline: str) -> str:
         inner = newline + "  "
         return f'{{{inner}"trusted_issuers": {_hex_array(self.trusted_issuers, inner)}{newline}}}'
+
+    def to_compact(self) -> str:
+        return f'{{"trusted_issuers":{_hex_list(self.trusted_issuers)}}}'
 
     @classmethod
     def from_json(cls, data: Mapping) -> "TokenConfig":
@@ -444,6 +479,10 @@ class VcConfig(_Authorization):
             f'{inner}"trusted_issuers": {_hex_array(self.trusted_issuers, inner)}{newline}}}'
         )
 
+    def to_compact(self) -> str:
+        issuers, claims = _hex_list(self.trusted_issuers), _text_members(self.required_claims)
+        return f'{{"trusted_issuers":{issuers},"required_claims":{claims}}}'
+
     @classmethod
     def from_json(cls, data: Mapping) -> "VcConfig":
         issuers = _keys_from_hex(data["trusted_issuers"], "vc trusted_issuers")
@@ -490,6 +529,7 @@ class VcConfig(_Authorization):
 
 AuthzConfig = Union[AclConfig, TokenConfig, VcConfig]
 _AUTHZ_CONFIGS = {config.kind: config for config in (AclConfig, TokenConfig, VcConfig)}
+_AUTHZ_CLASSES = frozenset(_AUTHZ_CONFIGS.values())
 
 
 class _Coordination:
@@ -533,6 +573,9 @@ class NOfMConfig(_Coordination):
         inner = newline + "  "
         return f'{{{inner}"m": {_spell(self.m)},{inner}"n": {_spell(self.n)}{newline}}}'
 
+    def to_compact(self) -> str:
+        return f'{{"n":{_spell(self.n)},"m":{_spell(self.m)}}}'
+
     @classmethod
     def from_json(cls, data: Mapping) -> "NOfMConfig":
         return cls(n=data["n"], m=data["m"])
@@ -553,6 +596,18 @@ class NOfMConfig(_Coordination):
         return None
 
 
+def _fraction(value) -> Fraction:
+    """``value`` as a finite rational, as ``Fraction`` reads it (an int,
+    float, decimal, rational or "n/d" text); anything else, a bool or a
+    zero denominator included, raises ``InvalidGroupConfig``."""
+    if isinstance(value, bool):
+        raise InvalidGroupConfig(f"ratio must be a rational number, not {value!r}")
+    try:
+        return Fraction(value)
+    except (ValueError, TypeError, OverflowError, ZeroDivisionError):
+        raise InvalidGroupConfig(f"ratio must be a rational number, not {value!r}") from None
+
+
 @dataclass(frozen=True)
 class TurnoutConfig(_Coordination):
     """Approval threshold scales with turnout: ceil(ratio * submitted)
@@ -565,7 +620,7 @@ class TurnoutConfig(_Coordination):
 
     def __post_init__(self) -> None:
         if type(self.ratio) is not Fraction:
-            object.__setattr__(self, "ratio", Fraction(self.ratio))
+            object.__setattr__(self, "ratio", _fraction(self.ratio))
         _require_int(self.quorum, "quorum", InvalidGroupConfig)
         if self.quorum < 1:
             raise InvalidGroupConfig("quorum must be >= 1")
@@ -579,6 +634,9 @@ class TurnoutConfig(_Coordination):
         inner = newline + "  "
         ratio = _quote(ratio_to_text(self.ratio))
         return f'{{{inner}"quorum": {_spell(self.quorum)},{inner}"ratio": {ratio}{newline}}}'
+
+    def to_compact(self) -> str:
+        return f'{{"quorum":{_spell(self.quorum)},"ratio":{_quote(ratio_to_text(self.ratio))}}}'
 
     @classmethod
     def from_json(cls, data: Mapping) -> "TurnoutConfig":
@@ -615,6 +673,9 @@ class WeightedConfig(_Coordination):
     def to_indented(self, newline: str) -> str:
         return f'{{{newline}  "threshold": {_spell(self.threshold)}{newline}}}'
 
+    def to_compact(self) -> str:
+        return f'{{"threshold":{_spell(self.threshold)}}}'
+
     @classmethod
     def from_json(cls, data: Mapping) -> "WeightedConfig":
         return cls(threshold=data["threshold"])
@@ -629,6 +690,7 @@ class WeightedConfig(_Coordination):
 
 CoordConfig = Union[NOfMConfig, TurnoutConfig, WeightedConfig]
 _COORD_CONFIGS = {config.kind: config for config in (NOfMConfig, TurnoutConfig, WeightedConfig)}
+_COORD_CLASSES = frozenset(_COORD_CONFIGS.values())
 
 
 # --- governance group --------------------------------------------------------
@@ -651,9 +713,9 @@ class GovernanceGroup:
             raise InvalidGroupConfig("group_id must be unsigned")
         if type(self.edit_right) is not EditRightLevel or type(self.execution) is not ExecutionMode:
             raise InvalidGroupConfig(f"bad edit right or execution mode: {self.edit_right!r}, {self.execution!r}")
-        if type(self.authz_config) not in _AUTHZ_CONFIGS.values():
+        if type(self.authz_config) not in _AUTHZ_CLASSES:
             raise InvalidGroupConfig(f"unknown authz config {type(self.authz_config).__name__}")
-        if type(self.coord_config) not in _COORD_CONFIGS.values():
+        if type(self.coord_config) not in _COORD_CLASSES:
             raise InvalidGroupConfig(f"unknown coord config {type(self.coord_config).__name__}")
         if self.time_limit is not None:
             _require_int(self.time_limit, "time_limit", InvalidGroupConfig)
@@ -676,18 +738,20 @@ class DidDocument:
         object.__setattr__(self, "public_keys", _keys(self.public_keys, "public_keys", EncodingError))
         object.__setattr__(self, "attributes", text_map(self.attributes, "attributes"))
         object.__setattr__(self, "groups", tuple_of(self.groups, "groups", InvalidGroupConfig))
+        ids, holders = set(), 0  # the group ids, and how many groups hold the All edit right
         for group in self.groups:
             if not isinstance(group, GovernanceGroup):
                 raise InvalidGroupConfig(f"a document's groups must be governance groups, not {group!r}")
+            ids.add(group.group_id)
+            holders += group.edit_right is _ALL
         _require_int(self.version, "version", EncodingError)
         if self.version < 1:
             raise ValueError(f"version must be >= 1, got {self.version}")
         if not self.groups:
             raise InvalidGroupConfig("document must have at least one governance group")
-        ids = [g.group_id for g in self.groups]
-        if len(set(ids)) != len(ids):
-            raise InvalidGroupConfig(f"duplicate group ids {ids}")
-        if sum(1 for g in self.groups if g.edit_right is EditRightLevel.ALL) > 1:
+        if len(ids) != len(self.groups):
+            raise InvalidGroupConfig(f"duplicate group ids {[g.group_id for g in self.groups]}")
+        if holders > 1:
             raise InvalidGroupConfig("at most one group may hold the All edit right")
 
     def group(self, group_id: int) -> GovernanceGroup:
@@ -910,6 +974,18 @@ def group_to_indented(group: GovernanceGroup, newline: str) -> str:
     )
 
 
+def group_to_compact(group: GovernanceGroup) -> str:
+    """The compact text of :func:`group_to_json`."""
+    authz, coord = group.authz_config, group.coord_config
+    time_limit = "null" if group.time_limit is None else _spell(group.time_limit)
+    return (
+        f'{{"group_id":{_spell(group.group_id)},"edit_right":{_EDIT_RIGHT_TEXT[group.edit_right]},'
+        f'"authz_kind":{_quote(authz.kind)},"authz_config":{authz.to_compact()},'
+        f'"coord_kind":{_quote(coord.kind)},"coord_config":{coord.to_compact()},'
+        f'"execution":{_quote(group.execution)},"time_limit":{time_limit}}}'
+    )
+
+
 def group_from_json(data: Mapping) -> GovernanceGroup:
     authz = _AUTHZ_CONFIGS[enum_from_value(AuthzKind, data["authz_kind"])]
     coord = _COORD_CONFIGS[enum_from_value(CoordKind, data["coord_kind"])]
@@ -945,13 +1021,22 @@ def document_to_indented(doc: DidDocument, newline: str) -> str:
     )
 
 
+def document_to_compact(doc: DidDocument) -> str:
+    """The compact text of :func:`document_to_json`: what an anchored event records."""
+    groups = ",".join([group_to_compact(group) for group in doc.groups])
+    return (
+        f'{{"did":{_quote(doc.did)},"version":{_spell(doc.version)},"public_keys":{_hex_list(doc.public_keys)},'
+        f'"attributes":{_text_members(doc.attributes)},"groups":[{groups}]}}'
+    )
+
+
 def document_from_json(data: Mapping) -> DidDocument:
     return DidDocument(
         did=Did(data["did"]),
         version=data["version"],
         public_keys=_keys_from_hex(data["public_keys"], "public_keys"),
         attributes=data["attributes"],
-        groups=tuple(group_from_json(g) for g in data["groups"]),
+        groups=tuple([group_from_json(g) for g in data["groups"]]),
     )
 
 
@@ -1002,6 +1087,17 @@ def change_set_to_indented(change_set: ChangeSet, newline: str) -> str:
     )
 
 
+def change_set_to_compact(change_set: ChangeSet) -> str:
+    """The compact text of :func:`change_set_to_json`; its group operations
+    are written from their JSON projection, as in the indented text."""
+    keys, attributes = change_set.new_public_keys, change_set.new_attributes
+    group_ops = ",".join([json.dumps(group_op_to_json(op), separators=(",", ":")) for op in change_set.group_ops])
+    return (
+        f'{{"new_public_keys":{"null" if keys is None else _hex_list(keys)},'
+        f'"new_attributes":{"null" if attributes is None else _text_members(attributes)},"group_ops":[{group_ops}]}}'
+    )
+
+
 def change_set_from_json(data: Mapping) -> ChangeSet:
     new_public_keys = data.get("new_public_keys")
     new_attributes = data.get("new_attributes")
@@ -1037,6 +1133,17 @@ def proposal_to_indented(proposal: UpdateProposal, newline: str) -> str:
         f'{inner}"created_at": {_spell(proposal.created_at)},{inner}"deadline": {deadline},'
         f'{inner}"did": {_quote(proposal.did)},{inner}"originating_group": {_spell(proposal.originating_group)},'
         f'{inner}"proposal_id": {_spell(proposal.proposal_id)},{inner}"status": {_quote(proposal.status)}{newline}}}'
+    )
+
+
+def proposal_to_compact(proposal: UpdateProposal) -> str:
+    """The compact text of :func:`proposal_to_json`: what a submission records."""
+    deadline = "null" if proposal.deadline is None else _spell(proposal.deadline)
+    return (
+        f'{{"proposal_id":{_spell(proposal.proposal_id)},"did":{_quote(proposal.did)},'
+        f'"base_version":{_spell(proposal.base_version)},"originating_group":{_spell(proposal.originating_group)},'
+        f'"change_set":{change_set_to_compact(proposal.change_set)},"created_at":{_spell(proposal.created_at)},'
+        f'"deadline":{deadline},"status":{_quote(proposal.status)}}}'
     )
 
 

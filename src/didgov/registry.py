@@ -16,11 +16,17 @@ registry runs it with a fresh meter and an ``emit`` that logs each event.
 replayed log reproduces the live registry byte-for-byte (see
 :func:`snapshot_json`). Tallies change only through :mod:`didgov.coord`.
 
+An anchored event records its document, and a submission its proposal,
+as the compact text that :func:`didgov.model.document_to_compact` and
+:func:`didgov.model.proposal_to_compact` write from the record, with no
+dict built; replay decodes the logged text, runs the transaction, and
+requires the text the transaction derives to equal it.
 :func:`event_log_to_jsonl` writes each event line from its kind's fixed
 text, with only the payload through the C JSON encoder. An audit decodes,
-folds, then snapshots. :func:`event_log_from_jsonl` reads each line with
-CPython's C JSON scanner and accepts only a line that is exactly one event
-(:func:`didgov.model.event_from_json`).
+folds (each kind of event that begins a transaction through its entry in
+:data:`_FOLDS`), then snapshots. :func:`event_log_from_jsonl` reads each
+line with CPython's C JSON scanner and accepts only a line that is exactly
+one event (:func:`didgov.model.event_from_json`).
 :func:`snapshot_json` writes the text of ``json.dumps(state_snapshot(state),
 indent=2, sort_keys=True)`` straight from the state's records, one
 template per record: a document, group and proposal write their own text
@@ -97,11 +103,6 @@ def _compact_writer() -> Callable[[object], str]:
     return lambda value: "".join(encode(value, 0))
 
 
-def _compact(value) -> str:
-    """``value`` as compact JSON text, through a writer built for it."""
-    return _compact_writer()(value)
-
-
 @dataclass
 class RegistryState:
     documents: dict[Did, DidDocument] = field(default_factory=dict)
@@ -114,6 +115,20 @@ class RegistryState:
     event_log: list[GovernanceEvent] = field(default_factory=list)
     queue: DeadlineQueue = field(default_factory=DeadlineQueue)
     clock: SimClock = field(default_factory=SimClock)
+
+
+# The enum members the transactions test and log, as module names: loading
+# a member from its enum class costs several global loads.
+_ACTIVE, _APPROVED, _REJECTED = ProposalStatus.ACTIVE, ProposalStatus.APPROVED, ProposalStatus.REJECTED
+_EXPIRED, _OVERRIDDEN = ProposalStatus.EXPIRED, ProposalStatus.OVERRIDDEN
+_APPROVE, _ON_CHAIN, _OFF_CHAIN = Verdict.APPROVE, ExecutionMode.ON_CHAIN, ExecutionMode.OFF_CHAIN
+_DECISIVE, _MANUAL, _BY_EXPIRY = ResolveReason.DECISIVE, ResolveReason.MANUAL, ResolveReason.EXPIRED
+_ANCHORED_EVENT, _SUBMITTED_EVENT = EventKind.ANCHORED, EventKind.PROPOSAL_SUBMITTED
+_OVERRIDDEN_EVENT, _ACCEPTED_EVENT = EventKind.PROPOSAL_OVERRIDDEN, EventKind.DECISION_ACCEPTED
+_SCHEDULED_EVENT, _RESOLVED_EVENT, _CLOCK_EVENT = EventKind.SCHEDULED, EventKind.RESOLVED, EventKind.CLOCK_ADVANCED
+# each member's value, the str its ``value`` property returns, read without
+# the property (members of two enums with equal values share an entry)
+_VALUE = {member: member.value for kind in (Verdict, ProposalStatus, ResolveReason) for member in kind}
 
 
 # --- transactions: one function each, run by the live registry and by replay --
@@ -134,24 +149,19 @@ def _log_event(
 ) -> None:
     """Live ``emit``: append the event at the clock after the transition,
     and meter it."""
-    event = GovernanceEvent(
-        sequence=len(state.event_log) + 1,
-        tick=state.clock.now,
-        kind=kind,
-        payload=payload,
-    )
+    event = GovernanceEvent(len(state.event_log) + 1, state.clock.now, kind, payload)
     state.event_log.append(event)
     charge(meter, "event_base", 1)
     charge(meter, "event_per_byte", event.payload_bytes())
 
 
-def _consume(state: RegistryState, nonce: Nonce) -> None:
+def _burn(state: RegistryState, nonce: Nonce, payload: dict[str, str]) -> None:
+    """Burn a granted token's nonce, if the outcome carries one, and record
+    it in the payload of the event that commits it."""
     if nonce is not None:
         state.nonce_ledger.add(nonce)
-
-
-def _nonce_fields(nonce: Nonce) -> dict[str, str]:
-    return {} if nonce is None else {"nonce_issuer": nonce[0].hex(), "nonce": nonce[1].hex()}
+        payload["nonce_issuer"] = nonce[0].hex()
+        payload["nonce"] = nonce[1].hex()
 
 
 def _group_of(state: RegistryState, proposal: UpdateProposal) -> GovernanceGroup:
@@ -160,7 +170,7 @@ def _group_of(state: RegistryState, proposal: UpdateProposal) -> GovernanceGroup
 
 def _anchor(state: RegistryState, doc: DidDocument, meter: Optional[CostMeter], emit: Emit) -> None:
     """Install a new document, at version 1, and charge its storage. The
-    event records the document's JSON text."""
+    event records the document's compact JSON text."""
     if doc.did in state.documents:
         raise AlreadyAnchored(f"did {doc.did} is already anchored")
     if doc.version != 1:
@@ -175,8 +185,8 @@ def _anchor(state: RegistryState, doc: DidDocument, meter: Optional[CostMeter], 
         if group.time_limit is not None:
             charge(meter, "storage_write_new", 1)  # time settings
     state.documents[doc.did] = doc
-    anchored = {"did": str(doc.did), "document": _compact(model.document_to_json(doc))}
-    emit(state, EventKind.ANCHORED, anchored, meter)
+    anchored = {"did": str(doc.did), "document": model.document_to_compact(doc)}
+    emit(state, _ANCHORED_EVENT, anchored, meter)
 
 
 def _propose(
@@ -221,13 +231,13 @@ def _propose(
                 f"proposal {active.proposal_id} is active with equal or higher privilege"
             )
         coord.freeze(state.tallies[active.proposal_id], meter)
-        active.status = ProposalStatus.OVERRIDDEN
+        active.status = _OVERRIDDEN
         overridden = {
             "proposal_id": str(active.proposal_id),
             "did": str(doc.did),
             "overriding_group": str(group.group_id),
         }
-        emit(state, EventKind.PROPOSAL_OVERRIDDEN, overridden, meter)
+        emit(state, _OVERRIDDEN_EVENT, overridden, meter)
     proposal = UpdateProposal(
         proposal_id=len(state.proposals) + 1,  # no proposal is ever removed
         did=doc.did,
@@ -241,15 +251,14 @@ def _propose(
     state.proposals[proposal.proposal_id] = proposal
     state.active_proposals[doc.did] = proposal
     state.successors[doc.did] = successor  # the overridden proposal's successor is dropped
-    _consume(state, outcome.consume_nonce)
-    submitted = {"proposal": _compact(model.proposal_to_json(proposal))}
-    submitted.update(_nonce_fields(outcome.consume_nonce))
-    emit(state, EventKind.PROPOSAL_SUBMITTED, submitted, meter)
+    submitted = {"proposal": model.proposal_to_compact(proposal)}
+    _burn(state, outcome.consume_nonce, submitted)
+    emit(state, _SUBMITTED_EVENT, submitted, meter)
     if group.time_limit is not None:
         proposal.deadline = proposal.created_at + group.time_limit
         state.queue.push(proposal.deadline, proposal.proposal_id)
         scheduled = {"proposal_id": str(proposal.proposal_id), "deadline": str(proposal.deadline)}
-        emit(state, EventKind.SCHEDULED, scheduled, meter)
+        emit(state, _SCHEDULED_EVENT, scheduled, meter)
     return proposal
 
 
@@ -261,11 +270,11 @@ def _decide(
     settles the tally resolves the proposal at once: returns the verdict if
     it did, else None."""
     proposal = state.proposals.get(proposal_id)
-    if proposal is None or proposal.status is not ProposalStatus.ACTIVE:
+    if proposal is None or proposal.status is not _ACTIVE:
         raise NoActiveProposal(f"proposal {proposal_id} is not active")
     group = _group_of(state, proposal)
     charge(meter, "base_tx", 1)
-    if group.execution is not ExecutionMode.ON_CHAIN:
+    if group.execution is not _ON_CHAIN:
         raise WrongExecutionMode("single decisions are only possible for on-chain coordination")
     controller, verdict, authorize = vote
     outcome = authorize(group, proposal, state.nonce_ledger, meter)
@@ -275,7 +284,7 @@ def _decide(
     # submit_decision validates (duplicate/full/finalized) before appending
     settled = coord.submit_decision(group.coord_config, tally, controller, verdict, weight, meter)
     _decision(state, proposal, controller, verdict, outcome, meter, emit)
-    return None if settled is None else _resolve(state, proposal, ResolveReason.DECISIVE, meter, emit)
+    return None if settled is None else _resolve(state, proposal, _DECISIVE, meter, emit)
 
 
 def _decide_batch(
@@ -288,11 +297,11 @@ def _decide_batch(
     if not votes:
         raise EmptyBatch("batch holds no decisions")
     proposal = state.proposals.get(proposal_id)
-    if proposal is None or proposal.status is not ProposalStatus.ACTIVE:
+    if proposal is None or proposal.status is not _ACTIVE:
         raise NoActiveProposal(f"proposal {proposal_id} is not active")
     group = _group_of(state, proposal)
     charge(meter, "base_tx", 1)  # an off-chain aggregate rides one transaction too
-    if group.execution is not ExecutionMode.OFF_CHAIN:
+    if group.execution is not _OFF_CHAIN:
         raise WrongExecutionMode("aggregates are only possible for off-chain coordination")
     outcomes = [authorize(group, proposal, state.nonce_ledger, meter) for _, _, authorize in votes]
     ballots = [(controller, verdict) for controller, verdict, _ in votes]
@@ -313,15 +322,14 @@ def _decision(
     emit: Emit,
 ) -> None:
     """Log a decision coord has just counted and burn its token nonce."""
-    _consume(state, outcome.consume_nonce)
     accepted = {
         "proposal_id": str(proposal.proposal_id),
         "controller": controller.hex(),
-        "verdict": verdict.value,
+        "verdict": _VALUE[verdict],
         "weight": str(outcome.effective_weight),
     }
-    accepted.update(_nonce_fields(outcome.consume_nonce))
-    emit(state, EventKind.DECISION_ACCEPTED, accepted, meter)
+    _burn(state, outcome.consume_nonce, accepted)
+    emit(state, _ACCEPTED_EVENT, accepted, meter)
 
 
 def _resolve_manual(state: RegistryState, proposal_id: int, meter: Optional[CostMeter], emit: Emit) -> Verdict:
@@ -329,10 +337,10 @@ def _resolve_manual(state: RegistryState, proposal_id: int, meter: Optional[Cost
     proposal = state.proposals.get(proposal_id)
     if proposal is None:
         raise UnknownProposal(f"no proposal {proposal_id}")
-    if proposal.status is not ProposalStatus.ACTIVE:
+    if proposal.status is not _ACTIVE:
         raise AlreadyFinalized(f"proposal {proposal_id} is {proposal.status.value}")
     charge(meter, "base_tx", 1)
-    return _resolve(state, proposal, ResolveReason.MANUAL, meter, emit)
+    return _resolve(state, proposal, _MANUAL, meter, emit)
 
 
 def _resolve(
@@ -355,23 +363,23 @@ def _resolve(
     group = doc.group(proposal.originating_group)
     verdict = coord.resolve(group.coord_config, state.tallies[proposal.proposal_id], meter)
     successor = state.successors.pop(proposal.did)
-    if verdict is Verdict.APPROVE:
+    if verdict is _APPROVE:
         doc = successor
         state.documents[proposal.did] = doc
         charge(meter, "storage_write_update", 1)  # document record
-        proposal.status = ProposalStatus.APPROVED
+        proposal.status = _APPROVED
     else:
-        proposal.status = ProposalStatus.EXPIRED if reason is ResolveReason.EXPIRED else ProposalStatus.REJECTED
+        proposal.status = _EXPIRED if reason is _BY_EXPIRY else _REJECTED
     del state.active_proposals[proposal.did]
     resolved = {
         "proposal_id": str(proposal.proposal_id),
-        "verdict": verdict.value,
-        "reason": reason.value,
-        "status": proposal.status.value,
+        "verdict": _VALUE[verdict],
+        "reason": _VALUE[reason],
+        "status": _VALUE[proposal.status],
     }
-    if verdict is Verdict.APPROVE:
+    if verdict is _APPROVE:
         resolved["new_version"] = str(doc.version)
-    emit(state, EventKind.RESOLVED, resolved, meter)
+    emit(state, _RESOLVED_EVENT, resolved, meter)
     return verdict
 
 
@@ -386,12 +394,12 @@ def _advance_clock(state: RegistryState, to: int, meter: Optional[CostMeter], em
     if to == state.clock.now:
         return []  # a quiet transaction (see Registry.advance_clock)
     state.clock.advance(to)
-    emit(state, EventKind.CLOCK_ADVANCED, {"to": str(to)}, meter)
+    emit(state, _CLOCK_EVENT, {"to": str(to)}, meter)
     expired: list[int] = []
     for _deadline, proposal_id in state.queue.due(to):
         proposal = state.proposals[proposal_id]
-        if proposal.status is ProposalStatus.ACTIVE:
-            _resolve(state, proposal, ResolveReason.EXPIRED, meter, emit)
+        if proposal.status is _ACTIVE:
+            _resolve(state, proposal, _BY_EXPIRY, meter, emit)
             expired.append(proposal_id)
     return expired
 
@@ -740,7 +748,7 @@ def _logged(event: GovernanceEvent, controller: bytes = b"", weight: int = 1) ->
                 config.check_logged_weight(controller, weight)
         except GovernanceError as exc:
             raise _Unfolded(event, exc) from exc
-        return AuthzOutcome(granted=True, effective_weight=weight, consume_nonce=nonce)
+        return AuthzOutcome(True, weight, None, nonce)
 
     return authorize
 
@@ -761,7 +769,7 @@ def _aggregate(events: Sequence[GovernanceEvent], at: int) -> list[Vote]:
     """The votes of the off-chain aggregate that ``events[at]`` begins: it
     and each decision on the same proposal logged right after it."""
     proposal_id, end = events[at].payload["proposal_id"], at + 1
-    while end < len(events) and events[end].kind is EventKind.DECISION_ACCEPTED:
+    while end < len(events) and events[end].kind is _ACCEPTED_EVENT:
         if events[end].payload.get("proposal_id") != proposal_id:
             break
         end += 1
@@ -771,7 +779,7 @@ def _aggregate(events: Sequence[GovernanceEvent], at: int) -> list[Vote]:
 def _submission_after(events: Sequence[GovernanceEvent], at: int) -> GovernanceEvent:
     """The submission an override at ``events[at]`` makes room for: the
     event logged next."""
-    if at + 1 < len(events) and events[at + 1].kind is EventKind.PROPOSAL_SUBMITTED:
+    if at + 1 < len(events) and events[at + 1].kind is _SUBMITTED_EVENT:
         return events[at + 1]
     override = events[at].payload
     what = f"submit group {override['overriding_group']}'s proposal on did {override['did']}"
@@ -798,29 +806,81 @@ def _difference(logged: GovernanceEvent, derived: GovernanceEvent) -> str:
     return f"logged {key} {value(logged_payload)}, derived {value(derived_payload)}"
 
 
+# Replay's reading of each kind of event that begins a transaction: the
+# transaction's inputs, from the event at ``at`` (and the events after it
+# that the same transaction logs), run through the transaction's function.
+Fold = Callable[[RegistryState, Sequence[GovernanceEvent], int, Emit], None]
+
+
+def _fold_anchor(state: RegistryState, events: Sequence[GovernanceEvent], at: int, emit: Emit) -> None:
+    _anchor(state, model.document_from_json(_json_line(events[at].payload["document"])), None, emit)
+
+
+def _fold_proposal(state: RegistryState, events: Sequence[GovernanceEvent], at: int, emit: Emit) -> None:
+    event = events[at]
+    if event.kind is _OVERRIDDEN_EVENT:
+        event = _submission_after(events, at)
+    logged = model.proposal_from_json(_json_line(event.payload["proposal"]))
+    _propose(state, logged.did, logged.originating_group, logged.change_set, _logged(event), None, emit)
+
+
+def _fold_decision(state: RegistryState, events: Sequence[GovernanceEvent], at: int, emit: Emit) -> None:
+    proposal_id = int(events[at].payload["proposal_id"])
+    proposal = state.proposals.get(proposal_id)
+    if proposal is not None and _group_of(state, proposal).execution is _OFF_CHAIN:
+        _decide_batch(state, proposal_id, _aggregate(events, at), None, emit)
+    else:
+        _decide(state, proposal_id, _logged_vote(events[at]), None, emit)
+
+
+def _fold_resolution(state: RegistryState, events: Sequence[GovernanceEvent], at: int, emit: Emit) -> None:
+    _resolve_manual(state, int(events[at].payload["proposal_id"]), None, emit)
+
+
+def _fold_clock(state: RegistryState, events: Sequence[GovernanceEvent], at: int, emit: Emit) -> None:
+    _advance_clock(state, int(events[at].payload["to"]), None, emit)
+
+
+def _fold_scheduled(state: RegistryState, events: Sequence[GovernanceEvent], at: int, emit: Emit) -> None:
+    raise EncodingError("a scheduled event never begins a transaction")
+
+
+_FOLDS: dict[EventKind, Fold] = {
+    EventKind.ANCHORED: _fold_anchor,
+    EventKind.PROPOSAL_SUBMITTED: _fold_proposal,
+    EventKind.PROPOSAL_OVERRIDDEN: _fold_proposal,
+    EventKind.DECISION_ACCEPTED: _fold_decision,
+    EventKind.SCHEDULED: _fold_scheduled,
+    EventKind.RESOLVED: _fold_resolution,
+    EventKind.CLOCK_ADVANCED: _fold_clock,
+}
+
+
 def replay_events(events: Sequence[GovernanceEvent]) -> RegistryState:
     """Fold an audit log over an empty registry (event sourcing).
 
     Each transaction runs the function the live registry runs, with
     :func:`_logged` as ``authorize``. Replay reads its inputs from the
-    transaction's first event: an anchored document, a proposal (from the
-    submission an override makes room for), a decision (with the decisions
-    on the same off-chain proposal logged right after it, as one
-    aggregate), a manual resolution or a clock advance; a ``scheduled``
-    event never begins a transaction. Each transaction must derive at least
-    one event, and every event it derives must be the next one logged,
-    equal in sequence, tick, kind and payload. A log that does not decode,
-    fold or pass these checks raises ``EncodingError`` naming the first
-    logged event the failing transaction did not reproduce, or the decision
-    or submission whose logged fields do not decode or do not authorize.
+    transaction's first event, through its kind's entry in :data:`_FOLDS`:
+    an anchored document, a proposal (from the submission an override
+    makes room for), a decision (with the decisions on the same off-chain
+    proposal logged right after it, as one aggregate), a manual resolution
+    or a clock advance; a ``scheduled`` event never begins a transaction.
+    Each transaction must derive at least one event, and every event it
+    derives must be the next one logged, equal in sequence, tick, kind and
+    payload. A log that does not decode, fold or pass these checks raises
+    ``EncodingError`` naming the first logged event the failing transaction
+    did not reproduce, or the decision or submission whose logged fields do
+    not decode or do not authorize.
     """
     state = RegistryState()
+    count = len(events)
 
     def emit(
         state: RegistryState, kind: EventKind, payload: dict[str, str], meter: Optional[CostMeter]
     ) -> None:
         at = len(state.event_log)
-        if at == len(events):
+        if at == count:
             raise EncodingError(f"the transaction derives a {kind.value} event next")
         logged, tick = events[at], state.clock.now
         if (
@@ -832,39 +892,18 @@ def replay_events(events: Sequence[GovernanceEvent]) -> RegistryState:
             raise EncodingError(_difference(logged, GovernanceEvent(at + 1, tick, kind, payload)))
         state.event_log.append(logged)
 
-    while len(state.event_log) < len(events):
+    folds = _FOLDS
+    while len(state.event_log) < count:
         at = len(state.event_log)
-        event = events[at]
-        payload = event.payload
         try:
-            if event.kind is EventKind.ANCHORED:
-                _anchor(state, model.document_from_json(_json_line(payload["document"])), None, emit)
-            elif event.kind in (EventKind.PROPOSAL_SUBMITTED, EventKind.PROPOSAL_OVERRIDDEN):
-                if event.kind is EventKind.PROPOSAL_OVERRIDDEN:
-                    event = _submission_after(events, at)
-                logged = model.proposal_from_json(_json_line(event.payload["proposal"]))
-                authorize = _logged(event)
-                _propose(state, logged.did, logged.originating_group, logged.change_set, authorize, None, emit)
-            elif event.kind is EventKind.DECISION_ACCEPTED:
-                proposal_id = int(payload["proposal_id"])
-                proposal = state.proposals.get(proposal_id)
-                if proposal is not None and _group_of(state, proposal).execution is ExecutionMode.OFF_CHAIN:
-                    _decide_batch(state, proposal_id, _aggregate(events, at), None, emit)
-                else:
-                    _decide(state, proposal_id, _logged_vote(event), None, emit)
-            elif event.kind is EventKind.RESOLVED:
-                _resolve_manual(state, int(payload["proposal_id"]), None, emit)
-            elif event.kind is EventKind.CLOCK_ADVANCED:
-                _advance_clock(state, int(payload["to"]), None, emit)
-            else:
-                raise EncodingError("a scheduled event never begins a transaction")
+            folds[events[at].kind](state, events, at, emit)
             if len(state.event_log) == at:
                 raise EncodingError("its transaction logs no event")
         except _Unfolded:
             raise
         except _MALFORMED as exc:
             at = len(state.event_log)
-            if at == len(events):
+            if at == count:
                 raise EncodingError(f"the log ends after event {at} ({exc})") from exc
             raise _Unfolded(events[at], exc) from exc
     return state

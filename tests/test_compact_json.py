@@ -1,22 +1,48 @@
-"""The compact JSON writer in :mod:`didgov.registry` against ``json.dumps``.
+"""Compact JSON text against ``json.dumps(value, separators=(",", ":"))``.
 
-Every ``document``/``proposal`` payload field and every event's payload is
-written through it, so its text must equal ``json.dumps(value,
-separators=(",", ":"))`` byte for byte. ``event_log_to_jsonl`` writes the
-rest of each event line from a per-kind template; each line must equal the
-compact ``json.dumps`` of :func:`didgov.model.event_to_json` for its event.
+Every event's payload is written through the compact writer in
+:mod:`didgov.registry`, so its text must equal ``json.dumps`` byte for
+byte. ``event_log_to_jsonl`` writes the rest of each event line from a
+per-kind template; each line must equal the compact ``json.dumps`` of
+:func:`didgov.model.event_to_json` for its event. The ``document`` and
+``proposal`` texts that events record come from the compact templates in
+:mod:`didgov.model`; each must equal the compact ``json.dumps`` of its
+record's JSON projection.
 """
 
 import json
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from didgov import model
 from didgov import registry as registry_mod
-from didgov.model import EventKind, GovernanceEvent
+from didgov.model import (
+    AclConfig,
+    AddGroup,
+    ChangeSet,
+    Did,
+    DidDocument,
+    EditRightLevel,
+    EventKind,
+    ExecutionMode,
+    GovernanceEvent,
+    GovernanceGroup,
+    NOfMConfig,
+    ProposalStatus,
+    RemoveGroup,
+    ReplaceGroup,
+    TokenConfig,
+    TurnoutConfig,
+    UpdateProposal,
+    VcConfig,
+    WeightedConfig,
+)
+
+from .test_audit_json import AUTHZ, BIG, COORD, DIDS, DOCUMENTS, GROUP_IDS, _change_sets, _groups
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -103,3 +129,86 @@ def test_sliced_export_equals_whole_export(scenario, size):
     events = registry_mod.event_log_from_jsonl(text)
     sliced = "".join(registry_mod.event_log_to_jsonl(events[i:i + size]) for i in range(0, len(events), size))
     assert sliced == registry_mod.event_log_to_jsonl(events) == text
+
+
+# --- the compact record templates, against the projections ---------------------
+
+KEY = b"\x01\xab"
+CONFIGS = [
+    AclConfig(members=(KEY, b"\xff")),
+    AclConfig(members=(KEY, b"\xff"), weights=(3, 2**70)),
+    TokenConfig(trusted_issuers=(KEY,)),
+    VcConfig(trusted_issuers=(KEY, b"\x00"), required_claims={}),
+    VcConfig(trusted_issuers=(KEY,), required_claims={"r\u00f4le": "\u20ac\"\\\n", "weight": "\U0001f600"}),
+    NOfMConfig(n=2, m=3),
+    TurnoutConfig(quorum=2, ratio=Fraction(2, 3)),
+    WeightedConfig(threshold=2**70),
+]
+
+
+def _group(group_id, authz=CONFIGS[0], coord=CONFIGS[5], edit_right=EditRightLevel.DOCUMENT, time_limit=None):
+    return GovernanceGroup(group_id, edit_right, authz, coord, ExecutionMode.OFF_CHAIN, time_limit)
+
+
+# every group operation, keys and attributes none, empty or set
+CHANGE_SETS = [
+    ChangeSet(new_public_keys=()),
+    ChangeSet(new_public_keys=(KEY,), new_attributes={}),
+    ChangeSet(new_attributes={"s\u00e9rvice": "https://example.org/\u20ac"}),
+    ChangeSet(group_ops=(AddGroup(_group(7, CONFIGS[4], CONFIGS[6], time_limit=5)), ReplaceGroup(0, _group(0)))),
+    ChangeSet(new_attributes={"k": "v"}, group_ops=(RemoveGroup(3),)),
+]
+
+
+@pytest.mark.parametrize("config", CONFIGS, ids=lambda config: type(config).__name__)
+def test_each_config_kind_writes_its_compact_text(config):
+    assert config.to_compact() == _dumps(config.to_json())
+
+
+@given(AUTHZ | COORD)
+def test_config_compact_text_equals_json_dumps(config):
+    assert config.to_compact() == _dumps(config.to_json())
+
+
+@given(_groups(GROUP_IDS, st.sampled_from(EditRightLevel)))
+@example(_group(0, CONFIGS[1], CONFIGS[7], EditRightLevel.ALL, time_limit=9))
+def test_group_compact_text_equals_json_dumps(group):
+    assert model.group_to_compact(group) == _dumps(model.group_to_json(group))
+
+
+@given(DOCUMENTS)
+@example(DidDocument(Did("ab"), 1, (), {}, (_group(0),)))
+@example(DidDocument(Did("ab"), 2, (KEY, KEY), {"\u00e9": "\U0001f600", "a": ""}, (_group(1), _group(0, CONFIGS[3]))))
+def test_document_compact_text_equals_json_dumps(doc):
+    assert model.document_to_compact(doc) == _dumps(model.document_to_json(doc))
+
+
+@given(_change_sets())
+def test_change_set_compact_text_equals_json_dumps(change_set):
+    assert model.change_set_to_compact(change_set) == _dumps(model.change_set_to_json(change_set))
+
+
+PROPOSALS = st.builds(
+    UpdateProposal,
+    BIG,
+    DIDS.map(Did),
+    BIG,
+    GROUP_IDS,
+    _change_sets(),
+    BIG,
+    st.none() | BIG,
+    st.sampled_from(ProposalStatus),
+)
+
+
+@given(PROPOSALS)
+def test_proposal_compact_text_equals_json_dumps(proposal):
+    assert model.proposal_to_compact(proposal) == _dumps(model.proposal_to_json(proposal))
+
+
+@pytest.mark.parametrize("status", list(ProposalStatus), ids=lambda status: status.value)
+@pytest.mark.parametrize("deadline", [None, 12])
+@pytest.mark.parametrize("change_set", CHANGE_SETS)
+def test_every_status_deadline_and_change_set_writes_its_compact_text(status, deadline, change_set):
+    proposal = UpdateProposal(10, Did("c0ffee"), 2, 0, change_set, 3, deadline, status)
+    assert model.proposal_to_compact(proposal) == _dumps(model.proposal_to_json(proposal))

@@ -3,7 +3,8 @@ from fractions import Fraction
 import pytest
 
 from didgov import model
-from didgov.errors import EncodingError, InvalidChangeSet, InvalidGroupConfig, UnknownGroup
+from didgov.authz import AuthzOutcome
+from didgov.errors import EncodingError, InvalidChangeSet, InvalidGroupConfig, Unauthorized, UnknownGroup
 from didgov.model import (
     AclConfig,
     AddGroup,
@@ -31,8 +32,8 @@ from .util import acl_group, anchored, pair
 
 def test_did_accepts_lowercase_hex_only():
     assert Did("00ff32") == "00ff32"
-    for bad in ("", "XYZ", "00FF", "g0"):
-        with pytest.raises(EncodingError):
+    for bad in ("", "XYZ", "00FF", "g0", " 0", "0\n", ["0", "f"], ("0",), b"0f", 15, None):
+        with pytest.raises(EncodingError, match="did must be non-empty lowercase hex"):
             Did(bad)
 
 
@@ -105,6 +106,15 @@ class TestConfigs:
         with pytest.raises(InvalidGroupConfig):
             TurnoutConfig(quorum=0, ratio=Fraction(1, 2))
         assert TurnoutConfig(quorum=1, ratio=Fraction(1)).ratio == 1
+
+    @pytest.mark.parametrize("ratio", ["abc", None, float("nan"), float("inf"), "1/0", True, False, [1, 2]], ids=repr)
+    def test_turnout_ratio_that_is_not_a_rational_is_refused(self, ratio):
+        with pytest.raises(InvalidGroupConfig, match="ratio"):
+            TurnoutConfig(quorum=1, ratio=ratio)
+
+    @pytest.mark.parametrize("ratio", [Fraction(1, 2), "1/2", 0.5, 1])
+    def test_turnout_ratio_takes_what_fraction_reads(self, ratio):
+        assert TurnoutConfig(quorum=1, ratio=ratio).ratio == Fraction(ratio)
 
     def test_weighted_threshold_positive(self):
         with pytest.raises(InvalidGroupConfig):
@@ -427,3 +437,23 @@ def test_anchor_refuses_attributes_that_are_not_text():
         registry.anchor("bb", [], {"service": 1.5}, (acl_group([pair("a")]),))
     assert "bb" not in registry.state.documents
     assert len(registry.state.event_log) == 1
+
+
+@pytest.mark.parametrize(
+    "record, field",
+    [
+        (AuthzOutcome(granted=True), "effective_weight"),
+        (AuthzOutcome(granted=False, refusal=(Unauthorized, "no")), "granted"),
+        (DidDocument("ab", 1, (), {}, (acl_group([pair("a")]),)), "version"),
+        (acl_group([pair("a")]), "edit_right"),
+        (ChangeSet(new_attributes={"k": "v"}), "new_attributes"),
+    ],
+    ids=lambda value: type(value).__name__ if not isinstance(value, str) else value,
+)
+def test_the_records_a_fold_builds_are_immutable(record, field):
+    """A fold shares each outcome, document, group and change set it builds
+    across transactions, so none may change once built."""
+    before = getattr(record, field)
+    with pytest.raises(AttributeError):
+        setattr(record, field, None)
+    assert getattr(record, field) is before

@@ -94,6 +94,28 @@ class TestAnchor:
                 _propose(registry, "XYZ", pair("a"))
         assert (registry.snapshot_json(), len(registry.reports)) == before
 
+    @pytest.mark.parametrize(
+        "did",
+        [["a", "b"], ("a", "b"), iter("ab"), b"ab", 0xAB, None],
+        ids=["list", "tuple", "iterator", "bytes", "int", "none"],
+    )
+    def test_a_did_that_is_not_a_str_is_refused(self, did):
+        """Only a str is a DID: a list of hex characters taken as one would
+        anchor the DID "['a', 'b']", whose log does not replay."""
+        registry, _ = anchored([acl_group([pair("a")])])
+
+        def written():
+            log = registry_mod.event_log_to_jsonl(registry.state.event_log)
+            return registry.snapshot_json(), log, list(registry.reports)
+
+        before = written()
+        with pytest.raises(EncodingError, match="did must be non-empty lowercase hex"):
+            registry.anchor(did, [pair("a").public_key], {}, (acl_group([pair("a")]),))
+        assert written() == before
+        text = registry_mod.event_log_to_jsonl(registry.state.event_log)
+        replayed = registry_mod.replay_events(registry_mod.event_log_from_jsonl(text))
+        assert registry_mod.snapshot_json(replayed) == registry.snapshot_json()
+
 
 def _anchoring(keys=(), group=lambda: acl_group([pair("a")])):
     return lambda registry, did: registry.anchor("ab", keys, {}, (group(),))
