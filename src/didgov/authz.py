@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, NamedTuple, Optional
 
-from .crypto import CredentialPresentation
+from .crypto import CredentialPresentation, Verified
 from .errors import GovernanceError
 from .metering import CostMeter
 
@@ -60,7 +60,13 @@ def deny(error: type[GovernanceError], message: str) -> AuthzOutcome:
 
 
 def authorize(
-    config: AuthzConfig, request: AuthzRequest, nonce_ledger: NonceLedger, meter: Optional[CostMeter] = None
+    config: AuthzConfig,
+    request: AuthzRequest,
+    nonce_ledger: NonceLedger,
+    meter: Optional[CostMeter] = None,
+    verified: Optional[Verified] = None,
 ) -> AuthzOutcome:
-    """Evaluate one request against one group's authorization config."""
-    return config.authorize(request, nonce_ledger, meter)
+    """Evaluate one request against one group's authorization config;
+    ``verified``, if given, is the registry's set of signature triples
+    found valid (see :func:`didgov.crypto.verify`)."""
+    return config.authorize(request, nonce_ledger, meter, verified)

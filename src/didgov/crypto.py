@@ -2,23 +2,33 @@
 
 Everything here is a pure function over byte strings and key pairs. Signing is
 deterministic (RFC 8032), which keeps scenario logs byte-exact across runs.
+Verification is a pure function of (key, message, signature) too, so a
+caller may pass :func:`verify` a set of the triples it already found valid
+(a :data:`Verified`); the registry keeps one for its lifetime.
 """
 
 from __future__ import annotations
 
 from collections.abc import Mapping
 from dataclasses import dataclass, field
+from hashlib import sha256
+from typing import Optional
 
 from cryptography.exceptions import InvalidSignature
 from cryptography.hazmat.primitives.asymmetric import ed25519
 
 from . import encoding
-from .errors import VerificationError
+from .errors import MalformedCredential, VerificationError
 
 PUBLIC_KEY_LEN = 32
 SECRET_KEY_LEN = 32
 SIGNATURE_LEN = 64
 NONCE_LEN = 16
+
+# SHA-256 digests of ``public_key + signature + message``, one per triple
+# found valid: the key and signature have fixed lengths, checked before a
+# digest is taken, so the concatenation spells each triple one way only.
+Verified = set[bytes]
 
 
 @dataclass(frozen=True)
@@ -43,21 +53,37 @@ def sign(signer: KeyPair, message: bytes) -> bytes:
     return signer.private.sign(message)
 
 
-def verify(public_key: bytes, message: bytes, signature: bytes) -> bool:
+def verify(
+    public_key: bytes, message: bytes, signature: bytes, verified: Optional[Verified] = None
+) -> bool:
     """True iff ``signature`` is valid for ``message`` under ``public_key``.
 
     Malformed key or signature lengths raise instead of returning False:
-    they indicate a caller bug, not a failed check.
+    they indicate a caller bug, not a failed check. With ``verified``, a
+    triple found valid before is valid without running Ed25519 again, and a
+    triple found valid now is added; an invalid one is never recorded.
     """
     if len(public_key) != PUBLIC_KEY_LEN:
         raise VerificationError(f"public key must be {PUBLIC_KEY_LEN} bytes")
     if len(signature) != SIGNATURE_LEN:
         raise VerificationError(f"signature must be {SIGNATURE_LEN} bytes")
+    if verified is not None:
+        digest = sha256(public_key + signature + message).digest()
+        if digest in verified:
+            return True
     try:
         ed25519.Ed25519PublicKey.from_public_bytes(public_key).verify(signature, message)
     except (InvalidSignature, ValueError):
         return False
+    if verified is not None:
+        verified.add(digest)
     return True
+
+
+def _require_bytes(owner: str, **fields) -> None:
+    for name, value in fields.items():
+        if not isinstance(value, bytes):
+            raise VerificationError(f"a {owner}'s {name} must be a byte string, not {type(value).__name__}")
 
 
 @dataclass(frozen=True)
@@ -68,8 +94,11 @@ class BearerToken:
     issuer_key: bytes
     signature: bytes
 
-    def verify_issuer(self) -> bool:
-        return verify(self.issuer_key, encoding.token_payload(self.nonce), self.signature)
+    def __post_init__(self) -> None:
+        _require_bytes("token", nonce=self.nonce, issuer_key=self.issuer_key, signature=self.signature)
+
+    def verify_issuer(self, verified: Optional[Verified] = None) -> bool:
+        return verify(self.issuer_key, encoding.token_payload(self.nonce), self.signature, verified)
 
 
 @dataclass(frozen=True)
@@ -81,14 +110,33 @@ class VerifiableCredential:
     claims: Mapping[str, str]
     issuer_signature: bytes
 
-    def verify_issuer(self) -> bool:
+    def __post_init__(self) -> None:
+        _require_bytes(
+            "credential",
+            issuer_key=self.issuer_key,
+            holder_key=self.holder_key,
+            issuer_signature=self.issuer_signature,
+        )
+        if not isinstance(self.claims, Mapping):
+            kind = type(self.claims).__name__
+            raise MalformedCredential(f"a credential's claims must be a mapping, not {kind}")
+        for key, value in self.claims.items():
+            if not isinstance(key, str) or not isinstance(value, str):
+                raise MalformedCredential(f"a credential's claims map text to text, not {key!r}: {value!r}")
+
+    def verify_issuer(self, verified: Optional[Verified] = None) -> bool:
         payload = encoding.vc_payload(self.holder_key, self.claims)
-        return verify(self.issuer_key, payload, self.issuer_signature)
+        return verify(self.issuer_key, payload, self.issuer_signature, verified)
 
 
 @dataclass(frozen=True)
 class TokenPresentation:
     token: BearerToken
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.token, BearerToken):
+            kind = type(self.token).__name__
+            raise MalformedCredential(f"a token presentation holds a bearer token, not {kind}")
 
 
 @dataclass(frozen=True)
@@ -98,9 +146,16 @@ class VcPresentation:
     credential: VerifiableCredential
     holder_signature: bytes
 
-    def verify_holder(self, did: str, proposal_id: int) -> bool:
+    def __post_init__(self) -> None:
+        if not isinstance(self.credential, VerifiableCredential):
+            raise MalformedCredential(
+                f"a vc presentation holds a verifiable credential, not {type(self.credential).__name__}"
+            )
+        _require_bytes("presentation", holder_signature=self.holder_signature)
+
+    def verify_holder(self, did: str, proposal_id: int, verified: Optional[Verified] = None) -> bool:
         payload = _presentation_payload(self.credential, did, proposal_id)
-        return verify(self.credential.holder_key, payload, self.holder_signature)
+        return verify(self.credential.holder_key, payload, self.holder_signature, verified)
 
 
 CredentialPresentation = TokenPresentation | VcPresentation

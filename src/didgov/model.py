@@ -31,7 +31,7 @@ from json.encoder import encode_basestring_ascii
 from typing import TYPE_CHECKING, Optional, Union
 
 from .authz import AuthzOutcome, AuthzRequest, Nonce, NonceLedger, deny
-from .crypto import CredentialPresentation, TokenPresentation, VcPresentation
+from .crypto import CredentialPresentation, TokenPresentation, VcPresentation, Verified
 from .errors import (
     EncodingError, GovernanceError, InvalidChangeSet, InvalidGroupConfig, MalformedCredential,
     ReplayedNonce, Unauthorized, UnknownGroup, UntrustedIssuer, VerificationError,
@@ -375,7 +375,13 @@ class AclConfig(_Authorization):
     def _weight_at(self, index: int) -> int:
         return self.weights[index] if self.weights is not None else 1
 
-    def authorize(self, request: AuthzRequest, ledger: NonceLedger, meter: Optional[CostMeter]) -> AuthzOutcome:
+    def authorize(
+        self,
+        request: AuthzRequest,
+        ledger: NonceLedger,
+        meter: Optional[CostMeter],
+        verified: Optional[Verified],
+    ) -> AuthzOutcome:
         if request.credential is not None:
             return deny(MalformedCredential, "acl group takes no credential")
         # Charged as the on-chain linear scan it models; computed by lookup.
@@ -426,14 +432,20 @@ class TokenConfig(_Authorization):
     def storage_slots(self) -> int:
         return len(self.trusted_issuers)
 
-    def authorize(self, request: AuthzRequest, ledger: NonceLedger, meter: Optional[CostMeter]) -> AuthzOutcome:
+    def authorize(
+        self,
+        request: AuthzRequest,
+        ledger: NonceLedger,
+        meter: Optional[CostMeter],
+        verified: Optional[Verified],
+    ) -> AuthzOutcome:
         if not isinstance(request.credential, TokenPresentation):
             return deny(MalformedCredential, "token group requires a bearer token")
         token = request.credential.token
         if not _issuer_trusted(self.trusted_issuers, token.issuer_key, meter):
             return deny(UntrustedIssuer, "token issuer is not trusted")
         charge(meter, "sig_verify", 1)
-        if not token.verify_issuer():
+        if not token.verify_issuer(verified):
             return deny(Unauthorized, "token issuer signature invalid")
         if (token.issuer_key, token.nonce) in ledger:
             return deny(ReplayedNonce, "token nonce already consumed")
@@ -492,14 +504,20 @@ class VcConfig(_Authorization):
     def storage_slots(self) -> int:
         return len(self.trusted_issuers) + 1  # the issuers and the required-claims table
 
-    def authorize(self, request: AuthzRequest, ledger: NonceLedger, meter: Optional[CostMeter]) -> AuthzOutcome:
+    def authorize(
+        self,
+        request: AuthzRequest,
+        ledger: NonceLedger,
+        meter: Optional[CostMeter],
+        verified: Optional[Verified],
+    ) -> AuthzOutcome:
         if not isinstance(request.credential, VcPresentation):
             return deny(MalformedCredential, "vc group requires a credential presentation")
         vc = request.credential.credential
         if not _issuer_trusted(self.trusted_issuers, vc.issuer_key, meter):
             return deny(UntrustedIssuer, "credential issuer is not trusted")
         charge(meter, "sig_verify", 1)
-        if not vc.verify_issuer():
+        if not vc.verify_issuer(verified):
             return deny(Unauthorized, "credential issuer signature invalid")
         # The holder proof is the extra signature check credential flows pay
         # over bearer tokens.
@@ -507,7 +525,7 @@ class VcConfig(_Authorization):
         # Propose-time presentations bind id 0: no proposal exists yet and
         # real ids start at 1, so the two contexts can never collide.
         context = request.proposal_id if request.proposal_id is not None else 0
-        if not request.credential.verify_holder(request.did, context):
+        if not request.credential.verify_holder(request.did, context, verified):
             return deny(Unauthorized, "holder proof-of-possession invalid")
         if vc.holder_key != request.controller_key:
             return deny(Unauthorized, "credential bound to a different holder")

@@ -112,6 +112,9 @@ class RegistryState:
     proposals: dict[int, UpdateProposal] = field(default_factory=dict)
     tallies: dict[int, Tally] = field(default_factory=dict)
     nonce_ledger: NonceLedger = field(default_factory=set)
+    # the signature triples this registry found valid (see crypto.verify): a
+    # memo of a pure function, never logged, snapshotted or compared
+    verified: crypto.Verified = field(default_factory=set, compare=False, repr=False)
     event_log: list[GovernanceEvent] = field(default_factory=list)
     queue: DeadlineQueue = field(default_factory=DeadlineQueue)
     clock: SimClock = field(default_factory=SimClock)
@@ -137,10 +140,14 @@ _VALUE = {member: member.value for kind in (Verdict, ProposalStatus, ResolveReas
 # it derives. Live and replay differ in two arguments. ``emit``: live,
 # :func:`_log_event` appends and meters an event; replay requires the next
 # logged event to equal it. ``authorize`` (``proposal`` is None for a
-# proposer): live, :func:`_granted` or :func:`_signed`; replay, :func:`_logged`.
+# proposer): live, :func:`_granted` or :func:`_signed`, which check each
+# signature against the state's ``verified`` memo; replay, :func:`_logged`,
+# which checks no signature.
 
 Emit = Callable[[RegistryState, EventKind, dict[str, str], Optional[CostMeter]], None]
-Authorize = Callable[[GovernanceGroup, Optional[UpdateProposal], NonceLedger, Optional[CostMeter]], AuthzOutcome]
+Authorize = Callable[
+    [GovernanceGroup, Optional[UpdateProposal], NonceLedger, Optional[CostMeter], crypto.Verified], AuthzOutcome
+]
 Vote = tuple[bytes, Verdict, Authorize]  # controller key, verdict, and the check that admits it
 
 
@@ -216,7 +223,7 @@ def _propose(
     charge(meter, "base_tx", 1)
     # the router fetches the governance configurations from the document
     charge(meter, "iteration_step", len(doc.groups))
-    outcome = authorize(group, None, state.nonce_ledger, meter)
+    outcome = authorize(group, None, state.nonce_ledger, meter, state.verified)
     if not outcome.granted:
         raise outcome.denial
     if not allowed_changes(group.edit_right, group.group_id, change_set):
@@ -277,7 +284,7 @@ def _decide(
     if group.execution is not _ON_CHAIN:
         raise WrongExecutionMode("single decisions are only possible for on-chain coordination")
     controller, verdict, authorize = vote
-    outcome = authorize(group, proposal, state.nonce_ledger, meter)
+    outcome = authorize(group, proposal, state.nonce_ledger, meter, state.verified)
     if not outcome.granted:
         raise outcome.denial
     weight, tally = outcome.effective_weight, state.tallies[proposal_id]
@@ -303,7 +310,8 @@ def _decide_batch(
     charge(meter, "base_tx", 1)  # an off-chain aggregate rides one transaction too
     if group.execution is not _OFF_CHAIN:
         raise WrongExecutionMode("aggregates are only possible for off-chain coordination")
-    outcomes = [authorize(group, proposal, state.nonce_ledger, meter) for _, _, authorize in votes]
+    ledger, verified = state.nonce_ledger, state.verified
+    outcomes = [authorize(group, proposal, ledger, meter, verified) for _, _, authorize in votes]
     ballots = [(controller, verdict) for controller, verdict, _ in votes]
     result = coord.submit_batch(group.coord_config, state.tallies[proposal_id], ballots, outcomes, meter)
     for index in result.tallied:
@@ -406,7 +414,9 @@ def _advance_clock(state: RegistryState, to: int, meter: Optional[CostMeter], em
 
 def _granted(request: AuthzRequest) -> Authorize:
     """Live ``authorize`` of a proposer: the group's authorization of ``request``."""
-    return lambda group, proposal, ledger, meter: authz.authorize(group.authz_config, request, ledger, meter)
+    return lambda group, proposal, ledger, meter, verified: authz.authorize(
+        group.authz_config, request, ledger, meter, verified
+    )
 
 
 def _signed(decision: Decision) -> Vote:
@@ -414,13 +424,13 @@ def _signed(decision: Decision) -> Vote:
     runs the group's authorization. Every refusal, wrong-length key or
     signature bytes included, is a denied outcome rather than an exception."""
 
-    def authorize(group, proposal, ledger, meter) -> AuthzOutcome:
+    def authorize(group, proposal, ledger, meter, verified) -> AuthzOutcome:
         charge(meter, "sig_verify", 1)
         payload = encoding.decision_payload(
             str(proposal.did), proposal.proposal_id, proposal.base_version, decision.verdict.value
         )
         try:
-            if not crypto.verify(decision.controller_key, payload, decision.signature):
+            if not crypto.verify(decision.controller_key, payload, decision.signature, verified):
                 return authz.deny(Unauthorized, "decision signature invalid")
             request = AuthzRequest(
                 did=proposal.did,
@@ -428,7 +438,7 @@ def _signed(decision: Decision) -> Vote:
                 proposal_id=proposal.proposal_id,
                 credential=decision.credential,
             )
-            return authz.authorize(group.authz_config, request, ledger, meter)
+            return authz.authorize(group.authz_config, request, ledger, meter, verified)
         except VerificationError as exc:
             return authz.deny(type(exc), str(exc))
 
@@ -740,7 +750,7 @@ def _logged(event: GovernanceEvent, controller: bytes = b"", weight: int = 1) ->
     except _MALFORMED as exc:
         raise _Unfolded(event, exc) from exc
 
-    def authorize(group, proposal, ledger, meter) -> AuthzOutcome:
+    def authorize(group, proposal, ledger, meter, verified) -> AuthzOutcome:
         config = group.authz_config
         try:
             config.check_logged_nonce(nonce, ledger, "proposal" if proposal is None else "decision")

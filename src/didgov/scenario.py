@@ -6,7 +6,10 @@ A scenario is a JSON file with three sections:
   actions refer to keys by name and the runner signs payloads itself.
 - ``credentials``: bearer tokens and verifiable credentials to issue up
   front, referenced by name from actions.
-- ``actions``: executed strictly in order against one fresh registry.
+- ``actions``: executed strictly in order against one fresh registry. An
+  action that calls the registry may carry ``expect_error``, the code the
+  call must be refused with; the run then goes on with the registry as it
+  was.
 
 Artifacts written on success: ``events.jsonl`` (audit log), ``costs.csv``
 (per-transaction metering), ``final_state.json`` (state snapshot, the
@@ -19,7 +22,7 @@ import json
 import sys
 from collections.abc import Callable, Iterator
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import partial
 from pathlib import Path
 from typing import Optional
@@ -251,13 +254,24 @@ class _Runner:
             if handler is None:
                 raise ScenarioParseError(f"action {index}: unknown action {kind!r}")
             context = f"action {index} ({kind})"
+            expected = action.get("expect_error")
+            if expected is not None and not isinstance(expected, str):
+                raise ScenarioParseError(f"{context}: 'expect_error' must be an error code, not {expected!r}")
             try:
                 with _decoding(context):
                     submit = handler(index, action, context)
                 if submit is not None:
                     submit()
+                elif expected is not None:
+                    raise ScenarioParseError(f"{context}: only a registry call can expect an error")
             except GovernanceError as exc:
-                raise ScenarioEngineError(index, exc) from exc
+                if expected is None:
+                    raise ScenarioEngineError(index, exc) from exc
+                if exc.code != expected:
+                    raise ScenarioAssertionError(index, "error", expected, exc.code) from exc
+                continue
+            if expected is not None:
+                raise ScenarioAssertionError(index, "error", expected, None)
 
     def _do_anchor(self, index: int, action: dict, context: str) -> Callable[[], object]:
         did = self._did(_require(action, "did", context), context)
@@ -284,17 +298,27 @@ class _Runner:
         group_id = _require_int(action, "group_id", context)
         return partial(self.registry.propose, did, group_id, change_set, proposer.public_key, credential)
 
-    def _build_decision(self, entry: dict, proposal_id: int, context: str):
-        controller = self._signer(_require(entry, "controller", context), context)
-        verdict = Verdict(_require(entry, "verdict", context))
+    def _signed_fields(self, proposal_id: int) -> tuple[Did, int]:
+        """The did and base version a decision on ``proposal_id`` signs."""
         proposal = self.registry.state.proposals.get(proposal_id)
         if proposal is None:
             # let the registry produce its usual error on submission
-            did, base_version = Did("0" * 64), 1
-        else:
-            did, base_version = proposal.did, proposal.base_version
+            return Did("0" * 64), 1
+        return proposal.did, proposal.base_version
+
+    def _build_decision(self, entry: dict, proposal_id: int, context: str):
+        """A decision on ``proposal_id``; with ``signed_for``, its signature
+        covers that proposal's payload instead (a cross-proposal signature)."""
+        controller = self._signer(_require(entry, "controller", context), context)
+        verdict = Verdict(_require(entry, "verdict", context))
+        did, base_version = self._signed_fields(proposal_id)
         credential = self._presentation(entry.get("credential"), str(did), proposal_id, context)
-        return build_decision(controller, did, proposal_id, base_version, verdict, credential)
+        if "signed_for" not in entry:
+            return build_decision(controller, did, proposal_id, base_version, verdict, credential)
+        signed_for = _require_int(entry, "signed_for", context)
+        signed_did, signed_version = self._signed_fields(signed_for)
+        decision = build_decision(controller, signed_did, signed_for, signed_version, verdict, credential)
+        return replace(decision, proposal_id=proposal_id)
 
     def _do_decide(self, index: int, action: dict, context: str) -> Callable[[], object]:
         proposal_id = _require_int(action, "proposal_id", context)

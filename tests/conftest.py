@@ -1,6 +1,7 @@
 import re
 
 import pytest
+from cryptography.hazmat.primitives.asymmetric import ed25519
 from hypothesis import settings
 
 from .util import pair
@@ -41,6 +42,21 @@ def bob():
 @pytest.fixture
 def carol():
     return pair("carol")
+
+
+@pytest.fixture
+def ed25519_calls(monkeypatch) -> list[bytes]:
+    """The public key of each real Ed25519 verification made while the test
+    runs: ``crypto.verify`` parses the key once per verification."""
+    calls: list[bytes] = []
+    from_public_bytes = ed25519.Ed25519PublicKey.from_public_bytes
+
+    def counting(data):
+        calls.append(data)
+        return from_public_bytes(data)
+
+    monkeypatch.setattr(ed25519.Ed25519PublicKey, "from_public_bytes", counting)
+    return calls
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

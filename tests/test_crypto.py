@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 
 import pytest
 from cryptography.hazmat.primitives.asymmetric import ed25519
@@ -70,6 +71,34 @@ def test_verify_rejects_malformed_lengths():
         crypto.verify(signer.public_key[:-1], b"m", signature)
     with pytest.raises(VerificationError):
         crypto.verify(signer.public_key, b"m", signature[:-1])
+
+
+def test_a_memo_records_each_valid_triple_once_and_no_invalid_one():
+    signer = pair("signer")
+    signature = crypto.sign(signer, b"m")
+    verified: crypto.Verified = set()
+    assert not crypto.verify(signer.public_key, b"n", signature, verified)
+    assert not crypto.verify(pair("other").public_key, b"m", signature, verified)
+    assert verified == set()
+    assert crypto.verify(signer.public_key, b"m", signature, verified)
+    assert crypto.verify(signer.public_key, b"m", signature, verified)
+    assert verified == {hashlib.sha256(signer.public_key + signature + b"m").digest()}
+    assert not crypto.verify(signer.public_key, b"n", signature, verified)
+
+
+def test_a_memo_is_not_read_before_the_lengths_are_checked():
+    """Moving a byte between the key, the signature and the message keeps
+    their concatenation, so only the length checks tell such a triple from
+    one the memo holds."""
+    signer = pair("signer")
+    key, signature = signer.public_key, crypto.sign(signer, b"m")
+    verified: crypto.Verified = set()
+    assert crypto.verify(key, b"m", signature, verified)
+    with pytest.raises(VerificationError):
+        crypto.verify(key[:-1], b"m", key[-1:] + signature, verified)
+    with pytest.raises(VerificationError):
+        crypto.verify(key, signature[-1:] + b"m", signature[:-1], verified)
+    assert len(verified) == 1
 
 
 def test_secret_key_not_in_repr():

@@ -15,7 +15,10 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
+from didgov import crypto
 from didgov.cli import main
+from didgov.metering import CostMeter
+from didgov.scenario import run_scenario
 
 ROOT = Path(__file__).parent.parent
 SCENARIOS = sorted((ROOT / "scenarios").glob("*.json"))
@@ -24,7 +27,7 @@ ARTIFACTS = ("events.jsonl", "costs.csv", "final_state.json")
 
 
 def test_every_scenario_has_golden_artifacts():
-    assert len(SCENARIOS) == 6
+    assert len(SCENARIOS) == 7
     assert sorted(p.name for p in GOLDEN.iterdir() if p.is_dir()) == sorted(p.stem for p in SCENARIOS)
 
 
@@ -50,3 +53,31 @@ def test_default_bench_matches_golden(tmp_path):
     result = CliRunner().invoke(main, ["bench", "--out", str(out)])
     assert result.exit_code == 0, result.output
     assert out.read_bytes() == (GOLDEN / "bench.csv").read_bytes()
+
+
+@pytest.mark.parametrize("scenario", SCENARIOS, ids=lambda p: p.stem)
+def test_each_signature_triple_runs_ed25519_once(scenario, tmp_path, monkeypatch, ed25519_calls):
+    """A registry runs Ed25519 once for each distinct valid (key, message,
+    signature) triple and once for each invalid check, never more often
+    than it charges ``sig_verify``: a scenario that shows a credential or a
+    decision twice checks it once."""
+    valid, invalid, charged = set(), [], []
+    verify, charge = crypto.verify, CostMeter.charge
+
+    def recording_verify(public_key, message, signature, verified=None):
+        result = verify(public_key, message, signature, verified)
+        (valid.add if result else invalid.append)((public_key, message, signature))
+        return result
+
+    def counting_charge(meter, category, count=1):
+        if category == "sig_verify":
+            charged.append(count)
+        charge(meter, category, count)
+
+    monkeypatch.setattr(crypto, "verify", recording_verify)
+    monkeypatch.setattr(CostMeter, "charge", counting_charge)
+    run_scenario(scenario, tmp_path, echo_warnings=False)
+    assert len(ed25519_calls) == len(valid) + len(invalid)
+    assert len(ed25519_calls) <= sum(charged)
+    if scenario.stem in ("credential_access", "refusals"):  # each shows a signature twice
+        assert len(ed25519_calls) < sum(charged)

@@ -445,6 +445,38 @@ class TestDecide:
         with pytest.raises(error):
             dataclasses.replace(decision, **{field: value})
 
+    @pytest.mark.parametrize(
+        "record, field, value, error",
+        [
+            ("token", "signature", "ab" * 32, VerificationError),
+            ("token", "nonce", "n" * 16, VerificationError),
+            ("token", "issuer_key", None, VerificationError),
+            ("token_presentation", "token", None, MalformedCredential),
+            ("vc", "claims", None, MalformedCredential),
+            ("vc", "claims", {"role": 7}, MalformedCredential),
+            ("vc", "claims", [("role", "voter")], MalformedCredential),
+            ("vc", "holder_key", "ab" * 32, VerificationError),
+            ("vc", "issuer_signature", bytearray(64), VerificationError),
+            ("vc_presentation", "holder_signature", None, VerificationError),
+            ("vc_presentation", "credential", "vc", MalformedCredential),
+        ],
+    )
+    def test_a_wrong_typed_credential_is_refused(self, record, field, value, error):
+        """A credential field of the wrong type is refused where the record
+        is built, with a classified error, so no propose, decide or batch
+        entry can carry one to a signature check."""
+        issuer, holder = pair("issuer"), pair("holder")
+        token = crypto.issue_token(issuer, b"n" * 16)
+        vc = crypto.issue_vc(issuer, holder.public_key, {"role": "voter"})
+        records = {
+            "token": token,
+            "token_presentation": crypto.TokenPresentation(token=token),
+            "vc": vc,
+            "vc_presentation": crypto.present_vc(vc, holder, "abc123", 1),
+        }
+        with pytest.raises(error):
+            dataclasses.replace(records[record], **{field: value})
+
 
 class TestCredentialFlows:
     def test_token_nonce_consumed_only_on_commit(self):
@@ -933,3 +965,83 @@ class TestRefusalLeavesNoCycle:
     def test_refused_resolve_manual(self):
         registry, _, _ = self._registry()
         assert _garbage_after_refusal(lambda: registry.resolve_manual(99)) == 0
+
+
+class TestSignatureMemo:
+    """Each registry keeps the (key, message, signature) triples it found
+    valid and runs Ed25519 once per triple. Every check is still charged,
+    and the memo never admits a triple it did not see."""
+
+    def _vc_registry(self):
+        issuer, holder = pair("issuer"), pair("holder")
+        registry, did = anchored([vc_group(issuer, coord=NOfMConfig(n=2, m=3))])
+        vc = crypto.issue_vc(issuer, holder.public_key, {"role": "voter"})
+        pid = _propose(registry, did, holder, credential=crypto.present_vc(vc, holder, did, 0))
+        return registry, did, pid, vc
+
+    def test_an_accepted_issuer_signature_does_not_cover_edited_claims(self):
+        registry, did, pid, vc = self._vc_registry()
+        holder = pair("holder")
+        forged = dataclasses.replace(vc, claims={"role": "voter", "weight": "9"})
+        for _ in range(2):  # a refused triple is not recorded either
+            with pytest.raises(Unauthorized, match="credential issuer signature invalid"):
+                _decide(registry, did, holder, pid, credential=crypto.present_vc(forged, holder, did, pid))
+        _decide(registry, did, holder, pid, credential=crypto.present_vc(vc, holder, did, pid))
+        assert registry.state.tallies[pid].accepted[0][2] == 1
+
+    def test_an_accepted_decision_signature_does_not_cover_another_verdict(self):
+        registry, did = anchored([acl_group([pair("a"), pair("b"), pair("c")], coord=NOfMConfig(n=2, m=3))])
+        pid = _propose(registry, did, pair("a"))
+        decision = build_decision(pair("a"), Did(did), pid, 1, Verdict.APPROVE)
+        registry.decide(decision)
+        flipped = dataclasses.replace(decision, verdict=Verdict.REJECT)
+        for _ in range(2):
+            with pytest.raises(Unauthorized, match="decision signature invalid"):
+                registry.decide(flipped)
+        with pytest.raises(DuplicateDecision):
+            registry.decide(decision)
+
+    def test_a_replayed_token_nonce_is_refused_on_a_memo_hit(self, ed25519_calls):
+        issuer = pair("issuer")
+        registry, did = anchored([token_group(issuer, coord=NOfMConfig(n=1, m=2))])
+        presentation = crypto.TokenPresentation(token=crypto.issue_token(issuer, b"r" * 16))
+        _propose(registry, did, pair("a"), credential=presentation)
+        before = len(ed25519_calls)
+        with pytest.raises(ReplayedNonce):
+            _propose(registry, did, pair("b"), credential=presentation)
+        assert len(ed25519_calls) == before  # the issuer signature was a memo hit
+
+    def test_a_second_registry_verifies_again(self, ed25519_calls):
+        def accept_once():
+            registry, did = anchored([acl_group([pair("a"), pair("b")], coord=NOfMConfig(n=2, m=2))])
+            pid = _propose(registry, did, pair("a"))
+            decision = build_decision(pair("a"), Did(did), pid, 1, Verdict.APPROVE)
+            registry.decide(decision)
+            with pytest.raises(DuplicateDecision):
+                registry.decide(decision)
+            return registry
+
+        first = len(ed25519_calls)
+        one = accept_once()
+        second = len(ed25519_calls)
+        two = accept_once()
+        assert second - first == 1 and len(ed25519_calls) - second == 1
+        assert one.state.verified == two.state.verified and one.state.verified is not two.state.verified
+
+    def test_a_reshown_credential_is_charged_every_check(self, ed25519_calls):
+        registry, did, pid, vc = self._vc_registry()
+        holder = pair("holder")
+        assert registry.reports[-1].count("sig_verify") == 2  # issuer, holder
+        before = len(ed25519_calls)
+        _decide(registry, did, holder, pid, credential=crypto.present_vc(vc, holder, did, pid))
+        # decision, issuer and holder are each charged; the issuer signature,
+        # already checked at propose, runs no Ed25519
+        assert registry.reports[-1].count("sig_verify") == 3
+        assert len(ed25519_calls) - before == 2
+
+    def test_the_memo_is_not_logged_or_snapshotted(self):
+        registry, did, pid, vc = self._vc_registry()
+        assert len(registry.state.verified) == 2
+        replayed = registry_mod.replay_events(registry.state.event_log)
+        assert replayed.verified == set()
+        assert registry_mod.snapshot_json(replayed) == registry.snapshot_json()

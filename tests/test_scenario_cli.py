@@ -162,6 +162,56 @@ class TestExecution:
         with pytest.raises(ScenarioParseError, match=rf"^action 1 \({action['action']}\): {cause}"):
             run_scenario(path, tmp_path / "out")
 
+    def test_an_expected_refusal_is_passed_over(self, tmp_path):
+        propose = {"action": "propose", "did": "aa", "group_id": 0, "proposer": "b", "change_set": CHANGE}
+        actions = [_anchor(), dict(propose, expect_error="unauthorized"), dict(propose, proposer="a")]
+        run = run_scenario(_write(tmp_path, _minimal(actions)), tmp_path / "out", echo_warnings=False)
+        assert [report.transaction_label for report in run.registry.reports] == ["anchor", "propose"]
+        assert run.registry.state.proposals[1].originating_group == 0
+
+    @pytest.mark.parametrize(
+        "proposer, expected, observed",
+        [("a", "unauthorized", None), ("b", "replayed-nonce", "unauthorized")],
+        ids=["call-succeeds", "another-code"],
+    )
+    def test_an_expected_refusal_that_does_not_happen_fails(self, tmp_path, proposer, expected, observed):
+        propose = {"action": "propose", "did": "aa", "group_id": 0, "proposer": proposer, "change_set": CHANGE}
+        path = _write(tmp_path, _minimal([_anchor(), dict(propose, expect_error=expected)]))
+        with pytest.raises(ScenarioAssertionError) as err:
+            run_scenario(path, tmp_path / "out")
+        assert (err.value.action_index, err.value.check) == (1, "error")
+        assert (err.value.expected, err.value.actual) == (expected, observed)
+        result = CliRunner().invoke(main, ["run", str(path), "--out", str(tmp_path / "cli")])
+        assert result.exit_code == 1, result.output
+
+    @pytest.mark.parametrize(
+        "action, message",
+        [
+            (dict(_anchor(did="bb"), expect_error=7), "'expect_error' must be an error code"),
+            ({"action": "assert_state", "clock": 0, "expect_error": "unauthorized"}, "only a registry call"),
+            ({"action": "decide", "proposal_id": 1, "controller": "a", "verdict": "approve", "signed_for": "1"},
+             "field 'signed_for' must be an integer"),
+        ],
+        ids=["code-not-text", "on-a-check", "signed-for-not-an-integer"],
+    )
+    def test_a_malformed_refusal_field_is_a_parse_error(self, tmp_path, action, message):
+        path = _write(tmp_path, _minimal([_anchor(), action]))
+        with pytest.raises(ScenarioParseError, match=message):
+            run_scenario(path, tmp_path / "out")
+
+    def test_a_decision_signed_for_another_proposal_is_refused(self, tmp_path):
+        decide = {"action": "decide", "proposal_id": 2, "controller": "b", "verdict": "approve"}
+        actions = [
+            _anchor(members=("a", "b")),
+            _anchor(did="bb", members=("a", "b")),
+            {"action": "propose", "did": "aa", "group_id": 0, "proposer": "a", "change_set": CHANGE},
+            {"action": "propose", "did": "bb", "group_id": 0, "proposer": "a", "change_set": CHANGE},
+            dict(decide, signed_for=1, expect_error="unauthorized"),
+            decide,
+            {"action": "assert_state", "did": "bb", "version": 2},
+        ]
+        run_scenario(_write(tmp_path, _minimal(actions)), tmp_path / "out", echo_warnings=False)
+
     def test_engine_fault_is_not_reported_as_a_parse_error(self, tmp_path, monkeypatch):
         def broken_anchor(*args):
             raise TypeError("engine fault")
