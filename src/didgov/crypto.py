@@ -117,12 +117,7 @@ class VerifiableCredential:
             holder_key=self.holder_key,
             issuer_signature=self.issuer_signature,
         )
-        if not isinstance(self.claims, Mapping):
-            kind = type(self.claims).__name__
-            raise MalformedCredential(f"a credential's claims must be a mapping, not {kind}")
-        for key, value in self.claims.items():
-            if not isinstance(key, str) or not isinstance(value, str):
-                raise MalformedCredential(f"a credential's claims map text to text, not {key!r}: {value!r}")
+        encoding.claim_pairs(self.claims)
 
     def verify_issuer(self, verified: Optional[Verified] = None) -> bool:
         payload = encoding.vc_payload(self.holder_key, self.claims)

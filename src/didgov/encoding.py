@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from collections.abc import Collection, Mapping
 
-from .errors import EncodingError
+from .errors import EncodingError, MalformedCredential
 
 # Domain-separation tags for signing payloads.
 PAYLOAD_DECISION = b"\xd1"
@@ -37,6 +37,21 @@ def blob(data: bytes) -> bytes:
 
 def text(value: str) -> bytes:
     return blob(value.encode("utf-8"))
+
+
+def claim_pairs(claims: Mapping[str, str]) -> list[tuple[str, str]]:
+    """A credential's claims as (key, value) pairs, in stored order. Claims
+    are a mapping of text to text; anything else raises
+    ``MalformedCredential``, both when a credential is made and wherever its
+    claims are encoded (the claims are a dict, which a holder can still
+    change)."""
+    if type(claims) is not dict and not isinstance(claims, Mapping):
+        raise MalformedCredential(f"a credential's claims must be a mapping, not {type(claims).__name__}")
+    pairs = list(claims.items())
+    for key, value in pairs:
+        if not isinstance(key, str) or not isinstance(value, str):
+            raise MalformedCredential(f"a credential's claims map text to text, not {key!r}: {value!r}")
+    return pairs
 
 
 def claim_list(claims: Collection[tuple[str, str]]) -> bytes:
@@ -64,7 +79,7 @@ def vc_payload(holder_key: bytes, claims: Mapping[str, str]) -> bytes:
     Claims are signed key-sorted, so logically equal claim sets sign
     identically regardless of insertion order.
     """
-    return PAYLOAD_VC + blob(holder_key) + claim_list(sorted(claims.items()))
+    return PAYLOAD_VC + blob(holder_key) + claim_list(sorted(claim_pairs(claims)))
 
 
 def presentation_payload(did: str, proposal_id: int, credential: bytes) -> bytes:
@@ -87,5 +102,5 @@ def credential_bytes(
     """
     return (
         CREDENTIAL + blob(issuer_key) + blob(holder_key)
-        + claim_list(claims.items()) + blob(issuer_signature)
+        + claim_list(claim_pairs(claims)) + blob(issuer_signature)
     )

@@ -8,14 +8,13 @@ as lowercase hex, ratios as "n/d"), the one persistence format; decisions
 are never persisted. The only byte-level encoding is the signing payloads
 in :mod:`didgov.encoding`.
 
-Each record the state snapshot holds also writes its projection as
-indented text, the text of ``json.dumps(projection, indent=2,
-sort_keys=True)``, from a template of its own (``to_indented`` on a
-config class, ``*_to_indented`` here), with no dict built. A document and
-a proposal, which events record, likewise write the compact text of
-``json.dumps(projection, separators=(",", ":"))`` (``to_compact``,
-``*_to_compact``). The projections stay the reference the templates are
-tested against.
+A document and a proposal, which events and the state snapshot record,
+also write their projection as compact text, the text of
+``json.dumps(projection, separators=(",", ":"))``, from templates of their
+own (``to_compact`` on a config class, ``*_to_compact`` here), with no
+dict built: a record has one text, and the snapshot holds the text its
+event logs. The projections stay the reference the templates are tested
+against.
 """
 
 from __future__ import annotations
@@ -23,7 +22,7 @@ from __future__ import annotations
 import json
 import math
 import re
-from collections.abc import Callable, Mapping
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from enum import Enum, IntEnum
 from fractions import Fraction
@@ -157,96 +156,13 @@ def text_map(value, what: str) -> dict[str, str]:
     return mapping
 
 
-# --- indented JSON text ------------------------------------------------------
-# A template writes its record as the value on a line that starts with
-# ``newline``, a line break and that line's indent; each level of nesting
-# indents two spaces more, as ``json.dumps(..., indent=2)`` does.
-
-_quote = encode_basestring_ascii  # a str as JSON text, escaped to ASCII
-_spell = int.__repr__  # an int as JSON text: json.dumps's spelling, int subclasses included
-
-
-def _hex_array(keys: tuple[bytes, ...], newline: str) -> str:
-    """``keys`` in hex as an indented JSON array (hex needs no escaping)."""
-    if not keys:
-        return "[]"
-    inner = newline + "  "
-    separator = f'",{inner}"'
-    return f'[{inner}"{separator.join([key.hex() for key in keys])}"{newline}]'
-
-
-def _int_array(values: tuple[int, ...], newline: str) -> str:
-    if not values:
-        return "[]"
-    inner = newline + "  "
-    return f"[{inner}{(',' + inner).join(map(_spell, values))}{newline}]"
-
-
-def _text_object(mapping: Mapping[str, str], newline: str) -> str:
-    """A text-to-text mapping as an indented JSON object, keys in order."""
-    if not mapping:
-        return "{}"
-    inner = newline + "  "
-    members = ",".join([f"{inner}{_quote(key)}: {_quote(value)}" for key, value in sorted(mapping.items())])
-    return f"{{{members}{newline}}}"
-
-
-def _write_indented(value, newline: str, write: Callable[[str], object]) -> None:
-    """Write the text of ``json.dumps(value, indent=2, sort_keys=True)``;
-    ``newline`` is the line break and indent of the line ``value`` starts
-    on. Its domain is what the JSON projections build: dicts with str keys,
-    lists, and str, int, bool and ``None`` leaves (str and int subclasses
-    included). Any other value raises ``TypeError``. The snapshot writes a
-    group operation through it. (A module function, not a closure: a
-    closure that calls itself is a reference cycle, and it would keep what
-    it wrote alive until the cyclic collector runs.)"""
-    kind = type(value)
-    if kind is dict:
-        if not value:
-            write("{}")
-            return
-        inner = newline + "  "
-        separator, comma = "{" + inner, "," + inner
-        for key in sorted(value):
-            write(separator)
-            write(_quote(key))  # a TypeError for a key that is not a str
-            write(": ")
-            _write_indented(value[key], inner, write)
-            separator = comma
-        write(newline)
-        write("}")
-    elif kind is list:
-        if not value:
-            write("[]")
-            return
-        inner = newline + "  "
-        separator, comma = "[" + inner, "," + inner
-        for item in value:
-            write(separator)
-            _write_indented(item, inner, write)
-            separator = comma
-        write(newline)
-        write("]")
-    elif kind is str:
-        write(_quote(value))
-    elif value is None:
-        write("null")
-    elif value is True:
-        write("true")
-    elif value is False:
-        write("false")
-    elif isinstance(value, int):
-        write(_spell(value))
-    elif isinstance(value, str):
-        write(_quote(value))
-    else:
-        raise TypeError(f"Object of type {kind.__name__} is not in the snapshot's JSON domain")
-
-
 # --- compact JSON text -------------------------------------------------------
 # A compact template writes its record as ``json.dumps(projection,
 # separators=(",", ":"))`` does: the projection's keys in the order it
 # builds them, with no space.
+
+_quote = encode_basestring_ascii  # a str as JSON text, escaped to ASCII
+_spell = int.__repr__  # an int as JSON text: json.dumps's spelling, int subclasses included
 
 
 def _hex_list(keys: tuple[bytes, ...]) -> str:
@@ -351,11 +267,6 @@ class AclConfig(_Authorization):
         weights = list(self.weights) if self.weights is not None else None
         return {"members": [m.hex() for m in self.members], "weights": weights}
 
-    def to_indented(self, newline: str) -> str:
-        """The indented text of :meth:`to_json` (see ``_write_indented``)."""
-        inner = newline + "  "
-        weights = "null" if self.weights is None else _int_array(self.weights, inner)
-        return f'{{{inner}"members": {_hex_array(self.members, inner)},{inner}"weights": {weights}{newline}}}'
 
     def to_compact(self) -> str:
         """The compact text of :meth:`to_json`, as an event records it."""
@@ -417,9 +328,6 @@ class TokenConfig(_Authorization):
     def to_json(self) -> dict:
         return {"trusted_issuers": [k.hex() for k in self.trusted_issuers]}
 
-    def to_indented(self, newline: str) -> str:
-        inner = newline + "  "
-        return f'{{{inner}"trusted_issuers": {_hex_array(self.trusted_issuers, inner)}{newline}}}'
 
     def to_compact(self) -> str:
         return f'{{"trusted_issuers":{_hex_list(self.trusted_issuers)}}}'
@@ -484,12 +392,6 @@ class VcConfig(_Authorization):
             "required_claims": dict(self.required_claims),
         }
 
-    def to_indented(self, newline: str) -> str:
-        inner = newline + "  "
-        return (
-            f'{{{inner}"required_claims": {_text_object(self.required_claims, inner)},'
-            f'{inner}"trusted_issuers": {_hex_array(self.trusted_issuers, inner)}{newline}}}'
-        )
 
     def to_compact(self) -> str:
         issuers, claims = _hex_list(self.trusted_issuers), _text_members(self.required_claims)
@@ -587,9 +489,6 @@ class NOfMConfig(_Coordination):
     def to_json(self) -> dict:
         return {"n": self.n, "m": self.m}
 
-    def to_indented(self, newline: str) -> str:
-        inner = newline + "  "
-        return f'{{{inner}"m": {_spell(self.m)},{inner}"n": {_spell(self.n)}{newline}}}'
 
     def to_compact(self) -> str:
         return f'{{"n":{_spell(self.n)},"m":{_spell(self.m)}}}'
@@ -648,10 +547,6 @@ class TurnoutConfig(_Coordination):
     def to_json(self) -> dict:
         return {"quorum": self.quorum, "ratio": ratio_to_text(self.ratio)}
 
-    def to_indented(self, newline: str) -> str:
-        inner = newline + "  "
-        ratio = _quote(ratio_to_text(self.ratio))
-        return f'{{{inner}"quorum": {_spell(self.quorum)},{inner}"ratio": {ratio}{newline}}}'
 
     def to_compact(self) -> str:
         return f'{{"quorum":{_spell(self.quorum)},"ratio":{_quote(ratio_to_text(self.ratio))}}}'
@@ -688,8 +583,6 @@ class WeightedConfig(_Coordination):
     def to_json(self) -> dict:
         return {"threshold": self.threshold}
 
-    def to_indented(self, newline: str) -> str:
-        return f'{{{newline}  "threshold": {_spell(self.threshold)}{newline}}}'
 
     def to_compact(self) -> str:
         return f'{{"threshold":{_spell(self.threshold)}}}'
@@ -979,19 +872,6 @@ def group_to_json(group: GovernanceGroup) -> dict:
 _EDIT_RIGHT_TEXT = {level: _quote(level.json_name()) for level in EditRightLevel}
 
 
-def group_to_indented(group: GovernanceGroup, newline: str) -> str:
-    """The indented text of :func:`group_to_json` (see ``_write_indented``)."""
-    inner = newline + "  "
-    authz, coord = group.authz_config, group.coord_config
-    time_limit = "null" if group.time_limit is None else _spell(group.time_limit)
-    return (
-        f'{{{inner}"authz_config": {authz.to_indented(inner)},{inner}"authz_kind": {_quote(authz.kind)},'
-        f'{inner}"coord_config": {coord.to_indented(inner)},{inner}"coord_kind": {_quote(coord.kind)},'
-        f'{inner}"edit_right": {_EDIT_RIGHT_TEXT[group.edit_right]},{inner}"execution": {_quote(group.execution)},'
-        f'{inner}"group_id": {_spell(group.group_id)},{inner}"time_limit": {time_limit}{newline}}}'
-    )
-
-
 def group_to_compact(group: GovernanceGroup) -> str:
     """The compact text of :func:`group_to_json`."""
     authz, coord = group.authz_config, group.coord_config
@@ -1025,18 +905,6 @@ def document_to_json(doc: DidDocument) -> dict:
         "attributes": dict(doc.attributes),
         "groups": [group_to_json(g) for g in doc.groups],
     }
-
-
-def document_to_indented(doc: DidDocument, newline: str) -> str:
-    """The indented text of :func:`document_to_json` (see ``_write_indented``)."""
-    inner = newline + "  "
-    item = inner + "  "
-    groups = f",{item}".join([group_to_indented(group, item) for group in doc.groups])
-    return (
-        f'{{{inner}"attributes": {_text_object(doc.attributes, inner)},{inner}"did": {_quote(doc.did)},'
-        f'{inner}"groups": [{item}{groups}{inner}],{inner}"public_keys": {_hex_array(doc.public_keys, inner)},'
-        f'{inner}"version": {_spell(doc.version)}{newline}}}'
-    )
 
 
 def document_to_compact(doc: DidDocument) -> str:
@@ -1091,23 +959,9 @@ def change_set_to_json(change_set: ChangeSet) -> dict:
     }
 
 
-def change_set_to_indented(change_set: ChangeSet, newline: str) -> str:
-    """The indented text of :func:`change_set_to_json`; its group
-    operations, rare in a log, are written from their JSON projection."""
-    inner = newline + "  "
-    group_ops: list[str] = []
-    _write_indented([group_op_to_json(op) for op in change_set.group_ops], inner, group_ops.append)
-    keys, attributes = change_set.new_public_keys, change_set.new_attributes
-    return (
-        f'{{{inner}"group_ops": {"".join(group_ops)},'
-        f'{inner}"new_attributes": {"null" if attributes is None else _text_object(attributes, inner)},'
-        f'{inner}"new_public_keys": {"null" if keys is None else _hex_array(keys, inner)}{newline}}}'
-    )
-
-
 def change_set_to_compact(change_set: ChangeSet) -> str:
-    """The compact text of :func:`change_set_to_json`; its group operations
-    are written from their JSON projection, as in the indented text."""
+    """The compact text of :func:`change_set_to_json`; its group operations,
+    rare in a log, are written from their JSON projection."""
     keys, attributes = change_set.new_public_keys, change_set.new_attributes
     group_ops = ",".join([json.dumps(group_op_to_json(op), separators=(",", ":")) for op in change_set.group_ops])
     return (
@@ -1139,19 +993,6 @@ def proposal_to_json(proposal: UpdateProposal) -> dict:
         "deadline": proposal.deadline,
         "status": proposal.status.value,
     }
-
-
-def proposal_to_indented(proposal: UpdateProposal, newline: str) -> str:
-    """The indented text of :func:`proposal_to_json` (see ``_write_indented``)."""
-    inner = newline + "  "
-    deadline = "null" if proposal.deadline is None else _spell(proposal.deadline)
-    return (
-        f'{{{inner}"base_version": {_spell(proposal.base_version)},'
-        f'{inner}"change_set": {change_set_to_indented(proposal.change_set, inner)},'
-        f'{inner}"created_at": {_spell(proposal.created_at)},{inner}"deadline": {deadline},'
-        f'{inner}"did": {_quote(proposal.did)},{inner}"originating_group": {_spell(proposal.originating_group)},'
-        f'{inner}"proposal_id": {_spell(proposal.proposal_id)},{inner}"status": {_quote(proposal.status)}{newline}}}'
-    )
 
 
 def proposal_to_compact(proposal: UpdateProposal) -> str:

@@ -28,12 +28,12 @@ folds (each kind of event that begins a transaction through its entry in
 line with CPython's C JSON scanner and accepts only a line that is exactly
 one event (:func:`didgov.model.event_from_json`).
 :func:`snapshot_json` writes the text of ``json.dumps(state_snapshot(state),
-indent=2, sort_keys=True)`` straight from the state's records, one
-template per record: a document, group and proposal write their own text
-(:mod:`didgov.model`), and this module writes the tallies, the nonce
-ledger, the queue and the scalars. No dict of the snapshot is built;
-:func:`state_snapshot` is the reference projection the text is tested
-against.
+separators=(",", ":"))`` straight from the state's records, in the log's
+compact form: a document and a proposal write the text their events
+record (:mod:`didgov.model`), and this module writes the tallies, the
+nonce ledger, the queue and the scalars. No dict of the snapshot is
+built; :func:`state_snapshot` is the reference projection the text is
+tested against. ``python -m json.tool`` indents a snapshot for reading.
 """
 
 from __future__ import annotations
@@ -55,6 +55,7 @@ from .errors import (
     EmptyBatch,
     EncodingError,
     GovernanceError,
+    MalformedCredential,
     NoActiveProposal,
     NotAnchored,
     Unauthorized,
@@ -422,7 +423,8 @@ def _granted(request: AuthzRequest) -> Authorize:
 def _signed(decision: Decision) -> Vote:
     """Live vote of ``decision``: its ``authorize`` checks the signature, then
     runs the group's authorization. Every refusal, wrong-length key or
-    signature bytes included, is a denied outcome rather than an exception."""
+    signature bytes and credential claims that are not text included, is a
+    denied outcome rather than an exception."""
 
     def authorize(group, proposal, ledger, meter, verified) -> AuthzOutcome:
         charge(meter, "sig_verify", 1)
@@ -439,7 +441,7 @@ def _signed(decision: Decision) -> Vote:
                 credential=decision.credential,
             )
             return authz.authorize(group.authz_config, request, ledger, meter, verified)
-        except VerificationError as exc:
+        except (VerificationError, MalformedCredential) as exc:
             return authz.deny(type(exc), str(exc))
 
     return decision.controller_key, decision.verdict, authorize
@@ -539,131 +541,70 @@ class Registry:
 
 # --- state snapshot and event-sourcing replay --------------------------------
 
-# The snapshot's top-level sections in key order, each with the function
-# that builds its JSON-able value from the state: the reference projection
-# that :func:`snapshot_json`'s text is tested against.
-_SECTIONS: tuple[tuple[str, Callable[[RegistryState], object]], ...] = tuple(sorted({
-    "clock": lambda state: state.clock.now,
-    "next_proposal_id": lambda state: len(state.proposals) + 1,
-    "last_sequence": lambda state: state.event_log[-1].sequence if state.event_log else 0,
-    "documents": lambda state: {
-        str(did): model.document_to_json(doc) for did, doc in sorted(state.documents.items())
-    },
-    "active_proposals": lambda state: {
-        str(did): proposal.proposal_id for did, proposal in sorted(state.active_proposals.items())
-    },
-    "proposals": lambda state: {
-        str(pid): model.proposal_to_json(proposal) for pid, proposal in sorted(state.proposals.items())
-    },
-    "tallies": lambda state: {
-        str(pid): {
-            "accepted": [[key.hex(), verdict.value, weight] for key, verdict, weight in tally.accepted],
-            "finalized": tally.finalized,
-        }
-        for pid, tally in sorted(state.tallies.items())
-    },
-    "nonce_ledger": lambda state: [
-        [issuer.hex(), nonce.hex()] for issuer, nonce in sorted(state.nonce_ledger)
-    ],
-    "schedule_queue": lambda state: [[deadline, pid] for deadline, pid in state.queue.entries()],
-}.items()))
-
-
 def state_snapshot(state: RegistryState) -> dict:
     """JSON-able projection of the full registry state, deterministically
-    ordered so equal states serialize to equal bytes."""
-    return {name: section(state) for name, section in _SECTIONS}
-
-
-# The written snapshot: each section's value starts on a line of indent 2,
-# its entries start on lines of indent 4, and their fields nest deeper.
-_SECTION, _ENTRY, _FIELD = "\n  ", "\n    ", "\n      "
-_ITEM = _FIELD + "  "  # a decision in a tally's "accepted" list
-# a decision's text from the end of its key's hex to its weight, per verdict
-_VERDICT_TEXT = {verdict: f'",{_ITEM}  {encode_basestring_ascii(verdict)},{_ITEM}  ' for verdict in Verdict}
-
-Write = Callable[[str], object]
-
-
-def _write_entries(brackets: str, entries: list[str], write: Write) -> None:
-    """Write a section that is a JSON object or array (``brackets`` is
-    ``"{}"`` or ``"[]"``) from the texts of its entries, in order."""
-    if not entries:
-        write(brackets)
-        return
-    write(brackets[0] + _ENTRY)
-    write(("," + _ENTRY).join(entries))
-    write(_SECTION + brackets[1])
-
-
-def _write_object(records: dict, text: Callable[[object], str], write: Write) -> None:
-    """Write a section that maps keys to records: each key with
-    ``text(record)``, in the order JSON sorts keys: as strings, so
-    proposal "10" comes before proposal "2"."""
-    keyed = sorted([(str(key), record) for key, record in records.items()])
-    _write_entries("{}", [f"{encode_basestring_ascii(key)}: {text(record)}" for key, record in keyed], write)
+    ordered so equal states serialize to equal bytes: sections by name,
+    documents and active proposals by DID, proposals and tallies by id."""
+    return {
+        "active_proposals": {
+            str(did): proposal.proposal_id for did, proposal in sorted(state.active_proposals.items())
+        },
+        "clock": state.clock.now,
+        "documents": {str(did): model.document_to_json(doc) for did, doc in sorted(state.documents.items())},
+        "last_sequence": state.event_log[-1].sequence if state.event_log else 0,
+        "next_proposal_id": len(state.proposals) + 1,
+        "nonce_ledger": [[issuer.hex(), nonce.hex()] for issuer, nonce in sorted(state.nonce_ledger)],
+        "proposals": {
+            str(pid): model.proposal_to_json(proposal) for pid, proposal in sorted(state.proposals.items())
+        },
+        "schedule_queue": [[deadline, pid] for deadline, pid in state.queue.entries()],
+        "tallies": {
+            str(pid): {
+                "accepted": [[key.hex(), verdict.value, weight] for key, verdict, weight in tally.accepted],
+                "finalized": tally.finalized,
+            }
+            for pid, tally in sorted(state.tallies.items())
+        },
+    }
 
 
 def _tally_text(tally: Tally) -> str:
-    spell, verdicts, close = int.__repr__, _VERDICT_TEXT, f"{_ITEM}]"
-    decisions = ",".join([
-        f'{_ITEM}[{_ITEM}  "{key.hex()}{verdicts[verdict]}{spell(weight)}{close}'
-        for key, verdict, weight in tally.accepted
+    """The compact text of a tally's projection in :func:`state_snapshot`."""
+    spell, quote = int.__repr__, encode_basestring_ascii
+    accepted = ",".join([
+        f'["{key.hex()}",{quote(verdict)},{spell(weight)}]' for key, verdict, weight in tally.accepted
     ])
-    accepted = f"[{decisions}{_FIELD}]" if decisions else "[]"
-    finalized = "true" if tally.finalized else "false"
-    return f'{{{_FIELD}"accepted": {accepted},{_FIELD}"finalized": {finalized}{_ENTRY}}}'
-
-
-def _nonce_text(nonce: tuple[bytes, bytes]) -> str:
-    return f'[{_FIELD}"{nonce[0].hex()}",{_FIELD}"{nonce[1].hex()}"{_ENTRY}]'
-
-
-def _queue_entry_text(entry: tuple[int, int]) -> str:
-    return f"[{_FIELD}{int.__repr__(entry[0])},{_FIELD}{int.__repr__(entry[1])}{_ENTRY}]"
-
-
-# Each top-level section of the snapshot with its writer, in key order: the
-# templates of what :data:`_SECTIONS` builds, written with no dict built.
-_SECTION_WRITERS: tuple[tuple[str, Callable[[RegistryState, Write], None]], ...] = tuple(sorted({
-    "clock": lambda state, write: write(int.__repr__(state.clock.now)),
-    "next_proposal_id": lambda state, write: write(int.__repr__(len(state.proposals) + 1)),
-    "last_sequence": lambda state, write: write(int.__repr__(state.event_log[-1].sequence if state.event_log else 0)),
-    "documents": lambda state, write: _write_object(
-        state.documents, lambda doc: model.document_to_indented(doc, _ENTRY), write
-    ),
-    "active_proposals": lambda state, write: _write_object(
-        state.active_proposals, lambda proposal: int.__repr__(proposal.proposal_id), write
-    ),
-    "proposals": lambda state, write: _write_object(
-        state.proposals, lambda proposal: model.proposal_to_indented(proposal, _ENTRY), write
-    ),
-    "tallies": lambda state, write: _write_object(state.tallies, _tally_text, write),
-    "nonce_ledger": lambda state, write: _write_entries(
-        "[]", [_nonce_text(nonce) for nonce in sorted(state.nonce_ledger)], write
-    ),
-    "schedule_queue": lambda state, write: _write_entries(
-        "[]", [_queue_entry_text(entry) for entry in state.queue.entries()], write
-    ),
-}.items()))
+    return f'{{"accepted":[{accepted}],"finalized":{"true" if tally.finalized else "false"}}}'
 
 
 def snapshot_json(state: RegistryState) -> str:
-    """``json.dumps(state_snapshot(state), indent=2, sort_keys=True) + "\\n"``,
-    written straight from the state's records, each through its template
-    (:func:`didgov.model.document_to_indented`,
-    :func:`didgov.model.proposal_to_indented`, :func:`_tally_text`, ...),
-    with no dict of the snapshot built. It holds each record's text and
-    the whole text once: about twice the text at its peak."""
-    parts: list[str] = []
-    write = parts.append
-    separator = "{" + _SECTION
-    for name, section in _SECTION_WRITERS:
-        write(f"{separator}{encode_basestring_ascii(name)}: ")
-        section(state, write)
-        separator = "," + _SECTION
-    write("\n}\n")
-    return "".join(parts)
+    """``json.dumps(state_snapshot(state), separators=(",", ":")) + "\\n"``,
+    written straight from the state's records, each through its compact
+    template (:func:`didgov.model.document_to_compact`,
+    :func:`didgov.model.proposal_to_compact`, :func:`_tally_text`, ...),
+    with no dict of the snapshot built: a document's or proposal's text is
+    the text its event logs. It holds each section's text and the whole
+    text once: about twice the text at its peak."""
+    spell, quote = int.__repr__, encode_basestring_ascii
+    active = ",".join([
+        f"{quote(did)}:{spell(proposal.proposal_id)}" for did, proposal in sorted(state.active_proposals.items())
+    ])
+    documents = ",".join([
+        f"{quote(did)}:{model.document_to_compact(doc)}" for did, doc in sorted(state.documents.items())
+    ])
+    nonces = ",".join([f'["{issuer.hex()}","{nonce.hex()}"]' for issuer, nonce in sorted(state.nonce_ledger)])
+    proposals = ",".join([
+        f'"{spell(pid)}":{model.proposal_to_compact(proposal)}' for pid, proposal in sorted(state.proposals.items())
+    ])
+    queue = ",".join([f"[{spell(deadline)},{spell(pid)}]" for deadline, pid in state.queue.entries()])
+    tallies = ",".join([f'"{spell(pid)}":{_tally_text(tally)}' for pid, tally in sorted(state.tallies.items())])
+    last_sequence = state.event_log[-1].sequence if state.event_log else 0
+    return (
+        f'{{"active_proposals":{{{active}}},"clock":{spell(state.clock.now)},"documents":{{{documents}}},'
+        f'"last_sequence":{spell(last_sequence)},"next_proposal_id":{spell(len(state.proposals) + 1)},'
+        f'"nonce_ledger":[{nonces}],"proposals":{{{proposals}}},"schedule_queue":[{queue}],'
+        f'"tallies":{{{tallies}}}}}\n'
+    )
 
 
 # what an event line holds between its tick and its payload, per kind

@@ -1,18 +1,16 @@
 """The auditor's JSON in :mod:`didgov.registry` against the ``json`` module.
 
-``snapshot_json`` writes each record of the state through a template of
-its own (``document_to_indented``, ``proposal_to_indented``, a config's
-``to_indented``, the registry's tally and ledger templates), and a group
-operation through the generic ``_write_indented``. Each must write
-``json.dumps(value, indent=2, sort_keys=True)`` for the projection
-``state_snapshot`` builds, without building it, and the whole must not
-hold much more memory than the text it writes. ``event_log_from_jsonl``
-reads each line with CPython's C scanner, and must give what decoding
-each line with ``json.loads`` gives: the same events, or the same error
-naming the same line.
+``snapshot_json`` writes each record of the state through a compact
+template of its own (``document_to_compact``, ``proposal_to_compact``, a
+config's ``to_compact``, the registry's tally template), the templates an
+event's text comes from. The whole must write ``json.dumps(value,
+separators=(",", ":"))`` for the projection ``state_snapshot`` builds,
+without building it, and must not hold much more memory than the text it
+writes. ``event_log_from_jsonl`` reads each line with CPython's C scanner,
+and must give what decoding each line with ``json.loads`` gives: the same
+events, or the same error naming the same line.
 """
 
-import io
 import json
 import tracemalloc
 from fractions import Fraction
@@ -30,6 +28,7 @@ from didgov.model import (
     ChangeSet,
     DidDocument,
     EditRightLevel,
+    EventKind,
     ExecutionMode,
     GovernanceEvent,
     GovernanceGroup,
@@ -51,7 +50,7 @@ GOLDEN = Path(__file__).parent / "golden"
 SCENARIOS = sorted(path.name for path in GOLDEN.iterdir() if path.is_dir())
 
 
-# --- the indented snapshot writer ----------------------------------------------
+# --- JSON values to fuzz with ----------------------------------------------------
 
 class Text(str):
     pass
@@ -84,55 +83,19 @@ TREES = st.recursive(
 )
 
 
+# --- the snapshot writer ---------------------------------------------------------
+
 def _dumps(value) -> str:
-    return json.dumps(value, indent=2, sort_keys=True)
+    return json.dumps(value, separators=(",", ":"))
 
 
-def _indented(value) -> str:
-    """``value`` as ``snapshot_json`` writes a group operation."""
-    out = io.StringIO()
-    model._write_indented(value, "\n", out.write)
-    return out.getvalue()
-
-
-@given(TREES)
-def test_writer_equals_json_dumps(value):
-    assert _indented(value) == _dumps(value)
-
-
-@given(st.integers(min_value=0, max_value=300), LEAVES, st.booleans())
-def test_deep_nesting_equals_json_dumps(depth, leaf, as_dict):
-    value = leaf
-    for _ in range(depth):
-        value = {"k": value, "": []} if as_dict else [value, {}]
-    assert _indented(value) == _dumps(value)
-
-
-@pytest.mark.parametrize(
-    "value",
-    [{}, [], [{}], {"": []}, "", 0, -1, True, False, None, 2**100, Count(3), Text("é"), {"b": 1, "a": {}}],
-)
-def test_edge_values_equal_json_dumps(value):
-    assert _indented(value) == _dumps(value)
-
-
-@given(TREES, st.floats())
-def test_float_leaf_raises_type_error(tree, leaf):
-    with pytest.raises(TypeError):
-        _indented([tree, {"leaf": leaf}])
-
-
-@pytest.mark.parametrize("value", [0.5, (1, 2), b"bytes", {1, 2}, {1: "a"}, {None: "a"}, [object()]])
-def test_value_outside_the_domain_raises_type_error(value):
-    with pytest.raises(TypeError):
-        _indented(value)
+def _golden_log(scenario: str) -> list[GovernanceEvent]:
+    return registry_mod.event_log_from_jsonl((GOLDEN / scenario / "events.jsonl").read_text())
 
 
 @pytest.mark.parametrize("scenario", SCENARIOS)
 def test_golden_snapshots_equal_json_dumps(scenario):
-    state = registry_mod.replay_events(
-        registry_mod.event_log_from_jsonl((GOLDEN / scenario / "events.jsonl").read_text())
-    )
+    state = registry_mod.replay_events(_golden_log(scenario))
     text = registry_mod.snapshot_json(state)
     assert text == _dumps(registry_mod.state_snapshot(state)) + "\n"
     assert text == (GOLDEN / scenario / "final_state.json").read_text()
@@ -154,7 +117,7 @@ def test_snapshot_writer_holds_at_most_three_times_its_text():
     """The whole ``snapshot_json`` call, templates included, holds at most
     3x its text (about 2.9 MB here): each record's text and the joined
     text. Building the snapshot's dicts first would hold far more."""
-    state = _tallied_state(4_000, 5)
+    state = _tallied_state(6_500, 5)
     tracemalloc.start()
     try:
         text = registry_mod.snapshot_json(state)
@@ -167,12 +130,48 @@ def test_snapshot_writer_holds_at_most_three_times_its_text():
 
 
 @pytest.mark.parametrize("scenario", SCENARIOS)
+def test_golden_snapshot_records_are_their_compact_texts(scenario):
+    """One text form per record: the golden snapshot is the compact text of
+    its own value, keys in the order it holds them, so the text of each of
+    its documents and proposals is the compact dump of that value, and it
+    equals what the record's compact template writes for the replayed
+    record."""
+    state = registry_mod.replay_events(_golden_log(scenario))
+    text = (GOLDEN / scenario / "final_state.json").read_text()
+    snapshot = json.loads(text)
+    assert _dumps(snapshot) + "\n" == text
+    assert snapshot["documents"].keys() == state.documents.keys() and state.documents
+    assert snapshot["proposals"].keys() == {str(pid) for pid in state.proposals} and state.proposals
+    for did, doc in state.documents.items():
+        assert _dumps(snapshot["documents"][did]) == model.document_to_compact(doc)
+    for pid, proposal in state.proposals.items():
+        assert _dumps(snapshot["proposals"][str(pid)]) == model.proposal_to_compact(proposal)
+
+
+@pytest.mark.parametrize("scenario", SCENARIOS)
+def test_a_document_at_version_one_carries_its_anchored_text(scenario):
+    """A document still at version 1 appears in the snapshot as the exact
+    string its ``anchored`` event logged: checked on the whole log and on
+    the log cut right after each anchoring, where the new document is at
+    version 1 in every scenario."""
+    events = _golden_log(scenario)
+    logged = {event.payload["did"]: event.payload["document"] for event in events if event.kind is EventKind.ANCHORED}
+    cuts = [at + 1 for at, event in enumerate(events) if event.kind is EventKind.ANCHORED] + [len(events)]
+    checked = 0
+    for cut in cuts:
+        text = registry_mod.snapshot_json(registry_mod.replay_events(events[:cut]))
+        for did, doc in json.loads(text)["documents"].items():
+            if doc["version"] == 1:
+                assert f"{json.dumps(did)}:{logged[did]}" in text
+                checked += 1
+    assert checked >= len(logged)
+
+
+@pytest.mark.parametrize("scenario", SCENARIOS)
 def test_golden_snapshots_build_no_projection(scenario, monkeypatch):
     """The snapshot writes each record from its template: it builds no
     document, proposal or snapshot dict on the way."""
-    state = registry_mod.replay_events(
-        registry_mod.event_log_from_jsonl((GOLDEN / scenario / "events.jsonl").read_text())
-    )
+    state = registry_mod.replay_events(_golden_log(scenario))
 
     def refuse(*args):
         raise AssertionError("snapshot_json built a JSON projection")

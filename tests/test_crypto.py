@@ -5,7 +5,7 @@ import pytest
 from cryptography.hazmat.primitives.asymmetric import ed25519
 
 from didgov import crypto
-from didgov.errors import VerificationError
+from didgov.errors import MalformedCredential, VerificationError
 from didgov.model import Did, Verdict
 from didgov.registry import build_decision
 
@@ -173,6 +173,14 @@ class TestVerifiableCredential:
             issuer_signature=vc.issuer_signature,
         )
         assert not forged.verify_issuer()
+
+    @pytest.mark.parametrize("claims", [[("role", "voter")], None, {"role": 7}, {7: "voter"}])
+    def test_claims_that_are_not_a_mapping_of_text_are_malformed(self, claims):
+        """One rule, where a credential is made and where it is issued."""
+        with pytest.raises(MalformedCredential):
+            crypto.issue_vc(pair("issuer"), pair("holder").public_key, claims)
+        with pytest.raises(MalformedCredential):
+            crypto.VerifiableCredential(pair("issuer").public_key, pair("holder").public_key, claims, b"s" * 64)
 
     def test_claim_insertion_order_does_not_matter(self):
         issuer, holder = pair("issuer"), pair("holder")

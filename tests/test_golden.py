@@ -10,6 +10,7 @@ them after a deliberate cost-model change:
     didgov bench --out tests/golden/bench.csv
 """
 
+import json
 from pathlib import Path
 
 import pytest
@@ -46,6 +47,21 @@ def test_golden_log_replays_to_golden_snapshot(scenario):
         main, ["replay", str(golden / "events.jsonl"), "--expect", str(golden / "final_state.json")]
     )
     assert result.exit_code == 0, result.output
+
+
+@pytest.mark.parametrize("scenario", SCENARIOS, ids=lambda p: p.stem)
+def test_an_indented_snapshot_does_not_match(scenario, tmp_path):
+    """A snapshot is compared byte for byte: the same value indented, as
+    earlier versions wrote it (``indent=2, sort_keys=True``), is a
+    mismatch, exit 1."""
+    golden = GOLDEN / scenario.stem
+    value = json.loads((golden / "final_state.json").read_text())
+    indented = tmp_path / "final_state.json"
+    indented.write_text(json.dumps(value, indent=2, sort_keys=True) + "\n")
+    assert json.loads(indented.read_text()) == value
+    result = CliRunner().invoke(main, ["replay", str(golden / "events.jsonl"), "--expect", str(indented)])
+    assert result.exit_code == 1, result.output
+    assert f"does not match {indented}" in result.output
 
 
 def test_default_bench_matches_golden(tmp_path):

@@ -523,6 +523,56 @@ class TestCredentialFlows:
             _decide(registry, did, holder, pid, credential=crypto.present_vc(vc, holder, did, 0))
 
 
+# edits a holder can make to a credential's claims after it is issued
+CLAIM_EDITS = {
+    "int-value": lambda claims: claims.__setitem__("role", 7),
+    "int-key": lambda claims: claims.__setitem__(7, "voter"),
+    "bytes-weight": lambda claims: claims.__setitem__("weight", b"2"),
+}
+
+
+@pytest.mark.parametrize("edit", sorted(CLAIM_EDITS))
+@pytest.mark.parametrize("path", ["propose", "decide", "decide_batch"])
+def test_claims_edited_after_issue_are_a_malformed_credential(path, edit):
+    """A credential's claims stay a dict after ``issue_vc``. Claims edited
+    to hold a key or value that is not text refuse the transaction with
+    ``MalformedCredential``, leaving the registry as it was; an aggregate
+    skips that entry under its code and counts the rest."""
+    issuer, holders = pair("issuer"), [pair(f"holder-{i}") for i in range(3)]
+    execution = ExecutionMode.OFF_CHAIN if path == "decide_batch" else ExecutionMode.ON_CHAIN
+    registry, did = anchored([vc_group(issuer, coord=NOfMConfig(n=3, m=3), execution=execution)])
+    credentials = [crypto.issue_vc(issuer, holder.public_key, {"role": "voter"}) for holder in holders]
+
+    def presented(index, pid):
+        return crypto.present_vc(credentials[index], holders[index], did, pid)
+
+    if path == "propose":
+        presentation = presented(0, 0)
+        CLAIM_EDITS[edit](credentials[0].claims)
+        before = registry.snapshot_json(), len(registry.reports)
+        with pytest.raises(MalformedCredential, match="claims map text to text"):
+            _propose(registry, did, holders[0], credential=presentation)
+        assert (registry.snapshot_json(), len(registry.reports)) == before
+        return
+    pid = _propose(registry, did, holders[0], credential=presented(0, 0))
+    decisions = [
+        build_decision(holder, Did(did), pid, 1, Verdict.APPROVE, presented(index, pid))
+        for index, holder in enumerate(holders)
+    ]
+    CLAIM_EDITS[edit](credentials[1].claims)
+    if path == "decide":
+        registry.decide(decisions[0])
+        before = registry.snapshot_json(), len(registry.reports)
+        with pytest.raises(MalformedCredential, match="claims map text to text"):
+            registry.decide(decisions[1])
+        assert (registry.snapshot_json(), len(registry.reports)) == before
+        return
+    result = registry.decide_batch(DecisionBatch(proposal_id=pid, decisions=tuple(decisions)))
+    assert result.tallied == (0, 2)
+    assert result.skipped == ((1, "malformed-credential"),)
+    assert [entry[0] for entry in registry.state.tallies[pid].accepted] == [holders[0].public_key, holders[2].public_key]
+
+
 class TestBatchFlow:
     def _registry(self, n=3, m=5):
         members = [pair(f"ctrl-{i}") for i in range(m)]

@@ -768,7 +768,10 @@ class TestCli:
     def test_replay_mismatch_exit_one(self, tmp_path):
         out = self._run_golden(tmp_path)
         snapshot = out / "final_state.json"
-        snapshot.write_text(snapshot.read_text().replace('"version": 2', '"version": 3'))
+        text = snapshot.read_text()
+        edited = text.replace('"version":2', '"version":3')
+        assert edited != text
+        snapshot.write_text(edited)
         result = self.runner.invoke(main, ["replay", str(out / "events.jsonl")])
         assert result.exit_code == 1
 
