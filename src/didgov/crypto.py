@@ -18,7 +18,7 @@ from cryptography.exceptions import InvalidSignature
 from cryptography.hazmat.primitives.asymmetric import ed25519
 
 from . import encoding
-from .errors import MalformedCredential, VerificationError
+from .errors import EncodingError, MalformedCredential, VerificationError
 
 PUBLIC_KEY_LEN = 32
 SECRET_KEY_LEN = 32
@@ -43,6 +43,7 @@ class KeyPair:
 
 def generate_keypair(seed: bytes) -> KeyPair:
     """Derive a key pair deterministically from a 32-byte seed."""
+    _require_bytes("key pair", seed=seed)
     if len(seed) != SECRET_KEY_LEN:
         raise VerificationError(f"seed must be {SECRET_KEY_LEN} bytes, got {len(seed)}")
     private = ed25519.Ed25519PrivateKey.from_private_bytes(seed)
@@ -50,6 +51,7 @@ def generate_keypair(seed: bytes) -> KeyPair:
 
 
 def sign(signer: KeyPair, message: bytes) -> bytes:
+    _require_bytes("signature", message=message)
     return signer.private.sign(message)
 
 
@@ -58,11 +60,13 @@ def verify(
 ) -> bool:
     """True iff ``signature`` is valid for ``message`` under ``public_key``.
 
-    Malformed key or signature lengths raise instead of returning False:
-    they indicate a caller bug, not a failed check. With ``verified``, a
+    An argument that is not a byte string, or a malformed key or signature
+    length, raises instead of returning False: it indicates a caller bug,
+    not a failed check. With ``verified``, a
     triple found valid before is valid without running Ed25519 again, and a
     triple found valid now is added; an invalid one is never recorded.
     """
+    _require_bytes("signature check", public_key=public_key, message=message, signature=signature)
     if len(public_key) != PUBLIC_KEY_LEN:
         raise VerificationError(f"public key must be {PUBLIC_KEY_LEN} bytes")
     if len(signature) != SIGNATURE_LEN:
@@ -157,6 +161,7 @@ CredentialPresentation = TokenPresentation | VcPresentation
 
 
 def issue_token(issuer: KeyPair, nonce: bytes) -> BearerToken:
+    _require_bytes("token", nonce=nonce)
     if len(nonce) != NONCE_LEN:
         raise VerificationError(f"nonce must be {NONCE_LEN} bytes, got {len(nonce)}")
     signature = sign(issuer, encoding.token_payload(nonce))
@@ -164,6 +169,7 @@ def issue_token(issuer: KeyPair, nonce: bytes) -> BearerToken:
 
 
 def issue_vc(issuer: KeyPair, holder_key: bytes, claims: Mapping[str, str]) -> VerifiableCredential:
+    _require_bytes("credential", holder_key=holder_key)
     payload = encoding.vc_payload(holder_key, claims)
     return VerifiableCredential(
         issuer_key=issuer.public_key,
@@ -179,6 +185,8 @@ def present_vc(credential: VerifiableCredential, holder: KeyPair, did: str, prop
     ``proposal_id`` is 0 when presenting to submit a proposal (no id has
     been allocated yet) and the actual id when presenting to decide.
     """
+    if not isinstance(did, str) or not isinstance(proposal_id, int):
+        raise EncodingError(f"a presentation names a text did and an integer id, not {did!r}, {proposal_id!r}")
     payload = _presentation_payload(credential, did, proposal_id)
     return VcPresentation(
         credential=credential,

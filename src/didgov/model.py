@@ -11,15 +11,14 @@ in :mod:`didgov.encoding`.
 A document and a proposal, which events and the state snapshot record,
 also write their projection as compact text, the text of
 ``json.dumps(projection, separators=(",", ":"))``, from templates of their
-own (``to_compact`` on a config class, ``*_to_compact`` here), with no
-dict built: a record has one text, and the snapshot holds the text its
-event logs. The projections stay the reference the templates are tested
-against.
+own (``to_compact`` on a config class and on a group operation,
+``*_to_compact`` here), with no dict built and no JSON encoder: a record
+has one text, and the snapshot holds the text its event logs. The
+projections stay the reference the templates are tested against.
 """
 
 from __future__ import annotations
 
-import json
 import math
 import re
 from collections.abc import Mapping
@@ -696,6 +695,10 @@ class AddGroup:
             raise InvalidChangeSet(f"group {self.group.group_id} already exists")
         groups[self.group.group_id] = self.group
 
+    def to_compact(self) -> str:
+        """The compact text of :func:`group_op_to_json` for this operation."""
+        return f'{{"op":"add","group":{group_to_compact(self.group)}}}'
+
     def edit_right_needed(self, originating_group: int) -> EditRightLevel:
         if self.group.edit_right is EditRightLevel.DOCUMENT:
             return EditRightLevel.DELEGATES_CREATION
@@ -720,6 +723,10 @@ class ReplaceGroup:
             raise UnknownGroup(f"cannot replace missing group {self.group_id}")
         groups[self.group_id] = self.group  # keeps its position
 
+    def to_compact(self) -> str:
+        """The compact text of :func:`group_op_to_json` for this operation."""
+        return f'{{"op":"replace","group_id":{_spell(self.group_id)},"group":{group_to_compact(self.group)}}}'
+
     def edit_right_needed(self, originating_group: int) -> EditRightLevel:
         if self.group_id == originating_group:
             return EditRightLevel.SELF_GOVERNANCE
@@ -736,6 +743,10 @@ class RemoveGroup:
     def apply(self, groups: dict[int, GovernanceGroup]) -> None:
         if groups.pop(self.group_id, None) is None:
             raise UnknownGroup(f"cannot remove missing group {self.group_id}")
+
+    def to_compact(self) -> str:
+        """The compact text of :func:`group_op_to_json` for this operation."""
+        return f'{{"op":"remove","group_id":{_spell(self.group_id)}}}'
 
     def edit_right_needed(self, originating_group: int) -> EditRightLevel:
         return EditRightLevel.ALL
@@ -960,10 +971,10 @@ def change_set_to_json(change_set: ChangeSet) -> dict:
 
 
 def change_set_to_compact(change_set: ChangeSet) -> str:
-    """The compact text of :func:`change_set_to_json`; its group operations,
-    rare in a log, are written from their JSON projection."""
+    """The compact text of :func:`change_set_to_json`, each group operation
+    through its own ``to_compact``."""
     keys, attributes = change_set.new_public_keys, change_set.new_attributes
-    group_ops = ",".join([json.dumps(group_op_to_json(op), separators=(",", ":")) for op in change_set.group_ops])
+    group_ops = ",".join([op.to_compact() for op in change_set.group_ops])
     return (
         f'{{"new_public_keys":{"null" if keys is None else _hex_list(keys)},'
         f'"new_attributes":{"null" if attributes is None else _text_members(attributes)},"group_ops":[{group_ops}]}}'

@@ -21,12 +21,13 @@ as the compact text that :func:`didgov.model.document_to_compact` and
 :func:`didgov.model.proposal_to_compact` write from the record, with no
 dict built; replay decodes the logged text, runs the transaction, and
 requires the text the transaction derives to equal it.
-:func:`event_log_to_jsonl` writes each event line from its kind's fixed
-text, with only the payload through the C JSON encoder. An audit decodes,
-folds (each kind of event that begins a transaction through its entry in
-:data:`_FOLDS`), then snapshots. :func:`event_log_from_jsonl` reads each
-line with CPython's C JSON scanner and accepts only a line that is exactly
-one event (:func:`didgov.model.event_from_json`).
+:func:`event_log_to_jsonl` writes each event line from a template: its
+kind's fixed text and its payload's text members, with no JSON encoder and
+no dict built. An audit decodes, folds (each kind of event that begins a
+transaction through its entry in :data:`_FOLDS`), then snapshots.
+:func:`event_log_from_jsonl` reads each line with CPython's C JSON scanner
+and accepts only a line that is exactly one event
+(:func:`didgov.model.event_from_json`).
 :func:`snapshot_json` writes the text of ``json.dumps(state_snapshot(state),
 separators=(",", ":"))`` straight from the state's records, in the log's
 compact form: a document and a proposal write the text their events
@@ -41,7 +42,7 @@ from __future__ import annotations
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from json.decoder import JSONDecodeError, JSONDecoder
-from json.encoder import JSONEncoder, c_make_encoder, encode_basestring_ascii
+from json.encoder import encode_basestring_ascii
 from json.scanner import c_make_scanner
 from typing import Optional, Sequence
 
@@ -82,26 +83,8 @@ from .model import (
 )
 from .scheduler import DeadlineQueue, SimClock
 
-if c_make_encoder is None or c_make_scanner is None:
-    raise ImportError("didgov requires CPython's _json accelerator (c_make_encoder and c_make_scanner)")
-
-
-# the stock encoder's ``default``: it raises the TypeError ``json.dumps``
-# raises for a value that is not JSON
-_ENCODER_DEFAULT = JSONEncoder().default
-
-
-def _compact_writer() -> Callable[[object], str]:
-    """A writer of compact JSON text, equal to ``json.dumps(value,
-    separators=(",", ":"))``: one C encoder built with the arguments
-    ``json.dumps`` gives it (fresh circular-reference markers, the stock
-    ``default``, ASCII escaping, no key sorting or skipping, NaN allowed).
-    ``json.dumps`` builds that encoder for each value; build one writer
-    per call and write every value of the call through it."""
-    encode = c_make_encoder(
-        {}, _ENCODER_DEFAULT, encode_basestring_ascii, None, ":", ",", False, False, True
-    )
-    return lambda value: "".join(encode(value, 0))
+if c_make_scanner is None:
+    raise ImportError("didgov requires CPython's _json accelerator (c_make_scanner)")
 
 
 @dataclass
@@ -615,13 +598,18 @@ def event_log_to_jsonl(events: Sequence[GovernanceEvent]) -> str:
     """One line per event, each the compact JSON text of
     :func:`didgov.model.event_to_json` for it, written from a template:
     the integers in ``json.dumps``'s spelling, the kind's fixed text and
-    the payload through one compact writer, with no dict built per
-    event."""
-    write, kinds, spell = _compact_writer(), _KIND_FIELDS, int.__repr__
-    return "".join([
-        f'{{"sequence":{spell(event.sequence)},"tick":{spell(event.tick)}{kinds[event.kind]}{write(event.payload)}}}\n'
-        for event in events
-    ])
+    the payload's text-to-text members, with no dict built per event. A
+    payload key or value that is not text raises ``EncodingError``: every
+    transaction logs text, so such an event was never logged."""
+    quote, kinds, spell = encode_basestring_ascii, _KIND_FIELDS, int.__repr__
+    try:
+        return "".join([
+            f'{{"sequence":{spell(event.sequence)},"tick":{spell(event.tick)}{kinds[event.kind]}'
+            f'{{{",".join([f"{quote(key)}:{quote(value)}" for key, value in event.payload.items()])}}}}}\n'
+            for event in events
+        ])
+    except TypeError as exc:
+        raise EncodingError(f"an event holds integers and a text-to-text payload: {exc}") from None
 
 
 # What a hostile log can make decoding or folding raise; each is reported

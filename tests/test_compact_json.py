@@ -1,13 +1,11 @@
 """Compact JSON text against ``json.dumps(value, separators=(",", ":"))``.
 
-Every event's payload is written through the compact writer in
-:mod:`didgov.registry`, so its text must equal ``json.dumps`` byte for
-byte. ``event_log_to_jsonl`` writes the rest of each event line from a
-per-kind template; each line must equal the compact ``json.dumps`` of
-:func:`didgov.model.event_to_json` for its event. The ``document`` and
-``proposal`` texts that events record come from the compact templates in
-:mod:`didgov.model`; each must equal the compact ``json.dumps`` of its
-record's JSON projection.
+``event_log_to_jsonl`` writes each event line from a per-kind template and
+its payload's text members; each line must equal the compact ``json.dumps``
+of :func:`didgov.model.event_to_json` for its event, and a payload that is
+not text to text must be refused. The ``document`` and ``proposal`` texts
+that events record come from the compact templates in :mod:`didgov.model`;
+each must equal the compact ``json.dumps`` of its record's JSON projection.
 """
 
 import json
@@ -20,6 +18,7 @@ from hypothesis import strategies as st
 
 from didgov import model
 from didgov import registry as registry_mod
+from didgov.errors import EncodingError
 from didgov.model import (
     AclConfig,
     AddGroup,
@@ -49,59 +48,10 @@ GOLDEN = Path(__file__).parent / "golden"
 # characters JSON escapes, or escapes specially, next to non-ASCII text
 _AWKWARD = st.sampled_from(['"', "\\", "/", "\x00", "\x1f", "\x7f", "\n", "\t", " ", "é", "€", "\U0001f600"])
 TEXT = st.text() | st.text(_AWKWARD) | st.text(st.characters(categories=["Cs"]))
-SCALARS = (
-    st.none()
-    | st.booleans()
-    | st.integers()
-    | st.integers(min_value=-(2**200), max_value=2**200)
-    | st.floats()  # nan and infinities included
-    | TEXT
-)
-TREES = st.recursive(
-    SCALARS,
-    lambda children: st.lists(children, max_size=5) | st.dictionaries(TEXT, children, max_size=5),
-    max_leaves=40,
-)
 
 
 def _dumps(value) -> str:
     return json.dumps(value, separators=(",", ":"))
-
-
-@given(st.lists(TREES, max_size=4))
-def test_writer_equals_json_dumps(values):
-    write = registry_mod._compact_writer()  # one writer for many values, as an export uses it
-    assert [write(value) for value in values] == [_dumps(value) for value in values]
-
-
-@given(st.integers(min_value=0, max_value=300), SCALARS, st.booleans())
-def test_deep_nesting_equals_json_dumps(depth, leaf, as_dict):
-    value = leaf
-    for _ in range(depth):
-        value = {"k": value} if as_dict else [value, []]
-    assert registry_mod._compact_writer()(value) == _dumps(value)
-
-
-@pytest.mark.parametrize("value", [{}, [], [{}], {"": []}, "", 0, -0.0, float("nan"), float("-inf")])
-def test_edge_values_equal_json_dumps(value):
-    assert registry_mod._compact_writer()(value) == _dumps(value)
-
-
-def test_self_containing_value_raises_value_error():
-    looped = {"a": []}
-    looped["a"].append(looped)
-    with pytest.raises(ValueError, match="Circular reference"):
-        _dumps(looped)
-    with pytest.raises(ValueError, match="Circular reference"):
-        registry_mod._compact_writer()(looped)
-
-
-@pytest.mark.parametrize("value", [{"k": b"bytes"}, [object()], {"k": {1, 2}}])
-def test_non_serializable_value_raises_type_error(value):
-    with pytest.raises(TypeError, match="not JSON serializable"):
-        _dumps(value)
-    with pytest.raises(TypeError, match="not JSON serializable"):
-        registry_mod._compact_writer()(value)
 
 
 # sequence and tick past 2**64, every kind, payload text that JSON escapes
@@ -119,6 +69,51 @@ def test_event_lines_equal_json_dumps_of_event_to_json(events):
     assert registry_mod.event_log_to_jsonl(events) == "".join(
         _dumps(model.event_to_json(event)) + "\n" for event in events
     )
+
+
+# payloads at the edges of the template: empty, empty text, every escape
+EDGE_PAYLOADS = {
+    "empty": {},
+    "empty-text": {"": ""},
+    "quote-backslash-slash": {'"\\/': '"\\/'},
+    "control": {"k": "\x00\x1f\x7f\n\t\r\b\f"},
+    "non-ascii": {"r\u00f4le": "\u20ac\U0001f600"},
+    "lone-surrogates": {"\ud800": "\udfff\udc00"},
+    "many-members": {f"k{i}": f"v{i}" for i in range(40)},
+}
+
+
+@pytest.mark.parametrize("payload", EDGE_PAYLOADS.values(), ids=list(EDGE_PAYLOADS))
+def test_edge_payloads_equal_json_dumps_of_event_to_json(payload):
+    event = GovernanceEvent(2**64, 0, EventKind.ANCHORED, payload)
+    assert registry_mod.event_log_to_jsonl([event]) == _dumps(model.event_to_json(event)) + "\n"
+
+
+def _decoded(payload_text):
+    line = '{"sequence":1,"tick":0,"kind":"anchored","payload":{"to":%s}}' % payload_text
+    return registry_mod.event_log_from_jsonl(line)[0]
+
+
+@pytest.mark.parametrize(
+    "event",
+    [
+        _decoded("5"),
+        _decoded("null"),
+        _decoded("1.5"),
+        _decoded("true"),
+        _decoded("[]"),
+        _decoded("{}"),
+        GovernanceEvent(1, 0, EventKind.ANCHORED, {"to": b"bytes"}),
+        GovernanceEvent(1, 0, EventKind.ANCHORED, {5: "five"}),
+        GovernanceEvent("1", 0, EventKind.ANCHORED, {"to": "ab"}),
+    ],
+    ids=["int-value", "null-value", "float-value", "bool-value", "array-value", "object-value", "bytes-value",
+         "int-key", "text-sequence"],
+)
+def test_payload_that_is_not_text_to_text_is_refused(event):
+    good = GovernanceEvent(0, 0, EventKind.ANCHORED, {"did": "ab"})
+    with pytest.raises(EncodingError, match="text-to-text payload"):
+        registry_mod.event_log_to_jsonl([good, event])
 
 
 @pytest.mark.parametrize("scenario", sorted(path.name for path in GOLDEN.iterdir() if path.is_dir()))

@@ -5,7 +5,7 @@ import pytest
 from cryptography.hazmat.primitives.asymmetric import ed25519
 
 from didgov import crypto
-from didgov.errors import MalformedCredential, VerificationError
+from didgov.errors import EncodingError, MalformedCredential, VerificationError
 from didgov.model import Did, Verdict
 from didgov.registry import build_decision
 
@@ -203,3 +203,27 @@ class TestPresentation:
         vc = crypto.issue_vc(pair("issuer"), pair("holder").public_key, {})
         stolen = crypto.present_vc(vc, pair("thief"), "abc1", 4)
         assert not stolen.verify_holder("abc1", 4)
+
+
+_ISSUER = pair("issuer")
+_SIGNATURE = crypto.sign(_ISSUER, b"msg")
+
+
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        (lambda: crypto.issue_vc(_ISSUER, "notbytes", {"role": "voter"}), VerificationError),
+        (lambda: crypto.present_vc(crypto.issue_vc(_ISSUER, _ISSUER.public_key, {}), _ISSUER, 7, 0), EncodingError),
+        (lambda: crypto.issue_token(_ISSUER, "x" * 16), VerificationError),
+        (lambda: crypto.generate_keypair("x" * 32), VerificationError),
+        (lambda: crypto.sign(_ISSUER, "msg"), VerificationError),
+        (lambda: crypto.verify(_ISSUER.public_key, "msg", _SIGNATURE), VerificationError),
+    ],
+    ids=["issue_vc-holder", "present_vc-did", "issue_token-nonce", "generate_keypair-seed", "sign-message",
+         "verify-message"],
+)
+def test_client_helpers_refuse_arguments_of_the_wrong_type(call, error):
+    """Text where bytes are needed is a VerificationError, an int where text
+    is needed an EncodingError, never a bare TypeError or AttributeError."""
+    with pytest.raises(error):
+        call()
