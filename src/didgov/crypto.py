@@ -51,6 +51,8 @@ def generate_keypair(seed: bytes) -> KeyPair:
 
 
 def sign(signer: KeyPair, message: bytes) -> bytes:
+    if not isinstance(signer, KeyPair):
+        raise VerificationError(f"a signer is a key pair, not {type(signer).__name__}")
     _require_bytes("signature", message=message)
     return signer.private.sign(message)
 
@@ -146,10 +148,7 @@ class VcPresentation:
     holder_signature: bytes
 
     def __post_init__(self) -> None:
-        if not isinstance(self.credential, VerifiableCredential):
-            raise MalformedCredential(
-                f"a vc presentation holds a verifiable credential, not {type(self.credential).__name__}"
-            )
+        _require_credential(self.credential)
         _require_bytes("presentation", holder_signature=self.holder_signature)
 
     def verify_holder(self, did: str, proposal_id: int, verified: Optional[Verified] = None) -> bool:
@@ -158,6 +157,11 @@ class VcPresentation:
 
 
 CredentialPresentation = TokenPresentation | VcPresentation
+
+
+def _require_credential(credential) -> None:
+    if not isinstance(credential, VerifiableCredential):
+        raise MalformedCredential(f"a vc presentation holds a verifiable credential, not {type(credential).__name__}")
 
 
 def issue_token(issuer: KeyPair, nonce: bytes) -> BearerToken:
@@ -170,12 +174,12 @@ def issue_token(issuer: KeyPair, nonce: bytes) -> BearerToken:
 
 def issue_vc(issuer: KeyPair, holder_key: bytes, claims: Mapping[str, str]) -> VerifiableCredential:
     _require_bytes("credential", holder_key=holder_key)
-    payload = encoding.vc_payload(holder_key, claims)
+    signature = sign(issuer, encoding.vc_payload(holder_key, claims))
     return VerifiableCredential(
         issuer_key=issuer.public_key,
         holder_key=holder_key,
         claims=dict(claims),
-        issuer_signature=sign(issuer, payload),
+        issuer_signature=signature,
     )
 
 
@@ -185,6 +189,7 @@ def present_vc(credential: VerifiableCredential, holder: KeyPair, did: str, prop
     ``proposal_id`` is 0 when presenting to submit a proposal (no id has
     been allocated yet) and the actual id when presenting to decide.
     """
+    _require_credential(credential)
     if not isinstance(did, str) or not isinstance(proposal_id, int):
         raise EncodingError(f"a presentation names a text did and an integer id, not {did!r}, {proposal_id!r}")
     payload = _presentation_payload(credential, did, proposal_id)

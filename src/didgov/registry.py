@@ -21,10 +21,13 @@ as the compact text that :func:`didgov.model.document_to_compact` and
 :func:`didgov.model.proposal_to_compact` write from the record, with no
 dict built; replay decodes the logged text, runs the transaction, and
 requires the text the transaction derives to equal it.
-:func:`event_log_to_jsonl` writes each event line from a template: its
-kind's fixed text and its payload's text members, with no JSON encoder and
-no dict built. An audit decodes, folds (each kind of event that begins a
-transaction through its entry in :data:`_FOLDS`), then snapshots.
+:func:`event_log_to_jsonl` writes each event line from a template, with no
+JSON encoder and no dict built. Each payload shape the transactions log (a
+kind and its payload keys in order) has its own writer, one f-string with
+the kind and the keys as literal text; any other event goes through the
+generic line, its kind's fixed text and its payload's members. An audit
+decodes, folds (each kind of event that begins a transaction through its
+entry in :data:`_FOLDS`), then snapshots.
 :func:`event_log_from_jsonl` reads each line with CPython's C JSON scanner
 and accepts only a line that is exactly one event
 (:func:`didgov.model.event_from_json`).
@@ -407,7 +410,10 @@ def _signed(decision: Decision) -> Vote:
     """Live vote of ``decision``: its ``authorize`` checks the signature, then
     runs the group's authorization. Every refusal, wrong-length key or
     signature bytes and credential claims that are not text included, is a
-    denied outcome rather than an exception."""
+    denied outcome rather than an exception. Anything but a ``Decision``
+    raises ``EncodingError`` before a transaction begins."""
+    if not isinstance(decision, Decision):
+        raise EncodingError(f"a vote is a decision, not {type(decision).__name__}")
 
     def authorize(group, proposal, ledger, meter, verified) -> AuthzOutcome:
         charge(meter, "sig_verify", 1)
@@ -437,6 +443,14 @@ def allowed_changes(edit_right: EditRightLevel, originating_group: int, change_s
     return all(edit_right >= op.edit_right_needed(originating_group) for op in change_set.group_ops)
 
 
+def _batch_votes(batch: DecisionBatch) -> list[Vote]:
+    """The live votes of an off-chain aggregate; anything but a
+    ``DecisionBatch`` raises ``EncodingError`` before a transaction begins."""
+    if not isinstance(batch, DecisionBatch):
+        raise EncodingError(f"an aggregate is a decision batch, not {type(batch).__name__}")
+    return [_signed(decision) for decision in batch.decisions]
+
+
 def build_decision(
     signer: crypto.KeyPair,
     did: Did,
@@ -446,12 +460,17 @@ def build_decision(
     credential=None,
 ) -> Decision:
     """Client-side helper: sign the canonical decision payload."""
-    payload = encoding.decision_payload(str(did), proposal_id, base_version, verdict.value)
+    if not isinstance(proposal_id, int) or not isinstance(base_version, int) or type(verdict) is not Verdict:
+        raise EncodingError(
+            f"a decision names an integer id and version and a verdict, not {proposal_id!r}, {base_version!r}, "
+            f"{verdict!r}"
+        )
+    signature = crypto.sign(signer, encoding.decision_payload(str(did), proposal_id, base_version, verdict.value))
     return Decision(
         proposal_id=proposal_id,
         controller_key=signer.public_key,
         verdict=verdict,
-        signature=crypto.sign(signer, payload),
+        signature=signature,
         credential=credential,
     )
 
@@ -498,12 +517,13 @@ class Registry:
     def decide(self, decision: Decision) -> Optional[Verdict]:
         """Submit one on-chain decision; returns the verdict if it resolved
         the proposal (decisive vote), else None."""
-        return self._run("decide", _decide, decision.proposal_id, _signed(decision))
+        vote = _signed(decision)
+        return self._run("decide", _decide, decision.proposal_id, vote)
 
     def decide_batch(self, batch: DecisionBatch) -> BatchResult:
         """Submit an off-chain aggregate as one transaction; invalid entries
         are skipped and reported, not fatal (see :func:`_decide_batch`)."""
-        votes = [_signed(decision) for decision in batch.decisions]
+        votes = _batch_votes(batch)
         return self._run("decide_batch", _decide_batch, batch.proposal_id, votes)
 
     def resolve_manual(self, proposal_id: int) -> Verdict:
@@ -592,23 +612,139 @@ def snapshot_json(state: RegistryState) -> str:
 
 # what an event line holds between its tick and its payload, per kind
 _KIND_FIELDS = {kind: f',"kind":{encode_basestring_ascii(kind.value)},"payload":' for kind in EventKind}
+_quote, _spell = encode_basestring_ascii, int.__repr__
+
+
+def _line(event: GovernanceEvent) -> str:
+    """Any event's line: its kind's fixed text and its payload's members in
+    order. A payload that is not a dict, or a key or value that is not
+    text, raises ``TypeError`` or ``AttributeError``."""
+    return (
+        f'{{"sequence":{_spell(event.sequence)},"tick":{_spell(event.tick)}{_KIND_FIELDS[event.kind]}'
+        f'{{{",".join([f"{_quote(key)}:{_quote(value)}" for key, value in event.payload.items()])}}}}}\n'
+    )
+
+
+# One writer per payload shape the transactions log: a kind and its payload
+# keys in order. Each writes the line of :func:`_line` with the kind and the
+# keys as literal text; a value that is not text raises ``TypeError``.
+
+def _anchored_line(event: GovernanceEvent) -> str:
+    p = event.payload
+    return (
+        f'{{"sequence":{_spell(event.sequence)},"tick":{_spell(event.tick)},"kind":"anchored","payload":'
+        f'{{"did":{_quote(p["did"])},"document":{_quote(p["document"])}}}}}\n'
+    )
+
+
+def _submitted_line(event: GovernanceEvent) -> str:
+    p = event.payload
+    return (
+        f'{{"sequence":{_spell(event.sequence)},"tick":{_spell(event.tick)},"kind":"proposal_submitted","payload":'
+        f'{{"proposal":{_quote(p["proposal"])}}}}}\n'
+    )
+
+
+def _submitted_with_nonce_line(event: GovernanceEvent) -> str:
+    p = event.payload
+    return (
+        f'{{"sequence":{_spell(event.sequence)},"tick":{_spell(event.tick)},"kind":"proposal_submitted","payload":'
+        f'{{"proposal":{_quote(p["proposal"])},"nonce_issuer":{_quote(p["nonce_issuer"])},'
+        f'"nonce":{_quote(p["nonce"])}}}}}\n'
+    )
+
+
+def _overridden_line(event: GovernanceEvent) -> str:
+    p = event.payload
+    return (
+        f'{{"sequence":{_spell(event.sequence)},"tick":{_spell(event.tick)},"kind":"proposal_overridden","payload":'
+        f'{{"proposal_id":{_quote(p["proposal_id"])},"did":{_quote(p["did"])},'
+        f'"overriding_group":{_quote(p["overriding_group"])}}}}}\n'
+    )
+
+
+def _accepted_line(event: GovernanceEvent) -> str:
+    p = event.payload
+    return (
+        f'{{"sequence":{_spell(event.sequence)},"tick":{_spell(event.tick)},"kind":"decision_accepted","payload":'
+        f'{{"proposal_id":{_quote(p["proposal_id"])},"controller":{_quote(p["controller"])},'
+        f'"verdict":{_quote(p["verdict"])},"weight":{_quote(p["weight"])}}}}}\n'
+    )
+
+
+def _accepted_with_nonce_line(event: GovernanceEvent) -> str:
+    p = event.payload
+    return (
+        f'{{"sequence":{_spell(event.sequence)},"tick":{_spell(event.tick)},"kind":"decision_accepted","payload":'
+        f'{{"proposal_id":{_quote(p["proposal_id"])},"controller":{_quote(p["controller"])},'
+        f'"verdict":{_quote(p["verdict"])},"weight":{_quote(p["weight"])},'
+        f'"nonce_issuer":{_quote(p["nonce_issuer"])},"nonce":{_quote(p["nonce"])}}}}}\n'
+    )
+
+
+def _scheduled_line(event: GovernanceEvent) -> str:
+    p = event.payload
+    return (
+        f'{{"sequence":{_spell(event.sequence)},"tick":{_spell(event.tick)},"kind":"scheduled","payload":'
+        f'{{"proposal_id":{_quote(p["proposal_id"])},"deadline":{_quote(p["deadline"])}}}}}\n'
+    )
+
+
+def _resolved_line(event: GovernanceEvent) -> str:
+    p = event.payload
+    return (
+        f'{{"sequence":{_spell(event.sequence)},"tick":{_spell(event.tick)},"kind":"resolved","payload":'
+        f'{{"proposal_id":{_quote(p["proposal_id"])},"verdict":{_quote(p["verdict"])},'
+        f'"reason":{_quote(p["reason"])},"status":{_quote(p["status"])}}}}}\n'
+    )
+
+
+def _resolved_with_version_line(event: GovernanceEvent) -> str:
+    p = event.payload
+    return (
+        f'{{"sequence":{_spell(event.sequence)},"tick":{_spell(event.tick)},"kind":"resolved","payload":'
+        f'{{"proposal_id":{_quote(p["proposal_id"])},"verdict":{_quote(p["verdict"])},'
+        f'"reason":{_quote(p["reason"])},"status":{_quote(p["status"])},'
+        f'"new_version":{_quote(p["new_version"])}}}}}\n'
+    )
+
+
+def _clock_line(event: GovernanceEvent) -> str:
+    return (
+        f'{{"sequence":{_spell(event.sequence)},"tick":{_spell(event.tick)},"kind":"clock_advanced","payload":'
+        f'{{"to":{_quote(event.payload["to"])}}}}}\n'
+    )
+
+
+_LINE_WRITERS: dict[tuple[str, ...], Callable[[GovernanceEvent], str]] = {
+    (_ANCHORED_EVENT, "did", "document"): _anchored_line,
+    (_SUBMITTED_EVENT, "proposal"): _submitted_line,
+    (_SUBMITTED_EVENT, "proposal", "nonce_issuer", "nonce"): _submitted_with_nonce_line,
+    (_OVERRIDDEN_EVENT, "proposal_id", "did", "overriding_group"): _overridden_line,
+    (_ACCEPTED_EVENT, "proposal_id", "controller", "verdict", "weight"): _accepted_line,
+    (_ACCEPTED_EVENT, "proposal_id", "controller", "verdict", "weight", "nonce_issuer", "nonce"):
+        _accepted_with_nonce_line,
+    (_SCHEDULED_EVENT, "proposal_id", "deadline"): _scheduled_line,
+    (_RESOLVED_EVENT, "proposal_id", "verdict", "reason", "status"): _resolved_line,
+    (_RESOLVED_EVENT, "proposal_id", "verdict", "reason", "status", "new_version"): _resolved_with_version_line,
+    (_CLOCK_EVENT, "to"): _clock_line,
+}
 
 
 def event_log_to_jsonl(events: Sequence[GovernanceEvent]) -> str:
     """One line per event, each the compact JSON text of
-    :func:`didgov.model.event_to_json` for it, written from a template:
-    the integers in ``json.dumps``'s spelling, the kind's fixed text and
-    the payload's text-to-text members, with no dict built per event. A
-    payload key or value that is not text raises ``EncodingError``: every
-    transaction logs text, so such an event was never logged."""
-    quote, kinds, spell = encode_basestring_ascii, _KIND_FIELDS, int.__repr__
+    :func:`didgov.model.event_to_json` for it, with no dict built per
+    event. An event whose kind and payload keys, in order, are a shape the
+    transactions log is written by that shape's writer in
+    :data:`_LINE_WRITERS`; any other event (keys in another order, one
+    missing or one extra, a hand-built or foreign event) by :func:`_line`.
+    Both write the integers in ``json.dumps``'s spelling. A payload that is
+    not a dict of text to text raises ``EncodingError``: every transaction
+    logs text, so such an event was never logged."""
+    writers, line = _LINE_WRITERS, _line
     try:
-        return "".join([
-            f'{{"sequence":{spell(event.sequence)},"tick":{spell(event.tick)}{kinds[event.kind]}'
-            f'{{{",".join([f"{quote(key)}:{quote(value)}" for key, value in event.payload.items()])}}}}}\n'
-            for event in events
-        ])
-    except TypeError as exc:
+        return "".join([writers.get((event.kind, *event.payload), line)(event) for event in events])
+    except (TypeError, AttributeError) as exc:
         raise EncodingError(f"an event holds integers and a text-to-text payload: {exc}") from None
 
 

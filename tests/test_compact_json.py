@@ -1,8 +1,9 @@
 """Compact JSON text against ``json.dumps(value, separators=(",", ":"))``.
 
-``event_log_to_jsonl`` writes each event line from a per-kind template and
-its payload's text members; each line must equal the compact ``json.dumps``
-of :func:`didgov.model.event_to_json` for its event, and a payload that is
+``event_log_to_jsonl`` writes each event line from its payload shape's
+writer, or from the generic per-kind template and its payload's text
+members; each line must equal the compact ``json.dumps`` of
+:func:`didgov.model.event_to_json` for its event, and a payload that is
 not text to text must be refused. The ``document`` and ``proposal`` texts
 that events record come from the compact templates in :mod:`didgov.model`;
 each must equal the compact ``json.dumps`` of its record's JSON projection.
@@ -106,14 +107,75 @@ def _decoded(payload_text):
         GovernanceEvent(1, 0, EventKind.ANCHORED, {"to": b"bytes"}),
         GovernanceEvent(1, 0, EventKind.ANCHORED, {5: "five"}),
         GovernanceEvent("1", 0, EventKind.ANCHORED, {"to": "ab"}),
+        GovernanceEvent(1, 0, EventKind.ANCHORED, None),
+        GovernanceEvent(1, 0, EventKind.ANCHORED, [("did", "ab"), ("document", "{}")]),
+        GovernanceEvent(1, 0, EventKind.CLOCK_ADVANCED, {"to": 5}),
     ],
     ids=["int-value", "null-value", "float-value", "bool-value", "array-value", "object-value", "bytes-value",
-         "int-key", "text-sequence"],
+         "int-key", "text-sequence", "null-payload", "pairs-payload", "int-value-of-a-logged-shape"],
 )
 def test_payload_that_is_not_text_to_text_is_refused(event):
     good = GovernanceEvent(0, 0, EventKind.ANCHORED, {"did": "ab"})
     with pytest.raises(EncodingError, match="text-to-text payload"):
         registry_mod.event_log_to_jsonl([good, event])
+
+
+# --- one writer per logged payload shape ----------------------------------------
+
+SHAPES = list(registry_mod._LINE_WRITERS)
+
+
+def _shape_id(shape) -> str:
+    kind, *keys = shape
+    return f"{kind.value}({','.join(keys)})"
+
+
+def _line_of(kind, payload) -> str:
+    return _dumps(model.event_to_json(GovernanceEvent(2**64, 7, kind, payload))) + "\n"
+
+
+@pytest.mark.parametrize("shape", SHAPES, ids=_shape_id)
+@given(data=st.data())
+def test_each_logged_shape_writes_the_json_dumps_line(shape, data):
+    """Each shape's writer against ``json.dumps``; the same keys reordered,
+    one missing or one extra go through the generic line and must equal it
+    too. A value that is not text is refused."""
+    kind, *keys = shape
+    values = data.draw(st.lists(TEXT, min_size=len(keys), max_size=len(keys)), label="values")
+    payload = dict(zip(keys, values))
+    event = GovernanceEvent(2**64, 7, kind, payload)
+    line = _line_of(kind, payload)
+    assert registry_mod._LINE_WRITERS[shape](event) == registry_mod.event_log_to_jsonl([event]) == line
+
+    order = data.draw(st.permutations(keys), label="order")
+    missing = data.draw(st.sampled_from(keys), label="missing")
+    extra = data.draw(TEXT.filter(lambda key: key not in payload), label="extra")
+    variants = [
+        {key: payload[key] for key in order},
+        {key: value for key, value in payload.items() if key != missing},
+        {**payload, extra: data.draw(TEXT, label="extra value")},
+    ]
+    for variant in variants:
+        event = GovernanceEvent(2**64, 7, kind, variant)
+        assert registry_mod._line(event) == registry_mod.event_log_to_jsonl([event]) == _line_of(kind, variant)
+
+    not_text = {**payload, missing: data.draw(st.integers() | st.none() | st.binary(), label="not text")}
+    with pytest.raises(EncodingError, match="text-to-text payload"):
+        registry_mod.event_log_to_jsonl([GovernanceEvent(2**64, 7, kind, not_text)])
+
+
+def test_the_logged_shapes_are_the_golden_logs_shapes():
+    """Each (kind, *payload keys) shape of a golden log has its own writer,
+    and each writer's shape is in a golden log: a transaction that changes
+    the fields it logs fails here instead of falling back to the generic
+    line."""
+    golden = {
+        (event.kind, *event.payload)
+        for path in sorted(GOLDEN.glob("*/events.jsonl"))
+        for event in registry_mod.event_log_from_jsonl(path.read_text())
+    }
+    assert golden - set(SHAPES) == set(), "a logged shape has no writer"
+    assert set(SHAPES) - golden == set(), "a writer's shape is in no golden log"
 
 
 @pytest.mark.parametrize("scenario", sorted(path.name for path in GOLDEN.iterdir() if path.is_dir()))

@@ -7,7 +7,7 @@ from cryptography.hazmat.primitives.asymmetric import ed25519
 from didgov import crypto
 from didgov.errors import EncodingError, MalformedCredential, VerificationError
 from didgov.model import Did, Verdict
-from didgov.registry import build_decision
+from didgov.registry import Registry, build_decision
 
 from .util import pair
 
@@ -218,12 +218,27 @@ _SIGNATURE = crypto.sign(_ISSUER, b"msg")
         (lambda: crypto.generate_keypair("x" * 32), VerificationError),
         (lambda: crypto.sign(_ISSUER, "msg"), VerificationError),
         (lambda: crypto.verify(_ISSUER.public_key, "msg", _SIGNATURE), VerificationError),
+        (lambda: build_decision(_ISSUER, Did("ab"), "1", 1, Verdict.APPROVE), EncodingError),
+        (lambda: build_decision(_ISSUER, Did("ab"), 1, 1, "approve"), EncodingError),
+        (lambda: build_decision(_ISSUER.public_key, Did("ab"), 1, 1, Verdict.APPROVE), VerificationError),
+        (lambda: crypto.sign(None, b"msg"), VerificationError),
+        (lambda: crypto.issue_token(_ISSUER.public_key, b"x" * 16), VerificationError),
+        (lambda: crypto.issue_vc("issuer", _ISSUER.public_key, {}), VerificationError),
+        (lambda: crypto.present_vc({"role": "voter"}, _ISSUER, "ab", 0), MalformedCredential),
+        (lambda: crypto.present_vc(crypto.issue_vc(_ISSUER, _ISSUER.public_key, {}), None, "ab", 0),
+         VerificationError),
+        (lambda: Registry().decide(None), EncodingError),
+        (lambda: Registry().decide_batch(None), EncodingError),
     ],
     ids=["issue_vc-holder", "present_vc-did", "issue_token-nonce", "generate_keypair-seed", "sign-message",
-         "verify-message"],
+         "verify-message", "build_decision-id", "build_decision-verdict", "build_decision-signer", "sign-signer",
+         "issue_token-signer", "issue_vc-signer", "present_vc-credential", "present_vc-holder", "decide-decision",
+         "decide_batch-batch"],
 )
 def test_client_helpers_refuse_arguments_of_the_wrong_type(call, error):
-    """Text where bytes are needed is a VerificationError, an int where text
-    is needed an EncodingError, never a bare TypeError or AttributeError."""
+    """Text where bytes are needed, or a signer that is not a key pair, is a
+    VerificationError; an int where text is needed, or a wrong-typed id,
+    verdict, decision or batch, an EncodingError; a credential that is not
+    one a MalformedCredential: never a bare TypeError or AttributeError."""
     with pytest.raises(error):
         call()
